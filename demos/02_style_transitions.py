@@ -9,8 +9,7 @@ pairs accumulate into the 9x9 transition matrix.
 """
 
 from fundshift.marketdata import align, compute_returns
-from fundshift.pipeline import AnalysisConfig, analyze_fund
-from fundshift.stylebox import accumulate_transitions, render_transition_csv
+from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, render_table
 from fundshift.synth import parse_sim_spec, run_simulation
 
 NOISE = 0.006
@@ -65,8 +64,7 @@ for nav, truth in zip(sim.funds, sim.truths):
               f"{shift.style_to.label}  graded {shift.intensity.value}")
     print()
 
-matrix = accumulate_transitions(
-    [[s.box for s in rec.styles] for rec in records]
-)
-print(f"transition matrix over {matrix.grand_total} adjacent regime pairs:")
-print(render_transition_csv(matrix))
+aggregates = build_aggregates(records, config)
+print(f"transition matrix over {aggregates['transitions']['grand_total']} "
+      "adjacent regime pairs:")
+print(render_table(aggregates, "transitions", "csv"))

@@ -9,8 +9,7 @@ populated by the funds whose style rotated.
 """
 
 from fundshift.marketdata import align, compute_returns
-from fundshift.perf import break_histogram, decile_analysis, group_by_break_count, render_group_csv
-from fundshift.pipeline import AnalysisConfig, analyze_fund
+from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, render_table
 from fundshift.synth import parse_sim_spec, run_simulation
 
 NOISE = 0.006
@@ -63,21 +62,18 @@ for nav in sim.funds:
     sample = align(compute_returns(nav), bench_returns, sim.factors)
     records.append(analyze_fund(sample, config))
 
-metrics = [rec.metrics for rec in records]
-hist = break_histogram(metrics)
+aggregates = build_aggregates(records, config)
 print("break histogram (totals cover funds with >= 1 break):")
-for row in hist.rows:
-    print(f"  {row.n_breaks} breaks: {row.funds} funds")
-print(f"  total: {hist.total_funds_with_breaks} funds, {hist.total_breaks} breaks")
+print(render_table(aggregates, "breaks", "csv"))
 
-print("\nannualized performance by break count (equal-weighted means):")
-print(render_group_csv(group_by_break_count(metrics)))
+print("annualized performance by break count (equal-weighted means, empty if no fund):")
+print(render_table(aggregates, "performance", "csv"))
 
-deciles = decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records})
-print(f"decile size: {deciles.decile_size}")
-print(f"top decile by excess return:    {', '.join(deciles.top_fund_ids)}")
-print(f"bottom decile by excess return: {', '.join(deciles.bottom_fund_ids)}")
-bottom = {k: v for k, v in deciles.bottom_intensity if v}
-top = {k: v for k, v in deciles.top_intensity if v}
+deciles = aggregates["deciles"]
+print(f"decile size: {deciles['decile_size']}")
+print(f"top decile by excess return:    {', '.join(deciles['top_fund_ids'])}")
+print(f"bottom decile by excess return: {', '.join(deciles['bottom_fund_ids'])}")
+top = {k: v for k, v in deciles["top_intensity"].items() if v}
+bottom = {k: v for k, v in deciles["bottom_intensity"].items() if v}
 print(f"shift grades inside top decile:    {top or 'none (no breaks)'}")
 print(f"shift grades inside bottom decile: {bottom}")

@@ -21,6 +21,7 @@ from .breaks import (
     default_h,
     filter_short_regimes,
     optimal_partition,
+    optimal_partitions,
     select_break_count,
     ssr_table_from_arrays,
 )
@@ -55,9 +56,15 @@ from .perf import (
     decile_analysis,
     group_by_break_count,
     pre_post_compare,
-    render_group_csv,
 )
-from .pipeline import AnalysisConfig, ConfigError, FundRecord, analyze_fund, build_report
+from .pipeline import (
+    AnalysisConfig,
+    ConfigError,
+    FundRecord,
+    analyze_fund,
+    build_report,
+    render_table,
+)
 from .regress import (
     DEFAULT_SIG_LEVEL,
     FactorLoading,
@@ -90,7 +97,6 @@ from .stylebox import (
     fund_shift_intensity,
     grade_breaks,
     regime_styles,
-    render_transition_csv,
     style_of,
 )
 from .synth import (
@@ -124,24 +130,25 @@ __all__ = [
     # breaks
     "DEFAULT_MAX_BREAKS", "DEFAULT_TRIM", "BreakDetectionError", "BreakSet",
     "Partition", "SsrTable", "build_ssr_table", "default_h",
-    "filter_short_regimes", "optimal_partition", "select_break_count",
+    "filter_short_regimes", "optimal_partition", "optimal_partitions",
+    "select_break_count",
     "ssr_table_from_arrays",
     # stylebox
     "STYLE_BOX_LABELS", "STYLE_BOX_ORDER", "BreakShift", "FactorState",
     "FactorShift", "IntensityClass", "RegimeStyle", "SizeClass", "StyleBox",
     "StyleError", "TransitionMatrix", "ValueClass", "accumulate_transitions",
     "classify_factor_shift", "classify_size", "classify_value",
-    "fund_shift_intensity", "grade_breaks", "regime_styles",
-    "render_transition_csv", "style_of",
+    "fund_shift_intensity", "grade_breaks", "regime_styles", "style_of",
     # perf
     "TRADING_DAYS_PER_YEAR", "BreakHistogram", "DecileReport", "FundMetrics",
     "GroupReport", "MetricsDelta", "PerfError", "ShiftComparison",
     "annualized_metrics", "break_histogram", "decile_analysis",
-    "group_by_break_count", "pre_post_compare", "render_group_csv",
+    "group_by_break_count", "pre_post_compare",
     # synth
     "BenchmarkSpec", "FactorVols", "FundSpec", "PlantedTruth", "RegimeSpec",
     "SimSpec", "SynthError", "gen_benchmark", "gen_factors", "gen_fund",
     "parse_sim_spec", "run_simulation",
     # pipeline
     "AnalysisConfig", "ConfigError", "FundRecord", "analyze_fund", "build_report",
+    "render_table",
 ]

@@ -170,45 +170,57 @@ class Partition:
         return tuple((a + 1, b) for a, b in zip(bounds, bounds[1:]))
 
 
-def optimal_partition(table: SsrTable, m: int) -> Partition:
-    """Globally SSR-minimal partition with exactly m breaks.
+def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
+    """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks.
 
     Suffix dynamic program: B[r][i] is the least total SSR over
-    segmentations of i..n-1 into r+1 segments of length >= h. Scanning
-    candidate first breaks in ascending order and keeping the first
-    minimum makes the reconstructed break vector lexicographically
-    earliest among all global minimizers.
+    segmentations of i..n-1 into r+1 segments of length >= h. Level r
+    reads only level r-1, so one sweep up to max_m holds every
+    B[m][0] and its break vector. Scanning candidate first breaks in
+    ascending order and keeping the first minimum makes each
+    reconstructed break vector lexicographically earliest among all
+    global minimizers.
     """
-    if m < 0:
-        raise BreakDetectionError(f"break count m={m} negative")
+    if max_m < 0:
+        raise BreakDetectionError(f"break count m={max_m} negative")
     n, h, S = table.n, table.h, table.values
-    if n < (m + 1) * h:
-        raise BreakDetectionError(f"m={m} infeasible: n={n} < (m+1)h={(m + 1) * h}")
+    if n < (max_m + 1) * h:
+        raise BreakDetectionError(f"m={max_m} infeasible: n={n} < (m+1)h={(max_m + 1) * h}")
 
-    if m == 0:
-        return Partition(m=0, break_indices=(), total_ssr=float(S[0, n - 1]), n=n, h=h)
-
-    best = np.full((m + 1, n), np.inf)
-    choice = np.zeros((m + 1, n), dtype=np.intp)
+    best = np.full((max_m + 1, n), np.inf)
+    choice = np.zeros((max_m + 1, n), dtype=np.intp)
     best[0, : n - h + 1] = S[: n - h + 1, n - 1]
-    for r in range(1, m + 1):
+    for r in range(1, max_m + 1):
+        hi = n - 1 - r * h
         for i in range(n - (r + 1) * h + 1):
             lo = i + h - 1
-            hi = n - 1 - r * h
             cand = S[i, lo : hi + 1] + best[r - 1, lo + 1 : hi + 2]
             j = int(np.argmin(cand))
             best[r, i] = cand[j]
             choice[r, i] = lo + j
 
-    breaks: list[int] = []
-    i = 0
-    for r in range(m, 0, -1):
-        b = int(choice[r, i])
-        breaks.append(b)
-        i = b + 1
-    return Partition(
-        m=m, break_indices=tuple(breaks), total_ssr=float(best[m, 0]), n=n, h=h
-    )
+    partitions = []
+    for m in range(max_m + 1):
+        breaks: list[int] = []
+        i = 0
+        for r in range(m, 0, -1):
+            b = int(choice[r, i])
+            breaks.append(b)
+            i = b + 1
+        partitions.append(
+            Partition(m=m, break_indices=tuple(breaks), total_ssr=float(best[m, 0]),
+                      n=n, h=h)
+        )
+    return tuple(partitions)
+
+
+def optimal_partition(table: SsrTable, m: int) -> Partition:
+    """Globally SSR-minimal partition with exactly m breaks.
+
+    The sweep of :func:`optimal_partitions` stopped at m; ties go to
+    the lexicographically earliest break vector.
+    """
+    return optimal_partitions(table, m)[m]
 
 
 @dataclass(frozen=True)
@@ -280,22 +292,17 @@ def select_break_count(
     tss = float(np.sum((y - y.mean()) ** 2))
     floor = max(tss * _SSR_FLOOR_REL, np.finfo(float).tiny)
 
-    scores: list[tuple[int, float]] = []
-    partitions: dict[int, Partition] = {}
-    for m in range(max_breaks + 1):
-        if n < (m + 1) * h:
-            break
-        part = optimal_partition(table, m)
-        partitions[m] = part
-        scores.append((m, _bic(part.total_ssr, n, k, m, floor)))
-
+    partitions = optimal_partitions(table, min(max_breaks, n // h - 1))
+    scores = tuple(
+        (part.m, _bic(part.total_ssr, n, k, part.m, floor)) for part in partitions
+    )
     chosen_m = min(scores, key=lambda mv: mv[1])[0]
     part = partitions[chosen_m]
     return BreakSet(
         fund_id=sample.fund_id,
         chosen_m=chosen_m,
         partition=part,
-        criterion_values=tuple(scores),
+        criterion_values=scores,
         regime_windows=part.regime_windows,
     )
 

@@ -25,7 +25,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -41,8 +40,14 @@ from .marketdata import (
     write_factor_csv,
     write_nav_csv,
 )
-from .perf import GROUP_CSV_HEADER
-from .pipeline import AnalysisConfig, ConfigError, FundRecord, analyze_fund, build_report
+from .pipeline import (
+    REPORT_TABLES,
+    AnalysisConfig,
+    ConfigError,
+    analyze_fund,
+    build_report,
+    render_table,
+)
 from .synth import SynthError, parse_sim_spec, run_simulation, truth_to_dict
 
 EXIT_OK = 0
@@ -121,19 +126,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analyze_one(
-    fund_path: Path,
-    bench_returns: ReturnSeries,
-    factors,
-    config: AnalysisConfig,
-) -> FundRecord:
-    nav = parse_nav_csv(fund_path.read_text(encoding="utf-8"), fund_path.stem)
-    sample = align(
-        compute_returns(nav), bench_returns, factors, min_obs=config.min_aligned_obs
-    )
-    return analyze_fund(sample, config)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         config = AnalysisConfig(
@@ -181,40 +173,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (OSError, MarketDataError) as exc:
             bench_errors[bench_id] = str(exc)
 
+    records = []
     skipped: list[tuple[str, str]] = []
-    tasks: list[tuple[str, Path, ReturnSeries]] = []
     for path in fund_paths:
         fund_id = path.stem
         bench_id = bmap.benchmark_for(fund_id)
         if bench_id is None:
             skipped.append((fund_id, "no benchmark"))
-        elif bench_id in bench_errors:
+            continue
+        if bench_id in bench_errors:
             skipped.append((fund_id, f"benchmark {bench_id}: {bench_errors[bench_id]}"))
-        else:
-            tasks.append((fund_id, path, bench_returns[bench_id]))
-
-    def run(task: tuple[str, Path, ReturnSeries]):
-        fund_id, path, bench = task
+            continue
         try:
-            record = _analyze_one(path, bench, factors, config)
-            log.info("analyzed %s: %d break(s)", fund_id, record.break_set.chosen_m)
-            return fund_id, record, None
+            nav = parse_nav_csv(path.read_text(encoding="utf-8"), fund_id)
+            sample = align(
+                compute_returns(nav), bench_returns[bench_id], factors,
+                min_obs=config.min_aligned_obs,
+            )
+            record = analyze_fund(sample, config)
         except (ValueError, OSError) as exc:
             log.warning("skipping %s: %s", fund_id, exc)
-            return fund_id, None, str(exc)
-
-    if args.jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(t) for t in tasks]
-
-    records = []
-    for fund_id, record, reason in outcomes:
-        if record is None:
-            skipped.append((fund_id, reason))
-        else:
-            records.append(record)
+            skipped.append((fund_id, str(exc)))
+            continue
+        log.info("analyzed %s: %d break(s)", fund_id, record.break_set.chosen_m)
+        records.append(record)
 
     if not records:
         return _fail("no analyzable fund", EXIT_EMPTY)
@@ -228,85 +210,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    return _md_table(header, rows)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _render_breaks(agg: dict, fmt: str) -> str:
-    hist = agg["break_histogram"]
-    rows = [
-        [str(r["n_breaks"]), str(r["funds"]), str(r["breaks"])] for r in hist["rows"]
-    ]
-    rows.append(
-        ["total", str(hist["total_funds_with_breaks"]), str(hist["total_breaks"])]
-    )
-    return _render(["n_breaks", "funds", "breaks"], rows, fmt)
-
-
-def _render_transitions(agg: dict, fmt: str) -> str:
-    t = agg["transitions"]
-    labels, counts = t["labels"], t["counts"]
-    header = ["style_t"] + labels + ["Total"]
-    rows = []
-    for i, label in enumerate(labels):
-        rows.append([label] + [str(c) for c in counts[i]] + [str(sum(counts[i]))])
-    col_totals = [sum(row[j] for row in counts) for j in range(len(labels))]
-    rows.append(["Total"] + [str(c) for c in col_totals] + [str(t["grand_total"])])
-    return _render(header, rows, fmt)
-
-
-def _render_performance(agg: dict, fmt: str) -> str:
-    header = GROUP_CSV_HEADER.split(",")
-    rows = []
-    for r in agg["performance_by_breaks"]["rows"]:
-        rows.append([_cell(r[name]) for name in header])
-    return _render(header, rows, fmt)
-
-
-def _render_deciles(agg: dict, fmt: str) -> str:
-    d = agg["deciles"]
-    if d is None:
-        return "no decile analysis (fewer than 10 funds)\n"
-    rows = []
-    for i, fund_id in enumerate(d["top_fund_ids"], start=1):
-        rows.append(["top_funds", str(i), fund_id])
-    for i, fund_id in enumerate(d["bottom_fund_ids"], start=1):
-        rows.append(["bottom_funds", str(i), fund_id])
-    for section in ("top_intensity", "bottom_intensity",
-                    "top_destinations", "bottom_destinations"):
-        for key, count in d[section].items():
-            rows.append([section, key, str(count)])
-    return _render(["section", "key", "value"], rows, fmt)
-
-
-_TABLE_RENDERERS = {
-    "breaks": _render_breaks,
-    "transitions": _render_transitions,
-    "performance": _render_performance,
-    "deciles": _render_deciles,
-}
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         text = Path(args.report_path).read_text(encoding="utf-8")
@@ -318,7 +221,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
     try:
-        rendered = _TABLE_RENDERERS[args.table](agg, args.format)
+        rendered = render_table(agg, args.table, args.format)
     except (KeyError, TypeError) as exc:
         return _fail(f"report file missing required data: {exc}", EXIT_CONFIG)
     sys.stdout.write(rendered)
@@ -358,13 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--hac", action="store_true", help="Newey-West standard errors")
     p_an.add_argument("--carhart", action="store_true",
                       help="add a four-factor diagnostic fit per fund")
-    p_an.add_argument("--jobs", type=int, default=1, help="concurrent fund workers")
+    p_an.add_argument("--jobs", type=int, default=1,
+                      help="kept for compatibility, must be >= 1; funds run one at a time")
     p_an.set_defaults(func=cmd_analyze)
 
     p_rep = sub.add_parser("report", help="render an aggregate table from a report file")
     p_rep.add_argument("--in", dest="report_path", required=True, help="report JSON file")
     p_rep.add_argument(
-        "--table", required=True, choices=sorted(_TABLE_RENDERERS), help="table to render"
+        "--table", required=True, choices=REPORT_TABLES, help="table to render"
     )
     p_rep.add_argument("--format", choices=["csv", "md"], default="csv")
     p_rep.set_defaults(func=cmd_report)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -37,9 +38,12 @@ def _parse_date(text: str, context: str) -> date:
 
 def _parse_float(text: str, context: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise MarketDataError(f"{context}: non-numeric value {text!r}") from exc
+    if not math.isfinite(value):
+        raise MarketDataError(f"{context}: non-finite value {text!r}")
+    return value
 
 
 def _check_dates_increasing(dates: tuple[date, ...], context: str) -> None:
@@ -272,6 +276,11 @@ def parse_benchmark_map_csv(text: str) -> BenchmarkMap:
         fund_id, bench_id = row[0].strip(), row[1].strip()
         if fund_id in entries:
             raise MarketDataError(f"benchmark map: duplicate fund_id {fund_id!r}")
+        # The id names the benchmark's NAV file inside the benchmark directory.
+        if bench_id in (".", "..") or "/" in bench_id or "\\" in bench_id:
+            raise MarketDataError(
+                f"benchmark map: benchmark_id {bench_id!r} is not a plain file name"
+            )
         entries[fund_id] = bench_id
     return BenchmarkMap(entries=entries)
 

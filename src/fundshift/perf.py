@@ -189,16 +189,6 @@ def group_by_break_count(
 GROUP_CSV_HEADER = "group,funds,breaks,excess_return_pa,stdev_pa,sharpe_pa,ff3_alpha_pa,agt_alpha_pa"
 
 
-def render_group_csv(report: GroupReport) -> str:
-    lines = [GROUP_CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            f"{r.group},{r.funds},{r.breaks},{r.excess_return_pa!r},{r.stdev_pa!r},"
-            f"{r.sharpe_pa!r},{r.ff3_alpha_pa!r},{r.agt_alpha_pa!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class HistogramRow:
     n_breaks: int

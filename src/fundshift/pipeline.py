@@ -4,7 +4,8 @@
 detection on the benchmark-adjusted regression, short-regime filtering,
 per-regime style classification, break grading, full-sample metrics and
 pre/post break comparisons. ``build_report`` folds the per-fund records
-into the machine-readable report document with its aggregate tables.
+into the machine-readable report document with its aggregate tables,
+and ``render_table`` prints one of those tables as CSV or Markdown.
 
 The report dict is fully deterministic: funds sorted by fund_id, keys
 sorted at serialization time, no timestamps, non-finite floats mapped
@@ -25,6 +26,7 @@ from .breaks import (
 )
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
 from .perf import (
+    GROUP_CSV_HEADER,
     FundMetrics,
     ShiftComparison,
     annualized_metrics,
@@ -365,3 +367,89 @@ def build_report(
         "aggregates": build_aggregates(records, config),
     }
     return _clean(report)
+
+
+def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    if fmt == "csv":
+        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    lines = [
+        "| " + " | ".join(header) + " |",
+        "| " + " | ".join("---" for _ in header) + " |",
+    ]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    # Empty buckets average to NaN; the report stores them as null.
+    if isinstance(value, float):
+        return repr(value) if math.isfinite(value) else ""
+    return "" if value is None else str(value)
+
+
+def _render_breaks(agg: dict, fmt: str) -> str:
+    hist = agg["break_histogram"]
+    rows = [
+        [str(r["n_breaks"]), str(r["funds"]), str(r["breaks"])] for r in hist["rows"]
+    ]
+    rows.append(
+        ["total", str(hist["total_funds_with_breaks"]), str(hist["total_breaks"])]
+    )
+    return _render(["n_breaks", "funds", "breaks"], rows, fmt)
+
+
+def _render_transitions(agg: dict, fmt: str) -> str:
+    t = agg["transitions"]
+    labels, counts = t["labels"], t["counts"]
+    header = ["style_t"] + labels + ["Total"]
+    rows = []
+    for i, label in enumerate(labels):
+        rows.append([label] + [str(c) for c in counts[i]] + [str(sum(counts[i]))])
+    col_totals = [sum(row[j] for row in counts) for j in range(len(labels))]
+    rows.append(["Total"] + [str(c) for c in col_totals] + [str(t["grand_total"])])
+    return _render(header, rows, fmt)
+
+
+def _render_performance(agg: dict, fmt: str) -> str:
+    header = GROUP_CSV_HEADER.split(",")
+    rows = []
+    for r in agg["performance_by_breaks"]["rows"]:
+        rows.append([_cell(r[name]) for name in header])
+    return _render(header, rows, fmt)
+
+
+def _render_deciles(agg: dict, fmt: str) -> str:
+    d = agg["deciles"]
+    if d is None:
+        return "no decile analysis (fewer than 10 funds)\n"
+    rows = []
+    for i, fund_id in enumerate(d["top_fund_ids"], start=1):
+        rows.append(["top_funds", str(i), fund_id])
+    for i, fund_id in enumerate(d["bottom_fund_ids"], start=1):
+        rows.append(["bottom_funds", str(i), fund_id])
+    for section in ("top_intensity", "bottom_intensity",
+                    "top_destinations", "bottom_destinations"):
+        for key, count in d[section].items():
+            rows.append([section, key, str(count)])
+    return _render(["section", "key", "value"], rows, fmt)
+
+
+_TABLE_RENDERERS = {
+    "breaks": _render_breaks,
+    "transitions": _render_transitions,
+    "performance": _render_performance,
+    "deciles": _render_deciles,
+}
+
+#: Table names ``render_table`` accepts.
+REPORT_TABLES = tuple(sorted(_TABLE_RENDERERS))
+
+
+def render_table(aggregates: dict, table: str, fmt: str) -> str:
+    """Render one aggregate table as ``csv`` or ``md`` (Markdown) text.
+
+    ``aggregates`` is the dict :func:`build_aggregates` returns, before
+    or after a JSON round trip; missing data raises KeyError or
+    TypeError. Empty cells stand for undefined values.
+    """
+    return _TABLE_RENDERERS[table](aggregates, fmt)

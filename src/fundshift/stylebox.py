@@ -291,16 +291,6 @@ class TransitionMatrix:
     def cell(self, from_box: StyleBox, to_box: StyleBox) -> int:
         return self.counts[from_box.index][to_box.index]
 
-    def row_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    def col_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.counts) for j in range(9))
-
-
-def zero_transitions() -> TransitionMatrix:
-    return TransitionMatrix(counts=tuple((0,) * 9 for _ in range(9)))
-
 
 def accumulate_transitions(per_fund_styles: list[list[StyleBox]]) -> TransitionMatrix:
     """Count every adjacent regime pair, per fund, in chronological order.
@@ -313,25 +303,3 @@ def accumulate_transitions(per_fund_styles: list[list[StyleBox]]) -> TransitionM
         for s_t, s_next in zip(styles, styles[1:]):
             cells[s_t.index][s_next.index] += 1
     return TransitionMatrix(counts=tuple(tuple(row) for row in cells))
-
-
-def merge_transitions(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
-    cells = tuple(
-        tuple(x + y for x, y in zip(row_a, row_b))
-        for row_a, row_b in zip(a.counts, b.counts)
-    )
-    return TransitionMatrix(counts=cells)
-
-
-def render_transition_csv(matrix: TransitionMatrix) -> str:
-    """9x9 CSV in canonical label order with a Total row and column."""
-    lines = ["style_t," + ",".join(STYLE_BOX_LABELS) + ",Total"]
-    row_totals = matrix.row_totals()
-    for i, label in enumerate(STYLE_BOX_LABELS):
-        cells = ",".join(str(c) for c in matrix.counts[i])
-        lines.append(f"{label},{cells},{row_totals[i]}")
-    col_totals = matrix.col_totals()
-    lines.append(
-        "Total," + ",".join(str(c) for c in col_totals) + f",{matrix.grand_total}"
-    )
-    return "\n".join(lines) + "\n"

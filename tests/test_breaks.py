@@ -11,6 +11,7 @@ from fundshift.breaks import (
     default_h,
     filter_short_regimes,
     optimal_partition,
+    optimal_partitions,
     select_break_count,
     ssr_table_from_arrays,
 )
@@ -161,10 +162,32 @@ def test_optimal_partition_lexicographic_tie_break():
         assert part.total_ssr == 0.0
 
 
+@pytest.mark.parametrize("y", [
+    np.random.default_rng(13).normal(size=90),  # noisy: one minimizer per m
+    np.zeros(90),  # all-zero: every partition ties at 0
+])
+def test_one_sweep_yields_every_break_count(y):
+    # Level m read off a sweep to m=5 must be the partition a sweep
+    # stopped at m returns, and the exhaustive optimum where enumerable.
+    table = ssr_table_from_arrays(y, np.ones((90, 1)), h=15)
+    sweep = optimal_partitions(table, 5)
+    assert [part.m for part in sweep] == [0, 1, 2, 3, 4, 5]
+    for m, part in enumerate(sweep):
+        alone = optimal_partition(table, m)
+        assert part.break_indices == alone.break_indices
+        assert part.total_ssr == alone.total_ssr
+        if m <= 3:
+            assert (part.break_indices, part.total_ssr) == exhaustive_best_partition(table, m)
+    if not y.any():
+        assert sweep[5].break_indices == (14, 29, 44, 59, 74)
+
+
 def test_optimal_partition_infeasible_m():
     y, X, table = random_mean_instance(50, 8, h=10)
     with pytest.raises(BreakDetectionError, match="infeasible"):
         optimal_partition(table, 5)
+    with pytest.raises(BreakDetectionError, match="negative"):
+        optimal_partition(table, -1)
 
 
 def test_total_ssr_monotone_in_m():

@@ -220,6 +220,44 @@ def test_analyze_malformed_factors_exits_2(tmp_path, capsys):
     assert "bad input file" in capsys.readouterr().err
 
 
+def test_analyze_non_finite_factor_exits_2(tmp_path, capsys):
+    out = simulate(tmp_path, rotation_spec())
+    lines = (out / "factors.csv").read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "nan"
+    lines[5] = ",".join(cells)
+    (out / "factors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
+    assert "factor file: non-finite value 'nan'" in capsys.readouterr().err
+
+
+def test_analyze_skips_fund_with_non_finite_nav(tmp_path):
+    out = simulate(tmp_path, three_fund_spec())
+    lines = (out / "nav" / "F2.csv").read_text(encoding="utf-8").splitlines()
+    lines[7] = lines[7].split(",")[0] + ",inf"
+    (out / "nav" / "F2.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [f["fund_id"] for f in report["funds"]] == ["F1", "F3"]
+    assert report["skipped"] == [
+        {"fund_id": "F2", "reason": "NAV file F2: non-finite value 'inf'"}
+    ]
+
+
+def test_analyze_rejects_benchmark_id_outside_bench_dir(tmp_path, capsys):
+    out = simulate(tmp_path, rotation_spec())
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "X.csv").write_bytes((out / "bench_nav" / "B1.csv").read_bytes())
+    (out / "benchmark_map.csv").write_text(
+        "fund_id,benchmark_id\nF1,../../outside/X\n", encoding="utf-8"
+    )
+    assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
+    assert "not a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_analyze_carhart_needs_mom_column(tmp_path, capsys):
     out = simulate(tmp_path, rotation_spec())
     # Rewrite the factor file without its momentum column.

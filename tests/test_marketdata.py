@@ -75,6 +75,14 @@ def test_parse_nav_nonnumeric_value():
         parse_nav_csv("date,nav\n2006-01-02,abc\n2006-01-03,101.0", "F1")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_parse_non_finite_value_rejected(value):
+    with pytest.raises(MarketDataError, match=f"NAV file F1: non-finite value '{value}'"):
+        parse_nav_csv(f"date,nav\n2006-01-02,100.0\n2006-01-03,{value}", "F1")
+    with pytest.raises(MarketDataError, match=f"factor file: non-finite value '{value}'"):
+        parse_factor_csv(f"date,mkt_rf,smb,hml,rf\n2006-01-02,0.001,{value},0.0,0.0002\n")
+
+
 def test_parse_nav_wrong_header():
     with pytest.raises(MarketDataError, match="expected header"):
         parse_nav_csv("day,price\n2006-01-02,100.0\n2006-01-03,101.0", "F1")
@@ -185,6 +193,12 @@ def test_parse_benchmark_map():
 def test_parse_benchmark_map_duplicate_fund():
     with pytest.raises(MarketDataError, match="duplicate fund_id"):
         parse_benchmark_map_csv("fund_id,benchmark_id\nF1,B1\nF1,B2\n")
+
+
+@pytest.mark.parametrize("bench_id", ["../outside/X", "sub/B1", "C:\\B1", ".", ".."])
+def test_parse_benchmark_map_rejects_path_like_benchmark_id(bench_id):
+    with pytest.raises(MarketDataError, match="not a plain file name"):
+        parse_benchmark_map_csv(f"fund_id,benchmark_id\nF1,{bench_id}\n")
 
 
 def _panel(dates: list[date], seed: int = 3) -> FactorPanel:

@@ -1,6 +1,7 @@
 """Annualized metrics, break-count grouping and decile composition."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from fundshift.perf import (
     group_by_break_count,
     metrics_delta,
     pre_post_compare,
-    render_group_csv,
 )
+from fundshift.pipeline import AnalysisConfig, build_aggregates, render_table
 from fundshift.regress import FactorLoading, RegressionResult
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
@@ -279,11 +280,18 @@ def test_break_histogram_max_m_extension_and_empty():
 
 
 def test_render_group_csv_layout():
-    text = render_group_csv(group_by_break_count([make_metrics("A", 4.0, 0)]))
-    lines = text.splitlines()
+    # Stand-in record: only the fields build_aggregates reads.
+    record = SimpleNamespace(
+        fund_id="A", metrics=make_metrics("A", 4.0, 0), styles=[], shifts=()
+    )
+    agg = build_aggregates([record], AnalysisConfig(max_breaks=0))
+    lines = render_table(agg, "performance", "csv").splitlines()
     assert lines[0] == GROUP_CSV_HEADER
     assert lines[1].startswith("0,1,0,4.0,")
-    assert lines[-1].startswith(WITH_BREAKS_GROUP + ",0,0,nan,")
+    # The with-breaks bucket is empty: its means are undefined, not 0.
+    assert lines[-1] == WITH_BREAKS_GROUP + ",0,0,,,,,"
+    md = render_table(agg, "performance", "md").splitlines()
+    assert md[-1] == f"| {WITH_BREAKS_GROUP} | 0 | 0 |  |  |  |  |  |"
 
 
 def test_metrics_delta_is_post_minus_pre():

@@ -1,6 +1,7 @@
 """Style-box classification, shift grading and the transition matrix."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from oracles import weekdays
 
 from fundshift.breaks import BreakSet, Partition, select_break_count
 from fundshift.marketdata import AlignedSample
+from fundshift.perf import FundMetrics
+from fundshift.pipeline import AnalysisConfig, build_aggregates, render_table
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
@@ -18,6 +21,7 @@ from fundshift.stylebox import (
     SizeClass,
     StyleBox,
     StyleError,
+    TransitionMatrix,
     ValueClass,
     accumulate_transitions,
     apply_style_flags,
@@ -27,13 +31,10 @@ from fundshift.stylebox import (
     factor_state,
     fund_shift_intensity,
     grade_breaks,
-    merge_transitions,
     regime_styles,
-    render_transition_csv,
     severity,
     style_box_from_label,
     style_of,
-    zero_transitions,
 )
 
 
@@ -405,15 +406,10 @@ def test_box_change_mirrors_shift_severity():
 # ----------------------------------------------------- transition matrix
 
 
-def test_zero_transitions_is_empty():
-    m = zero_transitions()
-    assert m.grand_total == 0
-    assert m.row_totals() == (0,) * 9
-    assert m.col_totals() == (0,) * 9
-
-
 def test_accumulate_no_funds():
-    assert accumulate_transitions([]) == zero_transitions()
+    m = accumulate_transitions([])
+    assert m == TransitionMatrix(counts=((0,) * 9,) * 9)
+    assert m.grand_total == 0
 
 
 def test_accumulate_single_transition():
@@ -464,19 +460,25 @@ def test_accumulate_matches_hand_tally():
     assert m.grand_total == sum(len(c) - 1 for c in chains)
 
 
-def test_merge_transitions_equals_single_pass():
-    chains = [[style_box_from_label(l) for l in chain] for chain in FUND_CHAINS]
-    whole = accumulate_transitions(chains)
-    merged = merge_transitions(
-        accumulate_transitions(chains[:2]), accumulate_transitions(chains[2:])
-    )
-    assert merged == whole
-    assert merge_transitions(whole, zero_transitions()) == whole
+def render_transitions(chains: list[list[str]]) -> str:
+    """The report's transitions table for funds with these style chains.
+
+    Stand-in records carry only the fields build_aggregates reads.
+    """
+    records = [
+        SimpleNamespace(
+            fund_id=f"F{i}",
+            styles=[SimpleNamespace(box=style_box_from_label(l)) for l in chain],
+            shifts=(),
+            metrics=FundMetrics(f"F{i}", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, len(chain) - 1),
+        )
+        for i, chain in enumerate(chains)
+    ]
+    return render_table(build_aggregates(records, AnalysisConfig()), "transitions", "csv")
 
 
 def test_render_transition_csv_layout():
-    chains = [[style_box_from_label(l) for l in chain] for chain in FUND_CHAINS]
-    text = render_transition_csv(accumulate_transitions(chains))
+    text = render_transitions(FUND_CHAINS)
     lines = text.splitlines()
     assert len(lines) == 11
     assert lines[0] == "style_t," + ",".join(STYLE_BOX_LABELS) + ",Total"
@@ -488,7 +490,7 @@ def test_render_transition_csv_layout():
 
 
 def test_render_zero_matrix():
-    text = render_transition_csv(zero_transitions())
+    text = render_transitions([])
     lines = text.splitlines()
     assert lines[5] == "Mid Blend," + ",".join(["0"] * 9) + ",0"
     assert lines[10] == "Total," + ",".join(["0"] * 9) + ",0"

@@ -18,7 +18,11 @@ Conventions:
 
 Table construction uses segment-local cumulative Gram matrices, so the
 whole O(n^2) family of window fits costs O(n^2 k^2) instead of
-O(n^3 k^2). The DP cost recursion is
+O(n^3 k^2). Only windows some partition can use are fitted: a segment
+starts at 0 or at i >= h (its predecessors need h observations) and
+ends at n-1 or at j <= n-h-1 (its successors do). At trim 0.15 that is
+about 42% of the windows of length >= h; the table stays n x n with
+every other cell NaN. The DP cost recursion is
 cost(j, r) = min_i { cost(i, r-1) + ssr(i+1, j) },
 with ties broken toward the lexicographically earliest break vector.
 """
@@ -62,10 +66,12 @@ def default_h(n: int, trim: float, k: int) -> int:
 
 @dataclass(frozen=True)
 class SsrTable:
-    """SSR of the segment regression on every admissible window.
+    """SSR of the segment regression on every window a partition can use.
 
     ``values[i, j]`` is the SSR of the fit on observations i..j
-    inclusive; cells with j - i + 1 < h are NaN and inadmissible.
+    inclusive. A window is admissible when it is at least h long,
+    starts at 0 or at i >= h, and ends at n-1 or at j <= n-h-1; every
+    other cell is NaN.
     """
 
     n: int
@@ -79,7 +85,13 @@ class SsrTable:
         self.values.flags.writeable = False
 
     def admissible(self, i: int, j: int) -> bool:
-        return 0 <= i <= j < self.n and j - i + 1 >= self.h
+        n, h = self.n, self.h
+        return (
+            0 <= i <= j < n
+            and j - i + 1 >= h
+            and (i == 0 or i >= h)
+            and (j == n - 1 or j <= n - h - 1)
+        )
 
     def ssr(self, i: int, j: int) -> float:
         if not self.admissible(i, j):
@@ -99,9 +111,12 @@ def _solve_gram_fallback(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
     """Tabulate per-window least-squares SSR for an arbitrary design.
 
-    For each start row i, cumulative sums of x_t x_t' and x_t y_t give
-    the Gram matrix and cross moments of every window (i, j) at once;
-    the batched solves cost O(n^2 k^2) overall.
+    Each observation contributes one packed row of moments: the
+    k(k+1)/2 distinct products x_a x_b, then x y, then y^2. For each
+    admissible start row i one cumulative sum of those rows gives the
+    Gram matrix and cross moments of every window (i, j) at once; only
+    the admissible ends are solved, so the batched solves cost
+    O(n^2 k^2) overall.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -113,21 +128,24 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
     if n < 2 * h:
         raise BreakDetectionError(f"ssr table: n={n} below 2h={2 * h}")
 
-    outers = X[:, :, None] * X[:, None, :]
-    cross = X * y[:, None]
-    ysq = y * y
+    rows, cols = np.triu_indices(k)
+    pairs = rows.size
+    gram_at = np.empty((k, k), dtype=np.intp)
+    gram_at[rows, cols] = gram_at[cols, rows] = np.arange(pairs)
+    moments = np.column_stack([X[:, rows] * X[:, cols], X * y[:, None], y * y])
     values = np.full((n, n), np.nan)
-    for i in range(n - h + 1):
-        grams = np.cumsum(outers[i:], axis=0)
-        rhs = np.cumsum(cross[i:], axis=0)
-        ytot = np.cumsum(ysq[i:])
-        lo = h - 1
+    for i in [0, *range(h, n - h + 1)]:
+        sums = np.cumsum(moments[i:], axis=0)
+        ends = np.r_[i + h - 1 : n - h, n - 1]
+        cells = sums[ends - i]
+        grams = cells[:, gram_at]
+        rhs = cells[:, pairs : pairs + k]
         try:
-            beta = np.linalg.solve(grams[lo:], rhs[lo:, :, None])[..., 0]
+            beta = np.linalg.solve(grams, rhs[:, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            beta = _solve_gram_fallback(grams[lo:], rhs[lo:])
-        ssr = ytot[lo:] - np.einsum("bk,bk->b", beta, rhs[lo:])
-        values[i, i + lo:] = np.maximum(ssr, 0.0)
+            beta = _solve_gram_fallback(grams, rhs)
+        ssr = cells[:, -1] - np.einsum("bk,bk->b", beta, rhs)
+        values[i, ends] = np.maximum(ssr, 0.0)
     return SsrTable(n=n, h=h, k=k, values=values)
 
 
@@ -176,7 +194,9 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
     Suffix dynamic program: B[r][i] is the least total SSR over
     segmentations of i..n-1 into r+1 segments of length >= h. Level r
     reads only level r-1, so one sweep up to max_m holds every
-    B[m][0] and its break vector. Scanning candidate first breaks in
+    B[m][0] and its break vector. Only starts 0 and i >= h are swept:
+    no segment of a partition of 0..n-1 starts at 1..h-1, and those
+    table rows are NaN. Scanning candidate first breaks in
     ascending order and keeping the first minimum makes each
     reconstructed break vector lexicographically earliest among all
     global minimizers.
@@ -189,10 +209,11 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
 
     best = np.full((max_m + 1, n), np.inf)
     choice = np.zeros((max_m + 1, n), dtype=np.intp)
-    best[0, : n - h + 1] = S[: n - h + 1, n - 1]
+    best[0, 0] = S[0, n - 1]
+    best[0, h : n - h + 1] = S[h : n - h + 1, n - 1]
     for r in range(1, max_m + 1):
         hi = n - 1 - r * h
-        for i in range(n - (r + 1) * h + 1):
+        for i in [0, *range(h, n - (r + 1) * h + 1)]:
             lo = i + h - 1
             cand = S[i, lo : hi + 1] + best[r - 1, lo + 1 : hi + 2]
             j = int(np.argmin(cand))

@@ -84,6 +84,16 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
+def _read_text(path: Path) -> str:
+    """Contents of a UTF-8 input file; other bytes raise MarketDataError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarketDataError(
+            f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -91,9 +101,11 @@ def _dump_json(obj) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     try:
-        text = spec_path.read_text(encoding="utf-8")
+        text = _read_text(spec_path)
     except OSError as exc:
         return _fail(f"cannot read spec file: {exc}", EXIT_IO)
+    except MarketDataError as exc:
+        return _fail(f"invalid simulation spec: {exc}", EXIT_CONFIG)
     try:
         spec = parse_sim_spec(json.loads(text))
     except (json.JSONDecodeError, SynthError, TypeError, ValueError) as exc:
@@ -142,8 +154,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _fail(f"--jobs must be >= 1, got {args.jobs}", EXIT_CONFIG)
 
     try:
-        factors = parse_factor_csv(Path(args.factors).read_text(encoding="utf-8"))
-        bmap = parse_benchmark_map_csv(Path(args.bench_map).read_text(encoding="utf-8"))
+        factors = parse_factor_csv(_read_text(Path(args.factors)))
+        bmap = parse_benchmark_map_csv(_read_text(Path(args.bench_map)))
     except OSError as exc:
         return _fail(f"cannot read input: {exc}", EXIT_IO)
     except MarketDataError as exc:
@@ -166,9 +178,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     for bench_id in needed:
         try:
-            nav = parse_nav_csv(
-                (bench_dir / f"{bench_id}.csv").read_text(encoding="utf-8"), bench_id
-            )
+            nav = parse_nav_csv(_read_text(bench_dir / f"{bench_id}.csv"), bench_id)
             bench_returns[bench_id] = compute_returns(nav)
         except (OSError, MarketDataError) as exc:
             bench_errors[bench_id] = str(exc)
@@ -185,7 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             skipped.append((fund_id, f"benchmark {bench_id}: {bench_errors[bench_id]}"))
             continue
         try:
-            nav = parse_nav_csv(path.read_text(encoding="utf-8"), fund_id)
+            nav = parse_nav_csv(_read_text(path), fund_id)
             sample = align(
                 compute_returns(nav), bench_returns[bench_id], factors,
                 min_obs=config.min_aligned_obs,
@@ -212,9 +222,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.report_path).read_text(encoding="utf-8")
+        text = _read_text(Path(args.report_path))
     except OSError as exc:
         return _fail(f"cannot read report: {exc}", EXIT_IO)
+    except MarketDataError as exc:
+        return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
     try:
         report = json.loads(text)
         agg = report["aggregates"]

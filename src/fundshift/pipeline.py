@@ -107,6 +107,10 @@ class FundRecord:
 
 def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
     """Run the full per-fund pipeline on one aligned sample."""
+    # The full-sample fits reject a rank-deficient design before the
+    # O(n^2) table would grind through it window by window.
+    ff3_full = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
+    agt_full = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
     h = default_h(sample.n, config.trim, _DETECTION_K)
     table = build_ssr_table(sample, h)
     bs = select_break_count(
@@ -119,8 +123,6 @@ def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
     bs = apply_style_flags(bs, shifts)
 
     full = (0, sample.n - 1)
-    ff3_full = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
-    agt_full = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
     metrics = annualized_metrics(
         sample, full, ff3_full, agt_full,
         n_breaks=bs.chosen_m, annualization=config.annualization,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .marketdata import AlignedSample
 
@@ -174,7 +174,7 @@ def ols(
         coef = float(beta[j])
         if se[j] > 0.0:
             t = coef / float(se[j])
-            p = float(2.0 * stats.t.sf(abs(t), dof))
+            p = float(2.0 * special.stdtr(dof, -abs(t)))
         elif abs(coef) > coef_tol:
             t, p = float(np.inf) * np.sign(coef), 0.0
         else:

@@ -35,6 +35,37 @@ def window_ssr(y: np.ndarray, X: np.ndarray, i: int, j: int) -> float:
     return float(resid @ resid)
 
 
+def dense_ssr_table(y: np.ndarray, X: np.ndarray, h: int) -> np.ndarray:
+    """SSR of every window of length >= h, one full cumulative pass per row.
+
+    Rows 0..n-h, columns i+h-1..n-1, k x k outer products and three
+    cumulative sums per row, whether or not a partition can reach the
+    cell. The bitwise reference for the library's reachable-cell
+    kernel; cells shorter than h are NaN.
+    """
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
+    outers = X[:, :, None] * X[:, None, :]
+    cross = X * y[:, None]
+    ysq = y * y
+    values = np.full((n, n), np.nan)
+    for i in range(n - h + 1):
+        grams = np.cumsum(outers[i:], axis=0)
+        rhs = np.cumsum(cross[i:], axis=0)
+        ytot = np.cumsum(ysq[i:])
+        lo = h - 1
+        try:
+            beta = np.linalg.solve(grams[lo:], rhs[lo:, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            beta = np.empty_like(rhs[lo:])
+            for b in range(beta.shape[0]):
+                beta[b] = np.linalg.lstsq(grams[lo + b], rhs[lo + b], rcond=None)[0]
+        ssr = ytot[lo:] - np.einsum("bk,bk->b", beta, rhs[lo:])
+        values[i, i + lo:] = np.maximum(ssr, 0.0)
+    return values
+
+
 def exhaustive_best_partition(table, m: int):
     """Brute-force global minimum over all m-break partitions.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import exhaustive_best_partition, weekdays, window_ssr
+from oracles import dense_ssr_table, exhaustive_best_partition, weekdays, window_ssr
 
 from fundshift.breaks import (
     BreakDetectionError,
@@ -81,7 +81,7 @@ def test_ssr_table_full_window_matches_direct_fit():
 
 
 def test_ssr_table_spot_cells_match_refit_oracle():
-    # 10 random admissible cells vs independent per-window lstsq refits.
+    # 10 random reachable cells vs independent per-window lstsq refits.
     sample = make_sample(300, 3, [(150, 0.5), (150, -0.5)], noise=0.004)
     h = 12
     table = build_ssr_table(sample, h=h)
@@ -89,8 +89,8 @@ def test_ssr_table_spot_cells_match_refit_oracle():
     X = design_matrix(sample)
     rng = np.random.default_rng(99)
     for _ in range(10):
-        i = int(rng.integers(0, 300 - h + 1))
-        j = int(rng.integers(i + h - 1, 300))
+        i = int(rng.choice([0, *range(h, 300 - h + 1)]))
+        j = int(rng.choice([*range(i + h - 1, 300 - h), 299]))
         expected = window_ssr(y, X, i, j)
         assert table.ssr(i, j) == pytest.approx(expected, rel=1e-10, abs=1e-18)
 
@@ -101,10 +101,32 @@ def test_ssr_table_split_never_increases_ssr():
     table = build_ssr_table(sample, h=h)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        i = int(rng.integers(0, 150))
-        j = int(rng.integers(i + 2 * h - 1, 200))
+        i = int(rng.choice([0, *range(h, 150)]))
+        j = int(rng.choice([*range(i + 2 * h - 1, 200 - h), 199]))
         cut = int(rng.integers(i + h - 1, j - h + 1))
         assert table.ssr(i, cut) + table.ssr(cut + 1, j) <= table.ssr(i, j) + 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n, h", [(10, 5), (11, 5), (90, 15), (121, 19)])
+def test_ssr_table_matches_dense_oracle_on_reachable_cells(k, n, h):
+    # Bitwise equal to the full row loop where a partition can reach,
+    # NaN everywhere else.
+    rng = np.random.default_rng(n * 10 + k)
+    X = np.column_stack([np.ones(n), rng.normal(0, 0.01, (n, k - 1))])
+    y = X @ rng.normal(size=k) + rng.normal(0, 0.001, n)
+    table = ssr_table_from_arrays(y, X, h)
+    dense = dense_ssr_table(y, X, h)
+    reach = np.zeros((n, n), dtype=bool)
+    for i in [0, *range(h, n - h + 1)]:
+        reach[i, [*range(i + h - 1, n - h), n - 1]] = True
+    assert np.array_equal(table.values[reach].view(np.uint64), dense[reach].view(np.uint64))
+    assert np.isnan(table.values[~reach]).all()
+    admissible = [[table.admissible(i, j) for j in range(n)] for i in range(n)]
+    assert np.array_equal(np.array(admissible), reach)
+    for i, j in ((1, n - 1), (h, n - 2)):
+        with pytest.raises(BreakDetectionError, match="inadmissible"):
+            table.ssr(i, j)
 
 
 def test_ssr_table_preconditions():

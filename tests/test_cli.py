@@ -78,6 +78,10 @@ def analyze(sim_dir: Path, report_path: Path, *extra: str) -> int:
     )
 
 
+def append_non_utf8(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -132,6 +136,16 @@ def test_simulate_missing_spec_file(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_IO
     assert "cannot read spec file" in capsys.readouterr().err
+
+
+def test_simulate_non_utf8_spec_exits_2(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, rotation_spec())
+    append_non_utf8(spec_path)
+    code = main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid simulation spec: spec.json: not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_unwritable_out_dir(tmp_path, capsys):
@@ -218,6 +232,16 @@ def test_analyze_malformed_factors_exits_2(tmp_path, capsys):
     (out / "factors.csv").write_text("date,wrong\n2006-01-02,1\n", encoding="utf-8")
     assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
     assert "bad input file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["factors.csv", "benchmark_map.csv"])
+def test_analyze_non_utf8_input_file_exits_2(tmp_path, capsys, name):
+    out = simulate(tmp_path, rotation_spec())
+    append_non_utf8(out / name)
+    assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"bad input file: {name}: not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_non_finite_factor_exits_2(tmp_path, capsys):
@@ -317,6 +341,25 @@ def test_analyze_broken_benchmark_skips_dependents(tmp_path):
     (out / "bench_nav" / "B1.csv").write_text("date,nav\ngarbage,100\n", encoding="utf-8")
     code = analyze(out, tmp_path / "r.json")
     assert code == EXIT_EMPTY  # the only fund depended on that benchmark
+
+
+def test_analyze_non_utf8_benchmark_nav_skips_dependents(tmp_path, capsys):
+    spec = three_fund_spec()
+    spec["benchmarks"].append({"benchmark_id": "B2", "beta_mkt": 0.9})
+    spec["funds"][1]["benchmark_id"] = "B2"
+    out = simulate(tmp_path, spec)
+    bench = out / "bench_nav" / "B2.csv"
+    size = bench.stat().st_size
+    append_non_utf8(bench)
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [f["fund_id"] for f in report["funds"]] == ["F1", "F3"]
+    assert report["skipped"] == [{
+        "fund_id": "F2",
+        "reason": f"benchmark B2: B2.csv: not UTF-8 text (invalid start byte at byte {size})",
+    }]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_analyze_is_deterministic_and_jobs_invariant(tmp_path):
@@ -453,6 +496,15 @@ def test_report_invalid_file_and_missing_file(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "absent.json"),
                  "--table", "breaks"]) == EXIT_IO
     capsys.readouterr()
+
+
+def test_report_non_utf8_file_exits_2(tmp_path, capsys):
+    path = fixture_report(tmp_path)
+    append_non_utf8(path)
+    assert main(["report", "--in", str(path), "--table", "breaks"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid report file: fixture_report.json: not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_report_unknown_table_is_usage_error(tmp_path):

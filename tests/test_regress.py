@@ -5,12 +5,14 @@ solve (scipy.linalg.solve on X'X b = X'y), a different algorithm from
 the QR path under test.
 """
 
+import dataclasses
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from scipy import linalg, stats
 
+from fundshift import pipeline
 from fundshift.marketdata import AlignedSample
 from fundshift.regress import (
     RegressionError,
@@ -131,6 +133,19 @@ def test_ols_rejects_rank_deficient_design():
     X = np.column_stack([np.ones(30), np.ones(30)])
     with pytest.raises(RegressionError, match="rank deficient"):
         ols(np.zeros(30), X, ("a", "b"), "test")
+
+
+def test_analyze_fund_rejects_rank_deficient_design_before_ssr_table(monkeypatch):
+    # The full-sample fit names the defect at once, so the O(n^2) SSR
+    # table never grinds through the singular windows.
+    def no_table(*args):
+        raise AssertionError("SSR table built for a rank-deficient design")
+
+    monkeypatch.setattr(pipeline, "build_ssr_table", no_table)
+    sample = make_sample(1000, 21, betas=(1.0, 0.3, 0.0), noise=0.002)
+    sample = dataclasses.replace(sample, hml=np.zeros(1000))
+    with pytest.raises(RegressionError, match="^ff3: design matrix is rank deficient$"):
+        pipeline.analyze_fund(sample, pipeline.AnalysisConfig())
 
 
 def test_ols_rejects_too_few_observations():

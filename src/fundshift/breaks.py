@@ -18,20 +18,19 @@ Conventions:
 
 Table construction uses segment-local cumulative Gram matrices, so the
 whole O(n^2) family of window fits costs O(n^2 k^2) instead of
-O(n^3 k^2). Only windows some partition can use are fitted: a segment
-starts at 0 or at i >= h (its predecessors need h observations) and
-ends at n-1 or at j <= n-h-1 (its successors do). At trim 0.15 that is
-about 42% of the windows of length >= h; the table stays n x n with
-every other cell NaN. The DP cost recursion is
+O(n^3 k^2). Only windows some partition can use are fitted and kept: a
+segment starts at 0 or at i >= h (its predecessors need h
+observations) and ends at n-1 or at j <= n-h-1 (its successors do). At
+trim 0.15 that is about 42% of the windows of length >= h, packed row
+after row into one array (:func:`packed_layout`). The DP cost recursion is
 cost(j, r) = min_i { cost(i, r-1) + ssr(i+1, j) },
 with ties broken toward the lexicographically earliest break vector.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,48 +63,69 @@ def default_h(n: int, trim: float, k: int) -> int:
     return max(math.ceil(trim * n), k + 1)
 
 
+def packed_layout(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start rows of the packed SSR table and the offset of each row.
+
+    Row i exists for i = 0 and h <= i <= n-h. It holds the windows
+    (i, i+h-1) ... (i, n-h-1), then (i, n-1): every end a partition can
+    use after a segment starting at i. Row ``starts[r]`` occupies
+    ``offsets[r]:offsets[r + 1]`` of the packed values.
+    """
+    starts = np.r_[0, h : n - h + 1]
+    widths = np.maximum(n - 2 * h + 1 - starts, 0) + 1
+    offsets = np.zeros(starts.size + 1, dtype=np.intp)
+    np.cumsum(widths, out=offsets[1:])
+    return starts, offsets
+
+
 @dataclass(frozen=True)
 class SsrTable:
     """SSR of the segment regression on every window a partition can use.
 
-    ``values[i, j]`` is the SSR of the fit on observations i..j
-    inclusive. A window is admissible when it is at least h long,
-    starts at 0 or at i >= h, and ends at n-1 or at j <= n-h-1; every
-    other cell is NaN.
+    ``values`` holds the rows of :func:`packed_layout` end to end;
+    ``row(i)`` is the row of windows starting at i and ``ssr(i, j)`` the
+    SSR of the fit on observations i..j inclusive. A window is
+    admissible when it is at least h long, starts at 0 or at i >= h, and
+    ends at n-1 or at j <= n-h-1.
     """
 
     n: int
     h: int
-    k: int
     values: np.ndarray
+    _spans: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.n, self.n):
+        starts, offsets = packed_layout(self.n, self.h)
+        if self.values.shape != (offsets[-1],):
             raise BreakDetectionError("SsrTable: values shape mismatch")
         self.values.flags.writeable = False
+        spans = dict(zip(starts.tolist(), zip(offsets[:-1].tolist(), offsets[1:].tolist())))
+        object.__setattr__(self, "_spans", spans)
+
+    def row(self, i: int) -> np.ndarray:
+        """SSR of windows (i, i+h-1) ... (i, n-h-1), then (i, n-1)."""
+        if i not in self._spans:
+            raise BreakDetectionError(f"SsrTable: no segment starts at {i} for h={self.h}")
+        lo, hi = self._spans[i]
+        return self.values[lo:hi]
+
+    def _cell(self, i: int, j: int) -> int | None:
+        if i not in self._spans or not 0 <= j < self.n:
+            return None
+        lo, hi = self._spans[i]
+        if j == self.n - 1:
+            return hi - 1
+        col = j - (i + self.h - 1)
+        return lo + col if 0 <= col < hi - lo - 1 else None
 
     def admissible(self, i: int, j: int) -> bool:
-        n, h = self.n, self.h
-        return (
-            0 <= i <= j < n
-            and j - i + 1 >= h
-            and (i == 0 or i >= h)
-            and (j == n - 1 or j <= n - h - 1)
-        )
+        return self._cell(i, j) is not None
 
     def ssr(self, i: int, j: int) -> float:
-        if not self.admissible(i, j):
+        cell = self._cell(i, j)
+        if cell is None:
             raise BreakDetectionError(f"SsrTable: window ({i}, {j}) inadmissible for h={self.h}")
-        return float(self.values[i, j])
-
-
-def _solve_gram_fallback(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Gram systems are always consistent (rhs lies in the Gram's range),
-    # so the least-squares solution still yields the minimal SSR.
-    beta = np.empty_like(rhs)
-    for b in range(grams.shape[0]):
-        beta[b] = np.linalg.lstsq(grams[b], rhs[b], rcond=None)[0]
-    return beta
+        return float(self.values[cell])
 
 
 def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
@@ -113,10 +133,12 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
 
     Each observation contributes one packed row of moments: the
     k(k+1)/2 distinct products x_a x_b, then x y, then y^2. For each
-    admissible start row i one cumulative sum of those rows gives the
-    Gram matrix and cross moments of every window (i, j) at once; only
-    the admissible ends are solved, so the batched solves cost
-    O(n^2 k^2) overall.
+    start row i one cumulative sum of those rows gives the Gram matrix
+    and cross moments of every window (i, j) at once; only the ends of
+    the row are solved, so the batched solves cost O(n^2 k^2) overall.
+    A row holding a singular window is solved by pseudo-inverse: Gram
+    systems are always consistent (the right-hand side lies in the
+    Gram's range), so that still yields the minimal SSR.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -133,20 +155,21 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
     gram_at = np.empty((k, k), dtype=np.intp)
     gram_at[rows, cols] = gram_at[cols, rows] = np.arange(pairs)
     moments = np.column_stack([X[:, rows] * X[:, cols], X * y[:, None], y * y])
-    values = np.full((n, n), np.nan)
-    for i in [0, *range(h, n - h + 1)]:
+    starts, offsets = packed_layout(n, h)
+    values = np.empty(offsets[-1])
+    for i, lo, hi in zip(starts.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
         sums = np.cumsum(moments[i:], axis=0)
-        ends = np.r_[i + h - 1 : n - h, n - 1]
+        ends = np.r_[i + h - 1 : i + h - 2 + hi - lo, n - 1]
         cells = sums[ends - i]
         grams = cells[:, gram_at]
         rhs = cells[:, pairs : pairs + k]
         try:
             beta = np.linalg.solve(grams, rhs[:, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            beta = _solve_gram_fallback(grams, rhs)
+            beta = (np.linalg.pinv(grams) @ rhs[:, :, None])[..., 0]
         ssr = cells[:, -1] - np.einsum("bk,bk->b", beta, rhs)
-        values[i, ends] = np.maximum(ssr, 0.0)
-    return SsrTable(n=n, h=h, k=k, values=values)
+        values[lo:hi] = np.maximum(ssr, 0.0)
+    return SsrTable(n=n, h=h, values=values)
 
 
 def build_ssr_table(sample: AlignedSample, h: int) -> SsrTable:
@@ -194,28 +217,27 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
     Suffix dynamic program: B[r][i] is the least total SSR over
     segmentations of i..n-1 into r+1 segments of length >= h. Level r
     reads only level r-1, so one sweep up to max_m holds every
-    B[m][0] and its break vector. Only starts 0 and i >= h are swept:
-    no segment of a partition of 0..n-1 starts at 1..h-1, and those
-    table rows are NaN. Scanning candidate first breaks in
-    ascending order and keeping the first minimum makes each
-    reconstructed break vector lexicographically earliest among all
-    global minimizers.
+    B[m][0] and its break vector. Only the start rows of the table are
+    swept: no segment of a partition of 0..n-1 starts at 1..h-1.
+    Scanning candidate first breaks in ascending order and keeping the
+    first minimum makes each reconstructed break vector
+    lexicographically earliest among all global minimizers.
     """
     if max_m < 0:
         raise BreakDetectionError(f"break count m={max_m} negative")
-    n, h, S = table.n, table.h, table.values
+    n, h = table.n, table.h
     if n < (max_m + 1) * h:
         raise BreakDetectionError(f"m={max_m} infeasible: n={n} < (m+1)h={(max_m + 1) * h}")
 
+    starts, offsets = packed_layout(n, h)
     best = np.full((max_m + 1, n), np.inf)
     choice = np.zeros((max_m + 1, n), dtype=np.intp)
-    best[0, 0] = S[0, n - 1]
-    best[0, h : n - h + 1] = S[h : n - h + 1, n - 1]
+    best[0, starts] = table.values[offsets[1:] - 1]
     for r in range(1, max_m + 1):
         hi = n - 1 - r * h
-        for i in [0, *range(h, n - (r + 1) * h + 1)]:
+        for i in starts[starts <= n - (r + 1) * h].tolist():
             lo = i + h - 1
-            cand = S[i, lo : hi + 1] + best[r - 1, lo + 1 : hi + 2]
+            cand = table.row(i)[: hi - lo + 1] + best[r - 1, lo + 1 : hi + 2]
             j = int(np.argmin(cand))
             best[r, i] = cand[j]
             choice[r, i] = lo + j
@@ -255,30 +277,25 @@ class BreakSet:
     """
 
     fund_id: str
-    chosen_m: int
     partition: Partition
     criterion_values: tuple[tuple[int, float], ...]
-    regime_windows: tuple[tuple[int, int], ...]
     is_style_break: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.chosen_m != self.partition.m:
-            raise BreakDetectionError("BreakSet: chosen_m != partition.m")
-        if len(self.regime_windows) != self.chosen_m + 1:
-            raise BreakDetectionError("BreakSet: regime count != chosen_m + 1")
-        expect = 0
-        for start, end in self.regime_windows:
-            if start != expect or end < start:
-                raise BreakDetectionError("BreakSet: regime windows do not tile the sample")
-            expect = end + 1
-        if expect != self.partition.n:
-            raise BreakDetectionError("BreakSet: regime windows do not cover the sample")
         if self.is_style_break is not None and len(self.is_style_break) != self.chosen_m:
             raise BreakDetectionError("BreakSet: is_style_break length != chosen_m")
 
     @property
+    def chosen_m(self) -> int:
+        return self.partition.m
+
+    @property
     def break_indices(self) -> tuple[int, ...]:
         return self.partition.break_indices
+
+    @property
+    def regime_windows(self) -> tuple[tuple[int, int], ...]:
+        return self.partition.regime_windows
 
 
 def _bic(ssr: float, n: int, k: int, m: int, floor: float) -> float:
@@ -318,27 +335,19 @@ def select_break_count(
         (part.m, _bic(part.total_ssr, n, k, part.m, floor)) for part in partitions
     )
     chosen_m = min(scores, key=lambda mv: mv[1])[0]
-    part = partitions[chosen_m]
     return BreakSet(
-        fund_id=sample.fund_id,
-        chosen_m=chosen_m,
-        partition=part,
-        criterion_values=scores,
-        regime_windows=part.regime_windows,
+        fund_id=sample.fund_id, partition=partitions[chosen_m], criterion_values=scores
     )
 
 
-def filter_short_regimes(
-    bs: BreakSet, min_regime: int, table: SsrTable | None = None
-) -> BreakSet:
+def filter_short_regimes(bs: BreakSet, min_regime: int, table: SsrTable) -> BreakSet:
     """Drop breaks adjacent to regimes shorter than ``min_regime``.
 
     A break survives only when both regimes it separates have at least
-    min_regime observations; removed breaks merge their regimes. One
-    pass is idempotent: every merged regime contains a full-length
-    original regime, so re-filtering removes nothing. Recomputing the
-    merged partition's total SSR needs the fund's ``table``; it may be
-    omitted when no break can be removed.
+    min_regime observations; removed breaks merge their regimes, whose
+    total SSR is read from the fund's ``table``. One pass is idempotent:
+    every merged regime contains a full-length original regime, so
+    re-filtering removes nothing.
     """
     if min_regime < 0:
         raise BreakDetectionError(f"min_regime={min_regime} negative")
@@ -353,10 +362,6 @@ def filter_short_regimes(
     ]
     if len(keep) == bs.chosen_m:
         return bs
-    if table is None:
-        raise BreakDetectionError(
-            "filter_short_regimes: merging regimes requires the fund's SSR table"
-        )
 
     n, h = bs.partition.n, bs.partition.h
     bounds = [-1] + keep + [n - 1]
@@ -366,15 +371,4 @@ def filter_short_regimes(
     part = Partition(
         m=len(keep), break_indices=tuple(keep), total_ssr=total, n=n, h=h
     )
-    return BreakSet(
-        fund_id=bs.fund_id,
-        chosen_m=part.m,
-        partition=part,
-        criterion_values=bs.criterion_values,
-        regime_windows=part.regime_windows,
-    )
-
-
-def with_style_flags(bs: BreakSet, flags: tuple[bool, ...]) -> BreakSet:
-    """Attach per-break style-change flags computed by the classifier."""
-    return dataclasses.replace(bs, is_style_break=flags)
+    return BreakSet(fund_id=bs.fund_id, partition=part, criterion_values=bs.criterion_values)

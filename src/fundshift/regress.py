@@ -195,13 +195,10 @@ def fit_ff3(
     sample: AlignedSample,
     sig_level: float = DEFAULT_SIG_LEVEL,
     hac: bool = False,
-    carhart: bool = False,
 ) -> RegressionResult:
-    """Excess-over-cash factor regression (three- or four-factor)."""
-    X = design_matrix(sample, carhart=carhart)
-    names = CARHART_NAMES if carhart else FF3_NAMES
-    model = "carhart" if carhart else "ff3"
-    return ols(excess_over_cash(sample), X, names, model, sig_level=sig_level, hac=hac)
+    """Three-factor regression of the fund's excess over cash."""
+    X = design_matrix(sample)
+    return ols(excess_over_cash(sample), X, FF3_NAMES, "ff3", sig_level=sig_level, hac=hac)
 
 
 def fit_carhart(
@@ -210,24 +207,22 @@ def fit_carhart(
     hac: bool = False,
 ) -> RegressionResult:
     """Four-factor fit (market, size, value, momentum) over cash."""
-    return fit_ff3(sample, sig_level=sig_level, hac=hac, carhart=True)
+    X = design_matrix(sample, carhart=True)
+    return ols(excess_over_cash(sample), X, CARHART_NAMES, "carhart", sig_level=sig_level, hac=hac)
 
 
 def fit_benchmark_adjusted(
     sample: AlignedSample,
     sig_level: float = DEFAULT_SIG_LEVEL,
     hac: bool = False,
-    carhart: bool = False,
 ) -> RegressionResult:
     """Benchmark-adjusted factor regression on the same design block.
 
     The dependent variable is fund minus benchmark, so a passive fund
     tracking its benchmark shows no significant loadings at all.
     """
-    X = design_matrix(sample, carhart=carhart)
-    names = CARHART_NAMES if carhart else FF3_NAMES
-    model = "agt_carhart" if carhart else "agt"
-    return ols(excess_over_benchmark(sample), X, names, model, sig_level=sig_level, hac=hac)
+    X = design_matrix(sample)
+    return ols(excess_over_benchmark(sample), X, FF3_NAMES, "agt", sig_level=sig_level, hac=hac)
 
 
 def subsample(sample: AlignedSample, start: int, end: int) -> AlignedSample:

@@ -18,10 +18,10 @@ diagonal, by construction, holds exactly the breaks that kept the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .breaks import BreakSet, with_style_flags
+from .breaks import BreakSet
 from .marketdata import AlignedSample
 from .regress import DEFAULT_SIG_LEVEL, FactorLoading, RegressionResult, fit_ff3, subsample
 
@@ -269,7 +269,7 @@ def grade_breaks(
 
 def apply_style_flags(bs: BreakSet, shifts: tuple[BreakShift, ...]) -> BreakSet:
     """Stamp the per-break style-change flags onto the break set."""
-    return with_style_flags(bs, tuple(s.is_style_break for s in shifts))
+    return replace(bs, is_style_break=tuple(s.is_style_break for s in shifts))
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,17 @@ def exhaustive_best_partition(table, m: int):
     """Brute-force global minimum over all m-break partitions.
 
     Enumerates every feasible break vector (supported for m <= 3),
-    computing each total as the right-nested sum of table cells. Returns
+    computing each total as the right-nested sum of table cells; windows
+    the table rejects as inadmissible cost inf. Returns
     (break_indices, total_ssr) of the first minimizer in lexicographic
     order, which is therefore the earliest one.
     """
     n = table.n
-    S = np.where(np.isnan(table.values), np.inf, table.values)
+    S = np.full((n, n), np.inf)
+    for i in range(n):
+        for j in range(i, n):
+            if table.admissible(i, j):
+                S[i, j] = table.ssr(i, j)
     last = S[:, n - 1]
     if m == 0:
         return (), float(S[0, n - 1])

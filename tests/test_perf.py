@@ -337,10 +337,7 @@ def test_pre_post_null_comparison_with_tiled_factors():
         11, [(400, 0.0003, 0.6, 0.2), (400, 0.0003, 0.6, 0.2)], tile_factors=True
     )
     part = Partition(m=1, break_indices=(399,), total_ssr=0.0, n=800, h=120)
-    bs = BreakSet(
-        fund_id="F1", chosen_m=1, partition=part,
-        criterion_values=(), regime_windows=part.regime_windows,
-    )
+    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
     cmp = pre_post_compare(sample, bs, styles, shifts, 0)
@@ -357,10 +354,7 @@ def test_pre_post_null_comparison_with_tiled_factors():
 def test_pre_post_short_flanking_regime_is_omitted():
     sample = make_styled_sample(12, [(200, 0.0, 0.5, 0.0)])
     part = Partition(m=1, break_indices=(196,), total_ssr=0.0, n=200, h=3)
-    bs = BreakSet(
-        fund_id="F1", chosen_m=1, partition=part,
-        criterion_values=(), regime_windows=part.regime_windows,
-    )
+    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     styles = (None, None)  # never reached: the window gate comes first
     assert pre_post_compare(sample, bs, styles, (), 0) is None
 
@@ -370,10 +364,7 @@ def test_pre_post_min_window_boundary():
         13, [(60, 0.0, 0.5, 0.0), (60, 0.0, 0.5, 0.0)], tile_factors=True
     )
     part = Partition(m=1, break_indices=(59,), total_ssr=0.0, n=120, h=10)
-    bs = BreakSet(
-        fund_id="F1", chosen_m=1, partition=part,
-        criterion_values=(), regime_windows=part.regime_windows,
-    )
+    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
     assert pre_post_compare(sample, bs, styles, shifts, 0, min_window=60) is not None

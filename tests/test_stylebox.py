@@ -295,10 +295,7 @@ def test_regime_styles_planted_two_regime_fund():
 def test_regime_styles_rejects_regime_shorter_than_parameters():
     sample = make_styled_sample(23, [(20, 0.0, 0.5, 0.0)])
     part = Partition(m=1, break_indices=(2,), total_ssr=0.0, n=20, h=3)
-    bs = BreakSet(
-        fund_id="F1", chosen_m=1, partition=part,
-        criterion_values=(), regime_windows=part.regime_windows,
-    )
+    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     with pytest.raises(RegressionError, match="need more than"):
         regime_styles(sample, bs)
 

@@ -44,10 +44,7 @@ from .marketdata import (
 )
 from .perf import (
     TRADING_DAYS_PER_YEAR,
-    BreakHistogram,
-    DecileReport,
     FundMetrics,
-    GroupReport,
     MetricsDelta,
     PerfError,
     ShiftComparison,
@@ -88,7 +85,6 @@ from .stylebox import (
     SizeClass,
     StyleBox,
     StyleError,
-    TransitionMatrix,
     ValueClass,
     accumulate_transitions,
     classify_factor_shift,
@@ -136,12 +132,12 @@ __all__ = [
     # stylebox
     "STYLE_BOX_LABELS", "STYLE_BOX_ORDER", "BreakShift", "FactorState",
     "FactorShift", "IntensityClass", "RegimeStyle", "SizeClass", "StyleBox",
-    "StyleError", "TransitionMatrix", "ValueClass", "accumulate_transitions",
+    "StyleError", "ValueClass", "accumulate_transitions",
     "classify_factor_shift", "classify_size", "classify_value",
     "fund_shift_intensity", "grade_breaks", "regime_styles", "style_of",
     # perf
-    "TRADING_DAYS_PER_YEAR", "BreakHistogram", "DecileReport", "FundMetrics",
-    "GroupReport", "MetricsDelta", "PerfError", "ShiftComparison",
+    "TRADING_DAYS_PER_YEAR", "FundMetrics", "MetricsDelta", "PerfError",
+    "ShiftComparison",
     "annualized_metrics", "break_histogram", "decile_analysis",
     "group_by_break_count", "pre_post_compare",
     # synth

@@ -265,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True, help="output report JSON file")
     p_an.add_argument("--sig", type=float, default=0.05, help="significance level")
     p_an.add_argument("--trim", type=float, default=0.15, help="minimum segment fraction")
-    p_an.add_argument("--max-breaks", type=int, default=5, help="maximum break count")
+    p_an.add_argument(
+        "--max-breaks", type=int, default=5,
+        help="maximum break count, at most floor(1/trim) - 1 (5 at the default trim)",
+    )
     p_an.add_argument(
         "--min-regime-obs", type=int, default=0,
         help="drop breaks flanked by regimes shorter than this (500 is about 24 months)",

@@ -112,69 +112,48 @@ def annualized_metrics(
     )
 
 
-@dataclass(frozen=True)
-class GroupRow:
-    """One break-count bucket: counts plus equal-weighted metric means."""
-
-    group: str
-    funds: int
-    breaks: int
-    excess_return_pa: float
-    stdev_pa: float
-    sharpe_pa: float
-    ff3_alpha_pa: float
-    agt_alpha_pa: float
-
-
-@dataclass(frozen=True)
-class GroupReport:
-    """Performance by break count, one row per bucket plus the with-breaks row."""
-
-    rows: tuple[GroupRow, ...]
-
-    def row(self, group: str) -> GroupRow:
-        for r in self.rows:
-            if r.group == group:
-                return r
-        raise KeyError(group)
-
-
 #: Label of the funds-with-at-least-one-break aggregate row.
 WITH_BREAKS_GROUP = "all_with_breaks"
+
+#: Columns of the performance-by-breaks table, in order: the bucket, its
+#: fund and break counts, then the equal-weighted mean of each metric.
+GROUP_COLUMNS = (
+    "group",
+    "funds",
+    "breaks",
+    "excess_return_pa",
+    "stdev_pa",
+    "sharpe_pa",
+    "ff3_alpha_pa",
+    "agt_alpha_pa",
+)
 
 
 def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
 
 
-def _group_row(group: str, members: list[FundMetrics]) -> GroupRow:
-    means = {
-        name: _mean_or_nan([getattr(m, name) for m in members])
-        for name in METRIC_FIELDS
+def _group_row(group: str, members: list[FundMetrics]) -> dict:
+    row = {
+        "group": group,
+        "funds": len(members),
+        "breaks": sum(m.n_breaks for m in members),
     }
-    return GroupRow(
-        group=group,
-        funds=len(members),
-        breaks=sum(m.n_breaks for m in members),
-        excess_return_pa=means["excess_return_pa"],
-        stdev_pa=means["stdev_pa"],
-        sharpe_pa=means["sharpe_pa"],
-        ff3_alpha_pa=means["ff3_alpha_pa"],
-        agt_alpha_pa=means["agt_alpha_pa"],
-    )
+    for name in GROUP_COLUMNS[3:]:
+        row[name] = _mean_or_nan([getattr(m, name) for m in members])
+    return row
 
 
-def group_by_break_count(
-    metrics: list[FundMetrics], max_m: int | None = None
-) -> GroupReport:
+def group_by_break_count(metrics: list[FundMetrics], max_m: int | None = None) -> dict:
     """Bucket funds by break count and average each bucket.
 
-    Rows run m = 0..max_m (default: largest observed count) even when a
-    bucket is empty, followed by the aggregate row over all funds with
-    at least one break. Empty input yields an empty report.
+    Returns ``{"rows": [...]}``, one row keyed by :data:`GROUP_COLUMNS`
+    per bucket m = 0..max_m (default: largest observed count), empty or
+    not, then the row over all funds with at least one break. Empty
+    input yields no rows.
     """
     if not metrics:
-        return GroupReport(rows=())
+        return {"rows": []}
     top = max(m.n_breaks for m in metrics)
     if max_m is not None:
         top = max(top, max_m)
@@ -182,30 +161,10 @@ def group_by_break_count(
     for m in range(top + 1):
         rows.append(_group_row(str(m), [x for x in metrics if x.n_breaks == m]))
     rows.append(_group_row(WITH_BREAKS_GROUP, [x for x in metrics if x.n_breaks >= 1]))
-    return GroupReport(rows=tuple(rows))
+    return {"rows": rows}
 
 
-#: Columns of the serialized group report, in order.
-GROUP_CSV_HEADER = "group,funds,breaks,excess_return_pa,stdev_pa,sharpe_pa,ff3_alpha_pa,agt_alpha_pa"
-
-
-@dataclass(frozen=True)
-class HistogramRow:
-    n_breaks: int
-    funds: int
-    breaks: int
-
-
-@dataclass(frozen=True)
-class BreakHistogram:
-    """Funds per break count; totals cover only funds with breaks."""
-
-    rows: tuple[HistogramRow, ...]
-    total_funds_with_breaks: int
-    total_breaks: int
-
-
-def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> BreakHistogram:
+def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> dict:
     """Tally funds by break count, totaling over the m >= 1 rows.
 
     The zero-break bucket is listed for completeness but excluded from
@@ -217,12 +176,12 @@ def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> Bre
     rows = []
     for m in range(top + 1):
         funds = sum(1 for x in metrics if x.n_breaks == m)
-        rows.append(HistogramRow(n_breaks=m, funds=funds, breaks=m * funds))
-    return BreakHistogram(
-        rows=tuple(rows),
-        total_funds_with_breaks=sum(r.funds for r in rows if r.n_breaks >= 1),
-        total_breaks=sum(r.breaks for r in rows),
-    )
+        rows.append({"n_breaks": m, "funds": funds, "breaks": m * funds})
+    return {
+        "rows": rows,
+        "total_funds_with_breaks": sum(r["funds"] for r in rows if r["n_breaks"] >= 1),
+        "total_breaks": sum(r["breaks"] for r in rows),
+    }
 
 
 @dataclass(frozen=True)
@@ -307,41 +266,29 @@ def pre_post_compare(
 INTENSITY_LABELS = tuple(c.value for c in IntensityClass)
 
 
-@dataclass(frozen=True)
-class DecileReport:
-    """Top and bottom deciles by excess return, with shift composition."""
-
-    decile_size: int
-    top_fund_ids: tuple[str, ...]
-    bottom_fund_ids: tuple[str, ...]
-    top_intensity: tuple[tuple[str, int], ...]
-    bottom_intensity: tuple[tuple[str, int], ...]
-    top_destinations: tuple[tuple[str, int], ...]
-    bottom_destinations: tuple[tuple[str, int], ...]
-
-
-def _intensity_histogram(shifts: list[BreakShift]) -> tuple[tuple[str, int], ...]:
+def _intensity_histogram(shifts: list[BreakShift]) -> dict[str, int]:
     counts = {label: 0 for label in INTENSITY_LABELS}
     for s in shifts:
         counts[s.intensity.value] += 1
-    return tuple(counts.items())
+    return counts
 
 
-def _destination_histogram(shifts: list[BreakShift]) -> tuple[tuple[str, int], ...]:
+def _destination_histogram(shifts: list[BreakShift]) -> dict[str, int]:
     counts = {label: 0 for label in STYLE_BOX_LABELS}
     for s in shifts:
         counts[s.style_to.label] += 1
-    return tuple(counts.items())
+    return counts
 
 
 def decile_analysis(
     metrics: list[FundMetrics],
     shifts_by_fund: dict[str, tuple[BreakShift, ...]],
-) -> DecileReport:
+) -> dict:
     """Composition of the best and worst deciles by excess return.
 
-    Decile size is ceil(N/10); ranking ties break by fund_id. The
-    histograms pool every graded break of the decile's funds.
+    Decile size is ceil(N/10); ranking ties break by fund_id. Each
+    histogram counts every label in canonical order, pooling every
+    graded break of the decile's funds.
     """
     n = len(metrics)
     if n < 10:
@@ -349,22 +296,22 @@ def decile_analysis(
     size = math.ceil(n / 10)
     desc = sorted(metrics, key=lambda m: (-m.excess_return_pa, m.fund_id))
     asc = sorted(metrics, key=lambda m: (m.excess_return_pa, m.fund_id))
-    top_ids = tuple(m.fund_id for m in desc[:size])
-    bottom_ids = tuple(m.fund_id for m in asc[:size])
+    top_ids = [m.fund_id for m in desc[:size]]
+    bottom_ids = [m.fund_id for m in asc[:size]]
 
-    def _pool(ids: tuple[str, ...]) -> list[BreakShift]:
+    def _pool(ids: list[str]) -> list[BreakShift]:
         out: list[BreakShift] = []
         for fund_id in ids:
             out.extend(shifts_by_fund.get(fund_id, ()))
         return out
 
     top_pool, bottom_pool = _pool(top_ids), _pool(bottom_ids)
-    return DecileReport(
-        decile_size=size,
-        top_fund_ids=top_ids,
-        bottom_fund_ids=bottom_ids,
-        top_intensity=_intensity_histogram(top_pool),
-        bottom_intensity=_intensity_histogram(bottom_pool),
-        top_destinations=_destination_histogram(top_pool),
-        bottom_destinations=_destination_histogram(bottom_pool),
-    )
+    return {
+        "decile_size": size,
+        "top_fund_ids": top_ids,
+        "bottom_fund_ids": bottom_ids,
+        "top_intensity": _intensity_histogram(top_pool),
+        "bottom_intensity": _intensity_histogram(bottom_pool),
+        "top_destinations": _destination_histogram(top_pool),
+        "bottom_destinations": _destination_histogram(bottom_pool),
+    }

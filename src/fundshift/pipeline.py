@@ -26,19 +26,17 @@ from .breaks import (
 )
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
 from .perf import (
-    GROUP_CSV_HEADER,
+    GROUP_COLUMNS,
     FundMetrics,
     ShiftComparison,
     annualized_metrics,
     break_histogram,
     decile_analysis,
     group_by_break_count,
-    metrics_delta,
     pre_post_compare,
 )
 from .regress import RegressionResult, fit_benchmark_adjusted, fit_carhart, fit_ff3
 from .stylebox import (
-    STYLE_BOX_LABELS,
     BreakShift,
     FactorShift,
     RegimeStyle,
@@ -76,6 +74,14 @@ class AnalysisConfig:
             raise ConfigError(f"trim must lie in (0, 0.5), got {self.trim!r}")
         if self.max_breaks < 0:
             raise ConfigError(f"max_breaks must be >= 0, got {self.max_breaks!r}")
+        # Regimes hold >= trim * n observations, so floor(1/trim) - 1 breaks
+        # at most; the ulps of slack cover default_h's rounding of trim * n.
+        most = math.floor(1.0 / self.trim * (1.0 + 4 * math.ulp(1.0))) - 1
+        if self.max_breaks > most:
+            raise ConfigError(
+                f"max_breaks must be <= floor(1/trim) - 1 = {most} at trim "
+                f"{self.trim!r}, got {self.max_breaks!r}"
+            )
         if self.min_regime_obs < 0:
             raise ConfigError(f"min_regime_obs must be >= 0, got {self.min_regime_obs!r}")
         if self.annualization < 1:
@@ -168,27 +174,6 @@ def _clean(value):
     return value
 
 
-def _fit_dict(fit: RegressionResult) -> dict:
-    return {
-        "model": fit.model,
-        "nobs": fit.nobs,
-        "dof": fit.dof,
-        "ssr": fit.ssr,
-        "r_squared": fit.r_squared,
-        "loadings": [
-            {
-                "name": l.name,
-                "coef": l.coef,
-                "se": l.se,
-                "tstat": l.tstat,
-                "pvalue": l.pvalue,
-                "significant": l.significant,
-            }
-            for l in fit.loadings
-        ],
-    }
-
-
 def _state_dict(shift_side) -> dict:
     return {
         "beta": shift_side.beta,
@@ -232,7 +217,7 @@ def fund_record_dict(rec: FundRecord) -> dict:
                 "start_date": dates[start].isoformat(),
                 "end_date": dates[end].isoformat(),
                 "style": style.box.label,
-                "ff3": _fit_dict(style.fit),
+                "ff3": asdict(style.fit),
             }
         )
     shifts = []
@@ -260,14 +245,7 @@ def fund_record_dict(rec: FundRecord) -> dict:
                 "style_to": c.style_to.label,
                 "pre": _metrics_dict(c.pre),
                 "post": _metrics_dict(c.post),
-                "delta": {
-                    "excess_return_pa": c.delta.excess_return_pa,
-                    "stdev_pa": c.delta.stdev_pa,
-                    "sharpe_pa": c.delta.sharpe_pa,
-                    "treynor_pa": c.delta.treynor_pa,
-                    "ff3_alpha_pa": c.delta.ff3_alpha_pa,
-                    "agt_alpha_pa": c.delta.agt_alpha_pa,
-                },
+                "delta": asdict(c.delta),
             }
         )
     record = {
@@ -289,63 +267,26 @@ def fund_record_dict(rec: FundRecord) -> dict:
         "metrics": _metrics_dict(rec.metrics),
     }
     if rec.carhart_fit is not None:
-        record["carhart"] = _fit_dict(rec.carhart_fit)
+        record["carhart"] = asdict(rec.carhart_fit)
     return record
 
 
 def build_aggregates(records: list[FundRecord], config: AnalysisConfig) -> dict:
-    """Aggregate tables recomputable from the per-fund records."""
-    metrics = [rec.metrics for rec in records]
-    hist = break_histogram(metrics, max_m=config.max_breaks)
-    matrix = accumulate_transitions(
-        [[style.box for style in rec.styles] for rec in records]
-    )
-    group = group_by_break_count(metrics, max_m=config.max_breaks)
+    """The report's aggregate tables, recomputable from the per-fund records.
 
+    Keys are the report's: ``break_histogram``, ``transitions``,
+    ``performance_by_breaks`` and ``deciles`` (None below 10 funds).
+    """
+    metrics = [rec.metrics for rec in records]
     deciles = None
     if len(metrics) >= 10:
-        report = decile_analysis(
-            metrics, {rec.fund_id: rec.shifts for rec in records}
-        )
-        deciles = {
-            "decile_size": report.decile_size,
-            "top_fund_ids": list(report.top_fund_ids),
-            "bottom_fund_ids": list(report.bottom_fund_ids),
-            "top_intensity": dict(report.top_intensity),
-            "bottom_intensity": dict(report.bottom_intensity),
-            "top_destinations": dict(report.top_destinations),
-            "bottom_destinations": dict(report.bottom_destinations),
-        }
-
+        deciles = decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records})
     return {
-        "break_histogram": {
-            "rows": [
-                {"n_breaks": r.n_breaks, "funds": r.funds, "breaks": r.breaks}
-                for r in hist.rows
-            ],
-            "total_funds_with_breaks": hist.total_funds_with_breaks,
-            "total_breaks": hist.total_breaks,
-        },
-        "transitions": {
-            "labels": list(STYLE_BOX_LABELS),
-            "counts": [list(row) for row in matrix.counts],
-            "grand_total": matrix.grand_total,
-        },
-        "performance_by_breaks": {
-            "rows": [
-                {
-                    "group": r.group,
-                    "funds": r.funds,
-                    "breaks": r.breaks,
-                    "excess_return_pa": r.excess_return_pa,
-                    "stdev_pa": r.stdev_pa,
-                    "sharpe_pa": r.sharpe_pa,
-                    "ff3_alpha_pa": r.ff3_alpha_pa,
-                    "agt_alpha_pa": r.agt_alpha_pa,
-                }
-                for r in group.rows
-            ]
-        },
+        "break_histogram": break_histogram(metrics, max_m=config.max_breaks),
+        "transitions": accumulate_transitions(
+            [[style.box for style in rec.styles] for rec in records]
+        ),
+        "performance_by_breaks": group_by_break_count(metrics, max_m=config.max_breaks),
         "deciles": deciles,
     }
 
@@ -413,11 +354,10 @@ def _render_transitions(agg: dict, fmt: str) -> str:
 
 
 def _render_performance(agg: dict, fmt: str) -> str:
-    header = GROUP_CSV_HEADER.split(",")
     rows = []
     for r in agg["performance_by_breaks"]["rows"]:
-        rows.append([_cell(r[name]) for name in header])
-    return _render(header, rows, fmt)
+        rows.append([_cell(r[name]) for name in GROUP_COLUMNS])
+    return _render(list(GROUP_COLUMNS), rows, fmt)
 
 
 def _render_deciles(agg: dict, fmt: str) -> str:

@@ -272,34 +272,19 @@ def apply_style_flags(bs: BreakSet, shifts: tuple[BreakShift, ...]) -> BreakSet:
     return replace(bs, is_style_break=tuple(s.is_style_break for s in shifts))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """9x9 tally of adjacent-regime style pairs, rows = style before."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 9 or any(len(row) != 9 for row in self.counts):
-            raise StyleError("TransitionMatrix: counts must be 9x9")
-        if any(c < 0 for row in self.counts for c in row):
-            raise StyleError("TransitionMatrix: negative cell")
-
-    @property
-    def grand_total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def cell(self, from_box: StyleBox, to_box: StyleBox) -> int:
-        return self.counts[from_box.index][to_box.index]
-
-
-def accumulate_transitions(per_fund_styles: list[list[StyleBox]]) -> TransitionMatrix:
+def accumulate_transitions(per_fund_styles: list[list[StyleBox]]) -> dict:
     """Count every adjacent regime pair, per fund, in chronological order.
 
-    The grand total therefore equals the number of breaks across all
-    funds; breaks whose shift graded Unchanged land on the diagonal.
+    ``counts[i][j]`` tallies box index i followed by box index j. The
+    grand total therefore equals the number of breaks across all funds;
+    breaks whose shift graded Unchanged land on the diagonal.
     """
     cells = [[0] * 9 for _ in range(9)]
     for styles in per_fund_styles:
         for s_t, s_next in zip(styles, styles[1:]):
             cells[s_t.index][s_next.index] += 1
-    return TransitionMatrix(counts=tuple(tuple(row) for row in cells))
+    return {
+        "labels": list(STYLE_BOX_LABELS),
+        "counts": cells,
+        "grand_total": sum(sum(row) for row in cells),
+    }

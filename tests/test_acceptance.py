@@ -215,7 +215,7 @@ def test_criterion_6_fixture_arithmetic(tmp_path, capsys):
             for _ in range(int(rng.integers(0, 12)))
         ]
         matrix = accumulate_transitions(chains)
-        assert matrix.grand_total == sum(len(c) - 1 for c in chains)
+        assert matrix["grand_total"] == sum(len(c) - 1 for c in chains)
     with capsys.disabled():
         print("criterion 6: PASS - bucket fixture renders totals 160/473; "
               "transition grand total equals adjacent pairs")

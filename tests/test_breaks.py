@@ -1,5 +1,7 @@
 """SSR table construction, DP segmentation and break-count selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fundshift.breaks import (
     ssr_table_from_arrays,
 )
 from fundshift.marketdata import AlignedSample
+from fundshift.pipeline import AnalysisConfig, ConfigError
 from fundshift.regress import design_matrix, excess_over_benchmark, fit_benchmark_adjusted
 
 
@@ -26,11 +29,14 @@ def make_sample(
     smb_path: list[tuple[int, float]],
     noise: float = 0.0,
     hml_beta: float = 0.0,
+    t_df: int | None = None,
 ) -> AlignedSample:
     """Fund whose active SMB tilt follows a step function over regimes.
 
     smb_path lists (length, beta_smb) segments; the benchmark carries
-    the market loading so the active return is pure style tilt.
+    the market loading so the active return is pure style tilt. The
+    noise is Gaussian with stdev ``noise``, or with ``t_df`` Student-t
+    with ``t_df`` degrees of freedom scaled to the same stdev.
     """
     rng = np.random.default_rng(seed)
     mkt = rng.normal(0, 0.008, n)
@@ -42,7 +48,12 @@ def make_sample(
         [np.full(length, b) for length, b in smb_path]
     )
     assert beta_smb.shape == (n,)
-    eps = rng.normal(0, noise, n) if noise > 0 else np.zeros(n)
+    if t_df is not None:
+        eps = noise * math.sqrt((t_df - 2) / t_df) * rng.standard_t(t_df, n)
+    elif noise > 0:
+        eps = rng.normal(0, noise, n)
+    else:
+        eps = np.zeros(n)
     r_fund = r_bench + beta_smb * smb + hml_beta * hml + eps
     return AlignedSample(
         fund_id="F1", dates=weekdays(n), r_fund=r_fund, r_bench=r_bench,
@@ -63,6 +74,25 @@ def test_default_h():
     assert default_h(20, 0.15, 4) == 5  # k+1 floor dominates
     with pytest.raises(BreakDetectionError, match="trim"):
         default_h(100, 0.6, 4)
+
+
+def test_config_max_breaks_bound():
+    for trim, most in ((0.15, 5), (0.2, 4), (0.1, 9), (1 / 3, 2), (0.49, 1)):
+        assert AnalysisConfig(trim=trim, max_breaks=most).max_breaks == most
+        with pytest.raises(ConfigError, match=rf"<= floor\(1/trim\) - 1 = {most} at trim"):
+            AnalysisConfig(trim=trim, max_breaks=most + 1)
+
+
+def test_max_breaks_bound_covers_every_sample_length():
+    # A grid of trims, plus the doubles next to 1/j: there default_h's
+    # rounded trim * n can fall a hair below the exact product, so j
+    # regimes fit where exact arithmetic says they cannot.
+    trims = [i / 1000 for i in range(1, 500)]
+    for j in range(3, 60):
+        trims += [math.nextafter(1 / j, 0), 1 / j, math.nextafter(1 / j, 1)]
+    for trim in trims:
+        most = max(n // default_h(n, trim, 4) - 1 for n in range(1, 3001))
+        AnalysisConfig(trim=trim, max_breaks=most)  # raises if above the bound
 
 
 def test_ssr_table_zero_noise_constant_beta_is_zero_everywhere():
@@ -272,6 +302,21 @@ def test_select_break_count_planted_rotation_with_noise():
     bs = select_break_count(sample)
     assert bs.chosen_m == 1
     assert abs(bs.break_indices[0] - 499) <= 20
+
+
+@pytest.mark.parametrize("t_df", [None, 3], ids=["gauss", "t3"])
+def test_select_break_count_no_false_breaks_without_a_break(t_df):
+    for seed in range(30):
+        sample = make_sample(600, seed, [(600, 0.5)], noise=0.006, t_df=t_df)
+        assert select_break_count(sample).chosen_m == 0, f"seed {seed}"
+
+
+def test_select_break_count_recovers_break_under_heavy_tailed_noise():
+    for seed in range(20):
+        sample = make_sample(600, seed, [(300, 0.8), (300, -0.8)], noise=0.005, t_df=3)
+        bs = select_break_count(sample)
+        assert bs.chosen_m == 1, f"seed {seed}"
+        assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
 
 
 def test_select_break_count_respects_max_breaks():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
-from fundshift.perf import GROUP_CSV_HEADER
+from fundshift.perf import GROUP_COLUMNS
 from fundshift.stylebox import STYLE_BOX_LABELS
 
 
@@ -225,6 +225,20 @@ def test_analyze_bad_config_exits_2(tmp_path, capsys):
     assert analyze(out, tmp_path / "r.json", "--sig", "1.5") == EXIT_CONFIG
     assert "sig_level" in capsys.readouterr().err
     assert analyze(out, tmp_path / "r.json", "--jobs", "0") == EXIT_CONFIG
+
+
+def test_analyze_max_breaks_above_bound_exits_2(tmp_path, capsys):
+    # At trim 0.15 every regime holds 15% of the sample, so 5 breaks at most.
+    out = simulate(tmp_path, rotation_spec())
+    report_path = tmp_path / "r.json"
+    assert analyze(out, report_path, "--max-breaks", "6") == EXIT_CONFIG
+    assert "max_breaks must be <= floor(1/trim) - 1 = 5 at trim 0.15, got 6" in (
+        capsys.readouterr().err
+    )
+    assert analyze(out, report_path, "--trim", "0.2", "--max-breaks", "5") == EXIT_CONFIG
+    assert "= 4 at trim 0.2, got 5" in capsys.readouterr().err
+    assert not report_path.exists()
+    assert analyze(out, report_path, "--max-breaks", "5") == EXIT_OK
 
 
 def test_analyze_malformed_factors_exits_2(tmp_path, capsys):
@@ -477,7 +491,7 @@ def test_report_performance_header_matches_schema(tmp_path, capsys):
     assert analyze(out, report_path) == EXIT_OK
     assert main(["report", "--in", str(report_path), "--table", "performance"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == GROUP_CSV_HEADER
+    assert lines[0] == ",".join(GROUP_COLUMNS)
     assert lines[-1].startswith("all_with_breaks,1,1,")
 
 

@@ -11,7 +11,6 @@ from oracles import annual_metrics_reference, weekdays
 from fundshift.breaks import BreakSet, Partition, select_break_count
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import (
-    GROUP_CSV_HEADER,
     WITH_BREAKS_GROUP,
     FundMetrics,
     PerfError,
@@ -215,17 +214,23 @@ def test_fund_metrics_rejects_negative_stdev():
 # ------------------------------------------------------------- grouping
 
 
+def group_row(report: dict, group: str) -> dict:
+    """The row of one bucket in a performance-by-breaks table."""
+    (row,) = [r for r in report["rows"] if r["group"] == group]
+    return row
+
+
 def test_group_by_break_count_empty():
-    assert group_by_break_count([]).rows == ()
+    assert group_by_break_count([])["rows"] == []
 
 
 def test_group_means_are_equal_weighted():
     report = group_by_break_count(
         [make_metrics("A", 4.0, 2), make_metrics("B", 6.0, 2)]
     )
-    assert report.row("2").excess_return_pa == pytest.approx(5.0)
-    assert report.row("2").funds == 2
-    assert report.row("2").breaks == 4
+    assert group_row(report, "2")["excess_return_pa"] == pytest.approx(5.0)
+    assert group_row(report, "2")["funds"] == 2
+    assert group_row(report, "2")["breaks"] == 4
 
 
 def test_group_fixture_reproduces_break_count_totals():
@@ -239,15 +244,15 @@ def test_group_fixture_reproduces_break_count_totals():
             metrics.append(make_metrics(f"F{k:03d}", 5.0, m))
             k += 1
     report = group_by_break_count(metrics)
-    assert [report.row(str(m)).breaks for m in range(1, 6)] == [34, 62, 96, 136, 145]
-    with_breaks = report.row(WITH_BREAKS_GROUP)
-    assert with_breaks.funds == 160
-    assert with_breaks.breaks == 473
+    assert [group_row(report, str(m))["breaks"] for m in range(1, 6)] == [34, 62, 96, 136, 145]
+    with_breaks = group_row(report, WITH_BREAKS_GROUP)
+    assert with_breaks["funds"] == 160
+    assert with_breaks["breaks"] == 473
 
     hist = break_histogram(metrics)
-    assert hist.total_funds_with_breaks == 160
-    assert hist.total_breaks == 473
-    assert hist.rows[0].funds == 40  # listed but outside the totals
+    assert hist["total_funds_with_breaks"] == 160
+    assert hist["total_breaks"] == 473
+    assert hist["rows"][0]["funds"] == 40  # listed but outside the totals
 
 
 def test_group_conservation():
@@ -257,26 +262,26 @@ def test_group_conservation():
         for i in range(50)
     ]
     report = group_by_break_count(metrics)
-    bucket_rows = [r for r in report.rows if r.group != WITH_BREAKS_GROUP]
-    assert sum(r.funds for r in bucket_rows) == 50
-    assert sum(r.breaks for r in bucket_rows) == sum(m.n_breaks for m in metrics)
+    bucket_rows = [r for r in report["rows"] if r["group"] != WITH_BREAKS_GROUP]
+    assert sum(r["funds"] for r in bucket_rows) == 50
+    assert sum(r["breaks"] for r in bucket_rows) == sum(m.n_breaks for m in metrics)
 
 
 def test_empty_bucket_row_is_nan_not_zero():
     report = group_by_break_count([make_metrics("A", 4.0, 2)], max_m=3)
-    assert report.row("1").funds == 0
-    assert math.isnan(report.row("1").excess_return_pa)
-    assert report.row("3").funds == 0
+    assert group_row(report, "1")["funds"] == 0
+    assert math.isnan(group_row(report, "1")["excess_return_pa"])
+    assert group_row(report, "3")["funds"] == 0
 
 
 def test_break_histogram_max_m_extension_and_empty():
     hist = break_histogram([make_metrics("A", 4.0, 1)], max_m=3)
-    assert [r.n_breaks for r in hist.rows] == [0, 1, 2, 3]
-    assert hist.total_funds_with_breaks == 1
-    assert hist.total_breaks == 1
+    assert [r["n_breaks"] for r in hist["rows"]] == [0, 1, 2, 3]
+    assert hist["total_funds_with_breaks"] == 1
+    assert hist["total_breaks"] == 1
     empty = break_histogram([])
-    assert len(empty.rows) == 1
-    assert empty.total_breaks == 0
+    assert len(empty["rows"]) == 1
+    assert empty["total_breaks"] == 0
 
 
 def test_render_group_csv_layout():
@@ -286,7 +291,9 @@ def test_render_group_csv_layout():
     )
     agg = build_aggregates([record], AnalysisConfig(max_breaks=0))
     lines = render_table(agg, "performance", "csv").splitlines()
-    assert lines[0] == GROUP_CSV_HEADER
+    assert lines[0] == (
+        "group,funds,breaks,excess_return_pa,stdev_pa,sharpe_pa,ff3_alpha_pa,agt_alpha_pa"
+    )
     assert lines[1].startswith("0,1,0,4.0,")
     # The with-breaks bucket is empty: its means are undefined, not 0.
     assert lines[-1] == WITH_BREAKS_GROUP + ",0,0,,,,,"
@@ -390,18 +397,18 @@ def test_decile_needs_ten_funds():
 def test_decile_sizes():
     ten = [make_metrics(f"F{i}", float(i), 0) for i in range(10)]
     report = decile_analysis(ten, {})
-    assert report.decile_size == 1
-    assert report.top_fund_ids == ("F9",)
-    assert report.bottom_fund_ids == ("F0",)
+    assert report["decile_size"] == 1
+    assert report["top_fund_ids"] == ["F9"]
+    assert report["bottom_fund_ids"] == ["F0"]
     thirty_four = [make_metrics(f"F{i:02d}", float(i), 0) for i in range(34)]
-    assert decile_analysis(thirty_four, {}).decile_size == 4
+    assert decile_analysis(thirty_four, {})["decile_size"] == 4
 
 
 def test_decile_ties_break_by_fund_id():
     metrics = [make_metrics(f"F{i}", 1.0, 0) for i in range(10)]
     report = decile_analysis(metrics, {})
-    assert report.top_fund_ids == ("F0",)
-    assert report.bottom_fund_ids == ("F0",)
+    assert report["top_fund_ids"] == ["F0"]
+    assert report["bottom_fund_ids"] == ["F0"]
 
 
 def test_decile_composition_tracks_planted_rotations():
@@ -419,24 +426,24 @@ def test_decile_composition_tracks_planted_rotations():
         else:
             shifts[fund_id] = (make_shift(IntensityClass.UNCHANGED, "Small Value"),)
     report = decile_analysis(metrics, shifts)
-    assert report.decile_size == 2
-    top = dict(report.top_intensity)
-    bottom = dict(report.bottom_intensity)
+    assert report["decile_size"] == 2
+    top = report["top_intensity"]
+    bottom = report["bottom_intensity"]
     assert top["Rotation"] == 2
     assert bottom["Rotation"] == 0
     assert bottom["Weaken"] == 2
     assert top["Rotation"] > bottom["Rotation"]
     # Histograms carry the full canonical key sets in order.
-    assert tuple(k for k, _ in report.top_intensity) == (
+    assert tuple(report["top_intensity"]) == (
         "Rotation", "Drift", "Strengthen", "Weaken", "Unchanged",
     )
-    assert tuple(k for k, _ in report.top_destinations) == STYLE_BOX_LABELS
-    assert dict(report.top_destinations)["Large Growth"] == 2
-    assert dict(report.bottom_destinations)["Small Value"] == 2
+    assert tuple(report["top_destinations"]) == STYLE_BOX_LABELS
+    assert report["top_destinations"]["Large Growth"] == 2
+    assert report["bottom_destinations"]["Small Value"] == 2
 
 
 def test_decile_missing_shift_records_pool_empty():
     metrics = [make_metrics(f"F{i}", float(i), 0) for i in range(10)]
     report = decile_analysis(metrics, {})
-    assert all(count == 0 for _, count in report.top_intensity)
-    assert all(count == 0 for _, count in report.bottom_destinations)
+    assert all(count == 0 for count in report["top_intensity"].values())
+    assert all(count == 0 for count in report["bottom_destinations"].values())

@@ -21,7 +21,6 @@ from fundshift.stylebox import (
     SizeClass,
     StyleBox,
     StyleError,
-    TransitionMatrix,
     ValueClass,
     accumulate_transitions,
     apply_style_flags,
@@ -403,19 +402,24 @@ def test_box_change_mirrors_shift_severity():
 # ----------------------------------------------------- transition matrix
 
 
+def cell(matrix: dict, from_box: StyleBox, to_box: StyleBox) -> int:
+    """One count of a transitions table: rows are the style before."""
+    return matrix["counts"][from_box.index][to_box.index]
+
+
 def test_accumulate_no_funds():
     m = accumulate_transitions([])
-    assert m == TransitionMatrix(counts=((0,) * 9,) * 9)
-    assert m.grand_total == 0
+    assert m == {"labels": list(STYLE_BOX_LABELS), "counts": [[0] * 9] * 9, "grand_total": 0}
+    assert m["grand_total"] == 0
 
 
 def test_accumulate_single_transition():
     lv = style_box_from_label("Large Value")
     lb = style_box_from_label("Large Blend")
     m = accumulate_transitions([[lv, lb]])
-    assert m.cell(lv, lb) == 1
-    assert m.grand_total == 1
-    total = sum(m.cell(a, b) for a in STYLE_BOX_ORDER for b in STYLE_BOX_ORDER)
+    assert cell(m, lv, lb) == 1
+    assert m["grand_total"] == 1
+    total = sum(cell(m, a, b) for a in STYLE_BOX_ORDER for b in STYLE_BOX_ORDER)
     assert total == 1
 
 
@@ -452,9 +456,9 @@ def test_accumulate_matches_hand_tally():
     m = accumulate_transitions(chains)
     for a in STYLE_BOX_ORDER:
         for b in STYLE_BOX_ORDER:
-            assert m.cell(a, b) == tally.get((a.label, b.label), 0)
-    assert m.grand_total == 12
-    assert m.grand_total == sum(len(c) - 1 for c in chains)
+            assert cell(m, a, b) == tally.get((a.label, b.label), 0)
+    assert m["grand_total"] == 12
+    assert m["grand_total"] == sum(len(c) - 1 for c in chains)
 
 
 def render_transitions(chains: list[list[str]]) -> str:

@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sig", type=float, default=0.05, help="significance level")
     p_an.add_argument("--trim", type=float, default=0.15, help="minimum segment fraction")
     p_an.add_argument(
-        "--max-breaks", type=int, default=5,
-        help="maximum break count, at most floor(1/trim) - 1 (5 at the default trim)",
+        "--max-breaks", type=int, default=None,
+        help="maximum break count; default and upper bound floor(1/trim) - 1 "
+        "(5 at the default trim)",
     )
     p_an.add_argument(
         "--min-regime-obs", type=int, default=0,

@@ -60,7 +60,7 @@ class AnalysisConfig:
 
     sig_level: float = 0.05
     trim: float = 0.15
-    max_breaks: int = 5
+    max_breaks: int | None = None  # None: the most any sample can hold
     min_regime_obs: int = 0
     annualization: int = 252
     hac: bool = False
@@ -72,11 +72,13 @@ class AnalysisConfig:
             raise ConfigError(f"sig_level must lie in (0, 1), got {self.sig_level!r}")
         if not 0.0 < self.trim < 0.5:
             raise ConfigError(f"trim must lie in (0, 0.5), got {self.trim!r}")
-        if self.max_breaks < 0:
-            raise ConfigError(f"max_breaks must be >= 0, got {self.max_breaks!r}")
         # Regimes hold >= trim * n observations, so floor(1/trim) - 1 breaks
         # at most; the ulps of slack cover default_h's rounding of trim * n.
         most = math.floor(1.0 / self.trim * (1.0 + 4 * math.ulp(1.0))) - 1
+        if self.max_breaks is None:
+            object.__setattr__(self, "max_breaks", most)
+        if self.max_breaks < 0:
+            raise ConfigError(f"max_breaks must be >= 0, got {self.max_breaks!r}")
         if self.max_breaks > most:
             raise ConfigError(
                 f"max_breaks must be <= floor(1/trim) - 1 = {most} at trim "

@@ -78,6 +78,7 @@ def test_default_h():
 
 def test_config_max_breaks_bound():
     for trim, most in ((0.15, 5), (0.2, 4), (0.1, 9), (1 / 3, 2), (0.49, 1)):
+        assert AnalysisConfig(trim=trim).max_breaks == most
         assert AnalysisConfig(trim=trim, max_breaks=most).max_breaks == most
         with pytest.raises(ConfigError, match=rf"<= floor\(1/trim\) - 1 = {most} at trim"):
             AnalysisConfig(trim=trim, max_breaks=most + 1)
@@ -313,7 +314,7 @@ def test_select_break_count_no_false_breaks_without_a_break(t_df):
 
 def test_select_break_count_recovers_break_under_heavy_tailed_noise():
     for seed in range(20):
-        sample = make_sample(600, seed, [(300, 0.8), (300, -0.8)], noise=0.005, t_df=3)
+        sample = make_sample(600, seed, [(300, 0.8), (300, -0.8)], noise=0.006, t_df=3)
         bs = select_break_count(sample)
         assert bs.chosen_m == 1, f"seed {seed}"
         assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"

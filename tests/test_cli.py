@@ -241,6 +241,17 @@ def test_analyze_max_breaks_above_bound_exits_2(tmp_path, capsys):
     assert analyze(out, report_path, "--max-breaks", "5") == EXIT_OK
 
 
+def test_analyze_trim_alone_caps_max_breaks_at_bound(tmp_path):
+    # With no --max-breaks the cap is the bound itself, 4 at trim 0.2.
+    out = simulate(tmp_path, rotation_spec())
+    report_path = tmp_path / "r.json"
+    assert analyze(out, report_path, "--trim", "0.2") == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert report["config"]["max_breaks"] == 4
+    rows = report["aggregates"]["break_histogram"]["rows"]
+    assert [row["n_breaks"] for row in rows] == [0, 1, 2, 3, 4]
+
+
 def test_analyze_malformed_factors_exits_2(tmp_path, capsys):
     out = simulate(tmp_path, rotation_spec())
     (out / "factors.csv").write_text("date,wrong\n2006-01-02,1\n", encoding="utf-8")

@@ -11,7 +11,6 @@ whole pipeline.
 """
 
 from .breaks import (
-    DEFAULT_MAX_BREAKS,
     DEFAULT_TRIM,
     BreakDetectionError,
     BreakSet,
@@ -20,6 +19,7 @@ from .breaks import (
     build_ssr_table,
     default_h,
     filter_short_regimes,
+    max_breaks_bound,
     optimal_partition,
     optimal_partitions,
     select_break_count,
@@ -45,9 +45,7 @@ from .marketdata import (
 from .perf import (
     TRADING_DAYS_PER_YEAR,
     FundMetrics,
-    MetricsDelta,
     PerfError,
-    ShiftComparison,
     annualized_metrics,
     break_histogram,
     decile_analysis,
@@ -124,9 +122,9 @@ __all__ = [
     "fit_benchmark_adjusted", "fit_carhart", "fit_ff3", "nw_bandwidth", "ols",
     "subsample",
     # breaks
-    "DEFAULT_MAX_BREAKS", "DEFAULT_TRIM", "BreakDetectionError", "BreakSet",
+    "DEFAULT_TRIM", "BreakDetectionError", "BreakSet",
     "Partition", "SsrTable", "build_ssr_table", "default_h",
-    "filter_short_regimes", "optimal_partition", "optimal_partitions",
+    "filter_short_regimes", "max_breaks_bound", "optimal_partition", "optimal_partitions",
     "select_break_count",
     "ssr_table_from_arrays",
     # stylebox
@@ -136,8 +134,7 @@ __all__ = [
     "classify_factor_shift", "classify_size", "classify_value",
     "fund_shift_intensity", "grade_breaks", "regime_styles", "style_of",
     # perf
-    "TRADING_DAYS_PER_YEAR", "FundMetrics", "MetricsDelta", "PerfError",
-    "ShiftComparison",
+    "TRADING_DAYS_PER_YEAR", "FundMetrics", "PerfError",
     "annualized_metrics", "break_histogram", "decile_analysis",
     "group_by_break_count", "pre_post_compare",
     # synth

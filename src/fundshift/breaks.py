@@ -40,9 +40,6 @@ from .regress import design_matrix, excess_over_benchmark
 #: Default minimum-segment-length fraction of the sample.
 DEFAULT_TRIM = 0.15
 
-#: Default cap on the number of breaks considered.
-DEFAULT_MAX_BREAKS = 5
-
 #: Relative floor applied to SSR inside the BIC log. Exact-fit segments
 #: drive SSR to rounding dust whose size varies with window length (the
 #: cumulative Gram sums can leave ~1e-14 of y'y on long windows), so the
@@ -61,6 +58,13 @@ def default_h(n: int, trim: float, k: int) -> int:
     if not 0.0 < trim < 0.5:
         raise BreakDetectionError(f"trim must lie in (0, 0.5), got {trim!r}")
     return max(math.ceil(trim * n), k + 1)
+
+
+def max_breaks_bound(trim: float) -> int:
+    """The most breaks any sample can hold: floor(1/trim) - 1."""
+    # Regimes hold >= trim * n observations; the ulps of slack cover
+    # default_h's rounding of trim * n.
+    return math.floor(1.0 / trim * (1.0 + 4 * math.ulp(1.0))) - 1
 
 
 def packed_layout(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +309,7 @@ def _bic(ssr: float, n: int, k: int, m: int, floor: float) -> float:
 
 def select_break_count(
     sample: AlignedSample,
-    max_breaks: int = DEFAULT_MAX_BREAKS,
+    max_breaks: int | None = None,
     trim: float = DEFAULT_TRIM,
     table: SsrTable | None = None,
 ) -> BreakSet:
@@ -313,9 +317,12 @@ def select_break_count(
 
     BIC(m) = ln(SSR_m / n) + p(m) ln(n) / n with p(m) = (m+1) k + m.
     Infeasible break counts (n < (m+1) h) are skipped. Ties go to the
-    smaller m. A prebuilt ``table`` (same sample and h) avoids repeating
+    smaller m. ``max_breaks`` defaults to :func:`max_breaks_bound` of
+    ``trim``. A prebuilt ``table`` (same sample and h) avoids repeating
     the O(n^2 k^2) tabulation.
     """
+    if max_breaks is None:
+        max_breaks = max_breaks_bound(trim)
     if max_breaks < 0:
         raise BreakDetectionError(f"max_breaks={max_breaks} negative")
     X = design_matrix(sample)

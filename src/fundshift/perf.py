@@ -25,13 +25,7 @@ import numpy as np
 from .breaks import BreakSet
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
 from .regress import DEFAULT_SIG_LEVEL, RegressionResult, fit_benchmark_adjusted, subsample
-from .stylebox import (
-    STYLE_BOX_LABELS,
-    BreakShift,
-    IntensityClass,
-    RegimeStyle,
-    StyleBox,
-)
+from .stylebox import STYLE_BOX_LABELS, BreakShift, IntensityClass, RegimeStyle
 
 #: Annualization factor for daily data.
 TRADING_DAYS_PER_YEAR = 252
@@ -61,7 +55,7 @@ class FundMetrics:
             raise PerfError("FundMetrics: negative n_breaks")
 
 
-#: Numeric FundMetrics fields carried into deltas and group means.
+#: Numeric FundMetrics fields; a comparison's delta is post minus pre on each.
 METRIC_FIELDS = (
     "excess_return_pa",
     "stdev_pa",
@@ -184,53 +178,21 @@ def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> dic
     }
 
 
-@dataclass(frozen=True)
-class MetricsDelta:
-    """Post-minus-pre change per metric field."""
-
-    excess_return_pa: float
-    stdev_pa: float
-    sharpe_pa: float
-    treynor_pa: float
-    ff3_alpha_pa: float
-    agt_alpha_pa: float
-
-
-def metrics_delta(pre: FundMetrics, post: FundMetrics) -> MetricsDelta:
-    return MetricsDelta(
-        **{name: getattr(post, name) - getattr(pre, name) for name in METRIC_FIELDS}
-    )
-
-
-@dataclass(frozen=True)
-class ShiftComparison:
-    """Performance on the two regimes flanking one break."""
-
-    fund_id: str
-    break_index: int
-    pre: FundMetrics
-    post: FundMetrics
-    delta: MetricsDelta
-    intensity: IntensityClass
-    style_from: StyleBox
-    style_to: StyleBox
-
-
 def pre_post_compare(
     sample: AlignedSample,
     bs: BreakSet,
     styles: tuple[RegimeStyle, ...],
-    shifts: tuple[BreakShift, ...],
     break_pos: int,
     sig_level: float = DEFAULT_SIG_LEVEL,
     hac: bool = False,
     min_window: int = MIN_ALIGNED_OBS,
-) -> ShiftComparison | None:
-    """Compare the regimes before and after break number ``break_pos``.
+    annualization: int = TRADING_DAYS_PER_YEAR,
+) -> tuple[FundMetrics, FundMetrics] | None:
+    """Metrics of the regimes before and after break number ``break_pos``.
 
-    Returns None (caller records the omission) when either flanking
-    regime is shorter than ``min_window``: annualized ratios on a few
-    dozen points would be noise dressed as signal.
+    Returns ``(pre, post)``, or None (caller records the omission) when
+    either flanking regime is shorter than ``min_window``: annualized
+    ratios on a few dozen points would be noise dressed as signal.
     """
     if not 0 <= break_pos < bs.chosen_m:
         raise PerfError(f"{sample.fund_id}: break position {break_pos} out of range")
@@ -244,22 +206,11 @@ def pre_post_compare(
             subsample(sample, *window), sig_level=sig_level, hac=hac
         )
         return annualized_metrics(
-            sample, window, style.fit, agt, n_breaks=bs.chosen_m
+            sample, window, style.fit, agt,
+            n_breaks=bs.chosen_m, annualization=annualization,
         )
 
-    pre = _metrics(win_pre, styles[break_pos])
-    post = _metrics(win_post, styles[break_pos + 1])
-    shift = shifts[break_pos]
-    return ShiftComparison(
-        fund_id=sample.fund_id,
-        break_index=shift.break_index,
-        pre=pre,
-        post=post,
-        delta=metrics_delta(pre, post),
-        intensity=shift.intensity,
-        style_from=shift.style_from,
-        style_to=shift.style_to,
-    )
+    return _metrics(win_pre, styles[break_pos]), _metrics(win_post, styles[break_pos + 1])
 
 
 #: Canonical key order for the decile histograms.

@@ -22,13 +22,14 @@ from .breaks import (
     build_ssr_table,
     default_h,
     filter_short_regimes,
+    max_breaks_bound,
     select_break_count,
 )
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
 from .perf import (
     GROUP_COLUMNS,
+    METRIC_FIELDS,
     FundMetrics,
-    ShiftComparison,
     annualized_metrics,
     break_histogram,
     decile_analysis,
@@ -72,9 +73,7 @@ class AnalysisConfig:
             raise ConfigError(f"sig_level must lie in (0, 1), got {self.sig_level!r}")
         if not 0.0 < self.trim < 0.5:
             raise ConfigError(f"trim must lie in (0, 0.5), got {self.trim!r}")
-        # Regimes hold >= trim * n observations, so floor(1/trim) - 1 breaks
-        # at most; the ulps of slack cover default_h's rounding of trim * n.
-        most = math.floor(1.0 / self.trim * (1.0 + 4 * math.ulp(1.0))) - 1
+        most = max_breaks_bound(self.trim)
         if self.max_breaks is None:
             object.__setattr__(self, "max_breaks", most)
         if self.max_breaks < 0:
@@ -104,8 +103,9 @@ class FundRecord:
     styles: tuple[RegimeStyle, ...]
     shifts: tuple[BreakShift, ...]
     metrics: FundMetrics
-    comparisons: tuple[ShiftComparison, ...]
-    omitted_comparisons: tuple[int, ...]
+    # One (pre, post) pair per break, aligned with shifts; None where a
+    # flanking regime is too short to compare.
+    comparisons: tuple[tuple[FundMetrics, FundMetrics] | None, ...]
     carhart_fit: RegressionResult | None = None
 
     @property
@@ -136,18 +136,14 @@ def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
         n_breaks=bs.chosen_m, annualization=config.annualization,
     )
 
-    comparisons: list[ShiftComparison] = []
-    omitted: list[int] = []
-    for pos in range(bs.chosen_m):
-        cmp = pre_post_compare(
-            sample, bs, styles, shifts, pos,
+    comparisons = tuple(
+        pre_post_compare(
+            sample, bs, styles, pos,
             sig_level=config.sig_level, hac=config.hac,
-            min_window=config.min_aligned_obs,
+            min_window=config.min_aligned_obs, annualization=config.annualization,
         )
-        if cmp is None:
-            omitted.append(bs.break_indices[pos])
-        else:
-            comparisons.append(cmp)
+        for pos in range(bs.chosen_m)
+    )
 
     carhart_fit = None
     if config.carhart:
@@ -159,8 +155,7 @@ def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
         styles=styles,
         shifts=shifts,
         metrics=metrics,
-        comparisons=tuple(comparisons),
-        omitted_comparisons=tuple(omitted),
+        comparisons=comparisons,
         carhart_fit=carhart_fit,
     )
 
@@ -194,14 +189,17 @@ def _factor_shift_dict(fs: FactorShift) -> dict:
 
 
 def _metrics_dict(m: FundMetrics) -> dict:
+    return {name: value for name, value in asdict(m).items() if name != "fund_id"}
+
+
+def _break_dict(s: BreakShift, dates) -> dict:
+    """The keys a break's shift and comparison entries share."""
     return {
-        "excess_return_pa": m.excess_return_pa,
-        "stdev_pa": m.stdev_pa,
-        "sharpe_pa": m.sharpe_pa,
-        "treynor_pa": m.treynor_pa,
-        "ff3_alpha_pa": m.ff3_alpha_pa,
-        "agt_alpha_pa": m.agt_alpha_pa,
-        "n_breaks": m.n_breaks,
+        "break_index": s.break_index,
+        "break_date": dates[s.break_index].isoformat(),
+        "intensity": s.intensity.value,
+        "style_from": s.style_from.label,
+        "style_to": s.style_to.label,
     }
 
 
@@ -222,32 +220,29 @@ def fund_record_dict(rec: FundRecord) -> dict:
                 "ff3": asdict(style.fit),
             }
         )
-    shifts = []
-    for s in rec.shifts:
-        shifts.append(
-            {
-                "break_index": s.break_index,
-                "break_date": dates[s.break_index].isoformat(),
-                "intensity": s.intensity.value,
-                "style_from": s.style_from.label,
-                "style_to": s.style_to.label,
-                "smb": _factor_shift_dict(s.smb),
-                "hml": _factor_shift_dict(s.hml),
-                "is_style_break": s.is_style_break,
-            }
-        )
+    shifts = [
+        {
+            **_break_dict(s, dates),
+            "smb": _factor_shift_dict(s.smb),
+            "hml": _factor_shift_dict(s.hml),
+            "is_style_break": s.is_style_break,
+        }
+        for s in rec.shifts
+    ]
     comparisons = []
-    for c in rec.comparisons:
+    omitted = []
+    for s, pair in zip(rec.shifts, rec.comparisons, strict=True):
+        if pair is None:
+            omitted.append(s.break_index)
+            continue
+        pre, post = pair
+        delta = {name: getattr(post, name) - getattr(pre, name) for name in METRIC_FIELDS}
         comparisons.append(
             {
-                "break_index": c.break_index,
-                "break_date": dates[c.break_index].isoformat(),
-                "intensity": c.intensity.value,
-                "style_from": c.style_from.label,
-                "style_to": c.style_to.label,
-                "pre": _metrics_dict(c.pre),
-                "post": _metrics_dict(c.post),
-                "delta": asdict(c.delta),
+                **_break_dict(s, dates),
+                "pre": _metrics_dict(pre),
+                "post": _metrics_dict(post),
+                "delta": delta,
             }
         )
     record = {
@@ -265,7 +260,7 @@ def fund_record_dict(rec: FundRecord) -> dict:
         "regimes": regimes,
         "shifts": shifts,
         "comparisons": comparisons,
-        "omitted_comparisons": list(rec.omitted_comparisons),
+        "omitted_comparisons": omitted,
         "metrics": _metrics_dict(rec.metrics),
     }
     if rec.carhart_fit is not None:

@@ -65,10 +65,6 @@ class RegressionResult:
                 return l
         raise KeyError(name)
 
-    @property
-    def k(self) -> int:
-        return len(self.loadings)
-
 
 def design_matrix(sample: AlignedSample, carhart: bool = False) -> np.ndarray:
     """Column-stack [1, mkt_rf, smb, hml(, mom)] for the aligned window."""

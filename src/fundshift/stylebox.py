@@ -110,14 +110,10 @@ class FactorState:
 
     beta: float
     significant: bool
-    sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise StyleError(f"FactorState: sign must be -1, 0 or 1, got {self.sign!r}")
-        expected = 0 if self.beta == 0.0 else (1 if self.beta > 0.0 else -1)
-        if self.sign != expected:
-            raise StyleError(f"FactorState: sign {self.sign} inconsistent with beta {self.beta!r}")
+    @property
+    def sign(self) -> int:
+        return 0 if self.beta == 0.0 else (1 if self.beta > 0.0 else -1)
 
     @property
     def sign_char(self) -> str:
@@ -125,8 +121,7 @@ class FactorState:
 
 
 def factor_state(loading: FactorLoading) -> FactorState:
-    sign = 0 if loading.coef == 0.0 else (1 if loading.coef > 0.0 else -1)
-    return FactorState(beta=loading.coef, significant=loading.significant, sign=sign)
+    return FactorState(beta=loading.coef, significant=loading.significant)
 
 
 def classify_size(state: FactorState) -> SizeClass:

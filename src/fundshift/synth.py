@@ -132,8 +132,7 @@ class BenchmarkSpec:
 def _planted_state(beta: float) -> FactorState:
     # A planted loading is significant exactly when it is nonzero; spec
     # magnitudes are chosen large enough that estimation agrees.
-    sign = 0 if beta == 0.0 else (1 if beta > 0.0 else -1)
-    return FactorState(beta=beta, significant=beta != 0.0, sign=sign)
+    return FactorState(beta=beta, significant=beta != 0.0)
 
 
 def planted_style(regime: RegimeSpec) -> StyleBox:

@@ -35,8 +35,7 @@ from fundshift.stylebox import (
 
 
 def state(beta: float, significant: bool) -> FactorState:
-    sign = 0 if beta == 0.0 else (1 if beta > 0.0 else -1)
-    return FactorState(beta=beta, significant=significant, sign=sign)
+    return FactorState(beta=beta, significant=significant)
 
 
 def fabricated_fit(alpha: float, mkt: float = 1.0, model: str = "ff3") -> RegressionResult:

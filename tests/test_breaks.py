@@ -12,6 +12,7 @@ from fundshift.breaks import (
     build_ssr_table,
     default_h,
     filter_short_regimes,
+    max_breaks_bound,
     optimal_partition,
     optimal_partitions,
     packed_layout,
@@ -78,6 +79,7 @@ def test_default_h():
 
 def test_config_max_breaks_bound():
     for trim, most in ((0.15, 5), (0.2, 4), (0.1, 9), (1 / 3, 2), (0.49, 1)):
+        assert max_breaks_bound(trim) == most
         assert AnalysisConfig(trim=trim).max_breaks == most
         assert AnalysisConfig(trim=trim, max_breaks=most).max_breaks == most
         with pytest.raises(ConfigError, match=rf"<= floor\(1/trim\) - 1 = {most} at trim"):

@@ -208,6 +208,42 @@ def test_analyze_min_regime_obs_drops_short_regime_breaks(tmp_path):
     assert m_strict == 0
 
 
+def test_analyze_report_compares_long_regimes_and_omits_short_ones(tmp_path):
+    # At trim 0.05 the 55-day regime is detectable but shorter than the
+    # 60 observations a comparison needs, so both breaks around it are
+    # omitted and only the first break is compared.
+    loads = [(0.6, 0.0), (-0.6, 0.0), (0.6, 0.5), (0.0, -0.5)]
+    spec = {
+        "seed": 1,
+        "t": 1000,
+        "benchmarks": [{"benchmark_id": "B1", "beta_mkt": 1.0}],
+        "funds": [
+            {
+                "fund_id": "F1",
+                "benchmark_id": "B1",
+                "regimes": [
+                    {"length": length, "beta_mkt": 1.0, "beta_smb": smb, "beta_hml": hml}
+                    for length, (smb, hml) in zip((400, 300, 55, 245), loads)
+                ],
+            }
+        ],
+    }
+    out = simulate(tmp_path, spec)
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path, "--trim", "0.05") == EXIT_OK
+    fund = json.loads(report_path.read_text(encoding="utf-8"))["funds"][0]
+    assert fund["break_indices"] == [399, 699, 754]
+    assert fund["omitted_comparisons"] == [699, 754]
+    (cmp,) = fund["comparisons"]
+    shift = fund["shifts"][0]
+    for key in ("break_index", "break_date", "intensity", "style_from", "style_to"):
+        assert cmp[key] == shift[key], key
+    assert set(cmp["delta"]) == set(cmp["pre"]) - {"n_breaks"}
+    for name, delta in cmp["delta"].items():
+        assert delta == cmp["post"][name] - cmp["pre"][name], name
+    assert cmp["pre"]["n_breaks"] == cmp["post"]["n_breaks"] == 3
+
+
 def test_analyze_unmapped_fund_is_skipped(tmp_path):
     out = simulate(tmp_path, rotation_spec())
     orphan = out / "nav" / "F9.csv"

@@ -11,6 +11,7 @@ from oracles import annual_metrics_reference, weekdays
 from fundshift.breaks import BreakSet, Partition, select_break_count
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import (
+    METRIC_FIELDS,
     WITH_BREAKS_GROUP,
     FundMetrics,
     PerfError,
@@ -18,10 +19,15 @@ from fundshift.perf import (
     break_histogram,
     decile_analysis,
     group_by_break_count,
-    metrics_delta,
     pre_post_compare,
 )
-from fundshift.pipeline import AnalysisConfig, build_aggregates, render_table
+from fundshift.pipeline import (
+    AnalysisConfig,
+    analyze_fund,
+    build_aggregates,
+    fund_record_dict,
+    render_table,
+)
 from fundshift.regress import FactorLoading, RegressionResult
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
@@ -108,8 +114,8 @@ def make_metrics(fund_id: str, excess: float, n_breaks: int) -> FundMetrics:
 
 
 def make_shift(intensity: IntensityClass, to_label: str) -> BreakShift:
-    before = FactorState(beta=0.5, significant=True, sign=1)
-    after = FactorState(beta=-0.5, significant=True, sign=-1)
+    before = FactorState(beta=0.5, significant=True)
+    after = FactorState(beta=-0.5, significant=True)
     factor = FactorShift(factor="smb", before=before, after=after, intensity=intensity)
     return BreakShift(
         break_index=100, smb=factor,
@@ -301,12 +307,23 @@ def test_render_group_csv_layout():
     assert md[-1] == f"| {WITH_BREAKS_GROUP} | 0 | 0 |  |  |  |  |  |"
 
 
-def test_metrics_delta_is_post_minus_pre():
-    pre = make_metrics("A", 4.0, 1)
-    post = make_metrics("A", 6.5, 1)
-    d = metrics_delta(pre, post)
-    assert d.excess_return_pa == pytest.approx(2.5)
-    assert d.stdev_pa == 0.0
+@pytest.mark.parametrize("annualization", [252, 12])
+def test_report_delta_is_post_minus_pre(annualization):
+    # Each side is annualized at the configured factor, and the report's
+    # delta is post minus pre, bit for bit.
+    sample = make_styled_sample(
+        10, [(500, 0.0002, 0.5, -0.4), (500, 0.0004, 0.5, -0.4)]
+    )
+    rec = analyze_fund(sample, AnalysisConfig(annualization=annualization))
+    (cmp,) = fund_record_dict(rec)["comparisons"]
+    for name in METRIC_FIELDS:
+        assert cmp["delta"][name] == cmp["post"][name] - cmp["pre"][name], name
+    e = sample.r_fund - sample.rf
+    for side, (start, end) in zip(("pre", "post"), rec.break_set.regime_windows):
+        mean = float(e[start : end + 1].mean())
+        assert cmp[side]["excess_return_pa"] == pytest.approx(
+            mean * annualization * 100.0, rel=1e-12
+        )
 
 
 # ------------------------------------------------------- pre/post compare
@@ -327,14 +344,15 @@ def test_pre_post_alpha_doubling_raises_alpha_delta():
     )
     bs, styles, shifts = _graded(sample)
     assert bs.chosen_m == 1
-    cmp = pre_post_compare(sample, bs, styles, shifts, 0)
-    assert cmp is not None
-    assert cmp.delta.ff3_alpha_pa > 0.0
-    assert cmp.delta.ff3_alpha_pa == pytest.approx(0.0002 * 252 * 100, abs=1e-6)
-    assert cmp.delta.agt_alpha_pa == pytest.approx(0.0002 * 252 * 100, abs=1e-6)
-    assert cmp.intensity is IntensityClass.UNCHANGED
-    assert cmp.fund_id == "F1"
-    assert cmp.break_index == bs.break_indices[0]
+    pair = pre_post_compare(sample, bs, styles, 0)
+    assert pair is not None
+    pre, post = pair
+    assert post.ff3_alpha_pa - pre.ff3_alpha_pa > 0.0
+    assert post.ff3_alpha_pa - pre.ff3_alpha_pa == pytest.approx(0.0002 * 252 * 100, abs=1e-6)
+    assert post.agt_alpha_pa - pre.agt_alpha_pa == pytest.approx(0.0002 * 252 * 100, abs=1e-6)
+    assert shifts[0].intensity is IntensityClass.UNCHANGED
+    assert pre.fund_id == post.fund_id == "F1"
+    assert pre.n_breaks == post.n_breaks == 1
 
 
 def test_pre_post_null_comparison_with_tiled_factors():
@@ -347,15 +365,12 @@ def test_pre_post_null_comparison_with_tiled_factors():
     bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
-    cmp = pre_post_compare(sample, bs, styles, shifts, 0)
-    assert cmp is not None
-    assert cmp.delta.excess_return_pa == 0.0
-    assert cmp.delta.stdev_pa == 0.0
-    assert cmp.delta.sharpe_pa == 0.0
-    assert cmp.delta.treynor_pa == 0.0
-    assert cmp.delta.ff3_alpha_pa == 0.0
-    assert cmp.delta.agt_alpha_pa == 0.0
-    assert cmp.style_from == cmp.style_to
+    pair = pre_post_compare(sample, bs, styles, 0)
+    assert pair is not None
+    pre, post = pair
+    for name in METRIC_FIELDS:
+        assert getattr(post, name) - getattr(pre, name) == 0.0, name
+    assert shifts[0].style_from == shifts[0].style_to
 
 
 def test_pre_post_short_flanking_regime_is_omitted():
@@ -363,7 +378,7 @@ def test_pre_post_short_flanking_regime_is_omitted():
     part = Partition(m=1, break_indices=(196,), total_ssr=0.0, n=200, h=3)
     bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     styles = (None, None)  # never reached: the window gate comes first
-    assert pre_post_compare(sample, bs, styles, (), 0) is None
+    assert pre_post_compare(sample, bs, styles, 0) is None
 
 
 def test_pre_post_min_window_boundary():
@@ -373,16 +388,15 @@ def test_pre_post_min_window_boundary():
     part = Partition(m=1, break_indices=(59,), total_ssr=0.0, n=120, h=10)
     bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
-    shifts = grade_breaks(bs, styles)
-    assert pre_post_compare(sample, bs, styles, shifts, 0, min_window=60) is not None
-    assert pre_post_compare(sample, bs, styles, shifts, 0, min_window=61) is None
+    assert pre_post_compare(sample, bs, styles, 0, min_window=60) is not None
+    assert pre_post_compare(sample, bs, styles, 0, min_window=61) is None
 
 
 def test_pre_post_break_position_out_of_range():
     sample = make_styled_sample(14, [(300, 0.0, 0.5, 0.0)])
     bs = select_break_count(sample)
     with pytest.raises(PerfError, match="out of range"):
-        pre_post_compare(sample, bs, regime_styles(sample, bs), (), 0)
+        pre_post_compare(sample, bs, regime_styles(sample, bs), 0)
 
 
 # --------------------------------------------------------------- deciles

@@ -38,8 +38,7 @@ from fundshift.stylebox import (
 
 
 def state(beta: float, significant: bool) -> FactorState:
-    sign = 0 if beta == 0.0 else (1 if beta > 0.0 else -1)
-    return FactorState(beta=beta, significant=significant, sign=sign)
+    return FactorState(beta=beta, significant=significant)
 
 
 def loading(name: str, coef: float, significant: bool) -> FactorLoading:
@@ -140,10 +139,6 @@ def test_all_nine_boxes_reachable_and_distinct():
 
 
 def test_factor_state_validation_and_sign_char():
-    with pytest.raises(StyleError, match="sign must be"):
-        FactorState(beta=0.5, significant=True, sign=2)
-    with pytest.raises(StyleError, match="inconsistent"):
-        FactorState(beta=0.5, significant=True, sign=-1)
     assert state(0.5, True).sign_char == "+"
     assert state(-0.5, False).sign_char == "-"
     assert state(0.0, False).sign_char == "0"

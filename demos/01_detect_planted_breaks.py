@@ -8,7 +8,7 @@ benchmark-adjusted return is style. We walk the full path a real NAV
 file would take: NAV -> returns -> alignment -> SSR table -> BIC scan.
 """
 
-from fundshift.breaks import build_ssr_table, default_h, select_break_count
+from fundshift.breaks import build_ssr_table, select_break_count
 from fundshift.marketdata import align, compute_returns
 from fundshift.synth import BenchmarkSpec, FundSpec, RegimeSpec, gen_benchmark, gen_factors, gen_fund
 
@@ -35,11 +35,10 @@ print(f"simulated {fund_spec.fund_id}: {T} trading days, "
 print(f"planted break indices: {list(truth.break_indices)}")
 
 sample = align(compute_returns(fund_nav), compute_returns(bench_nav), factors)
-h = default_h(sample.n, trim=0.15, k=4)
-table = build_ssr_table(sample, h)
-print(f"\naligned sample: n={sample.n}, minimum regime length h={h}")
+table = build_ssr_table(sample, trim=0.15)
+print(f"\naligned sample: n={sample.n}, minimum regime length h={table.h}")
 
-bs = select_break_count(sample, table=table)
+bs = select_break_count(sample, table)
 print("\nBIC by break count (chosen m minimizes):")
 for m, bic in bs.criterion_values:
     marker = "  <- chosen" if m == bs.chosen_m else ""

@@ -10,7 +10,8 @@ Conventions:
 
 * a break at index b separates regimes ...b and b+1...; the reported
   break date is the date at index b,
-* h = max(ceil(trim * n), k + 1) where k is the regressor count,
+* h = max(ceil(trim * n), k + 1) where k is the regressor count; the
+  SSR table fixes it, and break-count selection reads it from there,
 * breaks are pure structural changes: any coefficient of the
   benchmark-adjusted regression may move at a break. Whether a break
   touched the style loadings is flagged afterwards (``is_style_break``)
@@ -176,10 +177,11 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
     return SsrTable(n=n, h=h, values=values)
 
 
-def build_ssr_table(sample: AlignedSample, h: int) -> SsrTable:
-    """SSR table of the benchmark-adjusted regression on an aligned sample."""
+def build_ssr_table(sample: AlignedSample, trim: float = DEFAULT_TRIM) -> SsrTable:
+    """SSR table of the benchmark-adjusted regression, h = default_h(n, trim, k)."""
     X = design_matrix(sample)
-    return ssr_table_from_arrays(excess_over_benchmark(sample), X, h)
+    n, k = X.shape
+    return ssr_table_from_arrays(excess_over_benchmark(sample), X, default_h(n, trim, k))
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,6 @@ class BreakSet:
     size or value loading changed class or magnitude.
     """
 
-    fund_id: str
     partition: Partition
     criterion_values: tuple[tuple[int, float], ...]
     is_style_break: tuple[bool, ...] | None = None
@@ -308,43 +309,30 @@ def _bic(ssr: float, n: int, k: int, m: int, floor: float) -> float:
 
 
 def select_break_count(
-    sample: AlignedSample,
-    max_breaks: int | None = None,
-    trim: float = DEFAULT_TRIM,
-    table: SsrTable | None = None,
+    sample: AlignedSample, table: SsrTable, max_breaks: int | None = None
 ) -> BreakSet:
     """Fit 0..max_breaks breaks and keep the BIC-minimal count.
 
     BIC(m) = ln(SSR_m / n) + p(m) ln(n) / n with p(m) = (m+1) k + m.
-    Infeasible break counts (n < (m+1) h) are skipped. Ties go to the
-    smaller m. ``max_breaks`` defaults to :func:`max_breaks_bound` of
-    ``trim``. A prebuilt ``table`` (same sample and h) avoids repeating
-    the O(n^2 k^2) tabulation.
+    ``table`` is the sample's :func:`build_ssr_table`, and its h bounds
+    the count: at most n // h - 1 breaks fit, which is also the default
+    ``max_breaks``. Ties go to the smaller m.
     """
-    if max_breaks is None:
-        max_breaks = max_breaks_bound(trim)
-    if max_breaks < 0:
-        raise BreakDetectionError(f"max_breaks={max_breaks} negative")
-    X = design_matrix(sample)
-    n, k = X.shape
-    h = default_h(n, trim, k)
-    if table is None:
-        table = build_ssr_table(sample, h)
-    elif (table.n, table.h) != (n, h):
-        raise BreakDetectionError("select_break_count: table does not match sample and trim")
+    n, most = table.n, table.n // table.h - 1
+    if n != sample.n:
+        raise BreakDetectionError(f"select_break_count: table of n={n}, sample of n={sample.n}")
+    k = design_matrix(sample).shape[1]
 
     y = excess_over_benchmark(sample)
     tss = float(np.sum((y - y.mean()) ** 2))
     floor = max(tss * _SSR_FLOOR_REL, np.finfo(float).tiny)
 
-    partitions = optimal_partitions(table, min(max_breaks, n // h - 1))
+    partitions = optimal_partitions(table, most if max_breaks is None else min(max_breaks, most))
     scores = tuple(
         (part.m, _bic(part.total_ssr, n, k, part.m, floor)) for part in partitions
     )
     chosen_m = min(scores, key=lambda mv: mv[1])[0]
-    return BreakSet(
-        fund_id=sample.fund_id, partition=partitions[chosen_m], criterion_values=scores
-    )
+    return BreakSet(partition=partitions[chosen_m], criterion_values=scores)
 
 
 def filter_short_regimes(bs: BreakSet, min_regime: int, table: SsrTable) -> BreakSet:
@@ -372,10 +360,6 @@ def filter_short_regimes(bs: BreakSet, min_regime: int, table: SsrTable) -> Brea
 
     n, h = bs.partition.n, bs.partition.h
     bounds = [-1] + keep + [n - 1]
-    total = 0.0
-    for a, b in zip(bounds, bounds[1:]):
-        total += table.ssr(a + 1, b)
-    part = Partition(
-        m=len(keep), break_indices=tuple(keep), total_ssr=total, n=n, h=h
-    )
-    return BreakSet(fund_id=bs.fund_id, partition=part, criterion_values=bs.criterion_values)
+    total = sum(table.ssr(a + 1, b) for a, b in zip(bounds, bounds[1:]))
+    part = Partition(m=len(keep), break_indices=tuple(keep), total_ssr=total, n=n, h=h)
+    return BreakSet(partition=part, criterion_values=bs.criterion_values)

@@ -263,15 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--bench-map", required=True, help="fund-to-benchmark map CSV")
     p_an.add_argument("--bench-nav", required=True, help="directory of benchmark NAV CSVs")
     p_an.add_argument("--out", required=True, help="output report JSON file")
-    p_an.add_argument("--sig", type=float, default=0.05, help="significance level")
-    p_an.add_argument("--trim", type=float, default=0.15, help="minimum segment fraction")
+    p_an.add_argument("--sig", type=float, default=AnalysisConfig.sig_level,
+                      help="significance level")
+    p_an.add_argument("--trim", type=float, default=AnalysisConfig.trim,
+                      help="minimum segment fraction")
     p_an.add_argument(
         "--max-breaks", type=int, default=None,
         help="maximum break count; default and upper bound floor(1/trim) - 1 "
         "(5 at the default trim)",
     )
     p_an.add_argument(
-        "--min-regime-obs", type=int, default=0,
+        "--min-regime-obs", type=int, default=AnalysisConfig.min_regime_obs,
         help="drop breaks flanked by regimes shorter than this (500 is about 24 months)",
     )
     p_an.add_argument("--hac", action="store_true", help="Newey-West standard errors")

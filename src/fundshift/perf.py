@@ -1,13 +1,14 @@
 """Annualized performance metrics and break-count attribution tables.
 
-All metrics are computed from daily excess returns over cash on an
-inclusive window and annualized with a 252 trading-day year:
+All metrics are computed from the daily excess returns over cash of a
+whole sample (a fund, or one regime's subsample) and annualized with A
+periods a year (``annualization``, 252 trading days by default):
 
-* excess return p.a. (%) = mean * 252 * 100
-* stdev p.a. (%)         = stdev(ddof=1) * sqrt(252) * 100
-* Sharpe p.a.            = mean / stdev * sqrt(252)
+* excess return p.a. (%) = mean * A * 100
+* stdev p.a. (%)         = stdev(ddof=1) * sqrt(A) * 100
+* Sharpe p.a.            = mean / stdev * sqrt(A)
 * Treynor p.a. (%)       = excess return p.a. / market beta
-* alphas p.a. (%)        = daily regression alpha * 252 * 100
+* alphas p.a. (%)        = daily regression alpha * A * 100
 
 Undefined ratios (zero stdev, zero market beta, empty groups) are NaN,
 never silently 0. Aggregation mirrors the reporting layout: per-fund
@@ -17,14 +18,14 @@ bottom deciles by excess return.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .breaks import BreakSet
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
-from .regress import DEFAULT_SIG_LEVEL, RegressionResult, fit_benchmark_adjusted, subsample
+from .regress import RegressionResult, fit_benchmark_adjusted, subsample
 from .stylebox import STYLE_BOX_LABELS, BreakShift, IntensityClass, RegimeStyle
 
 #: Annualization factor for daily data.
@@ -32,7 +33,7 @@ TRADING_DAYS_PER_YEAR = 252
 
 
 class PerfError(ValueError):
-    """Window or inputs unusable for metric computation."""
+    """Sample or inputs unusable for metric computation."""
 
 
 @dataclass(frozen=True)
@@ -68,23 +69,19 @@ METRIC_FIELDS = (
 
 def annualized_metrics(
     sample: AlignedSample,
-    window: tuple[int, int],
     ff3_fit: RegressionResult,
     agt_fit: RegressionResult,
     n_breaks: int = 0,
     annualization: int = TRADING_DAYS_PER_YEAR,
 ) -> FundMetrics:
-    """Annualized metrics on an inclusive window.
+    """Annualized metrics of the whole sample.
 
-    The fits must have been estimated on the same window; their alphas
+    The fits must have been estimated on the same sample; their alphas
     and the market beta are annualized as-is.
     """
-    start, end = window
-    if not 0 <= start <= end < sample.n:
-        raise PerfError(f"{sample.fund_id}: bad window {window}")
-    if end - start + 1 < 2:
-        raise PerfError(f"{sample.fund_id}: window shorter than 2 observations")
-    e = (sample.r_fund - sample.rf)[start : end + 1]
+    if sample.n < 2:
+        raise PerfError(f"{sample.fund_id}: sample shorter than 2 observations")
+    e = sample.r_fund - sample.rf
     mean = float(e.mean())
     sd = float(e.std(ddof=1))
 
@@ -180,37 +177,33 @@ def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> dic
 
 def pre_post_compare(
     sample: AlignedSample,
-    bs: BreakSet,
     styles: tuple[RegimeStyle, ...],
-    break_pos: int,
-    sig_level: float = DEFAULT_SIG_LEVEL,
-    hac: bool = False,
     min_window: int = MIN_ALIGNED_OBS,
     annualization: int = TRADING_DAYS_PER_YEAR,
-) -> tuple[FundMetrics, FundMetrics] | None:
-    """Metrics of the regimes before and after break number ``break_pos``.
+) -> tuple[tuple[FundMetrics, FundMetrics] | None, ...]:
+    """Metrics of the regimes before and after each break.
 
-    Returns ``(pre, post)``, or None (caller records the omission) when
-    either flanking regime is shorter than ``min_window``: annualized
-    ratios on a few dozen points would be noise dressed as signal.
+    Returns one entry per break between the ``styles`` regimes: ``(pre,
+    post)``, or None (caller records the omission) when either flanking
+    regime is shorter than ``min_window``: annualized ratios on a few
+    dozen points would be noise dressed as signal. Each regime used is
+    fitted and measured once; only the fit's alpha is read, which neither
+    the significance level nor HAC errors move.
     """
-    if not 0 <= break_pos < bs.chosen_m:
-        raise PerfError(f"{sample.fund_id}: break position {break_pos} out of range")
-    win_pre = bs.regime_windows[break_pos]
-    win_post = bs.regime_windows[break_pos + 1]
-    if min(w[1] - w[0] + 1 for w in (win_pre, win_post)) < min_window:
-        return None
 
-    def _metrics(window: tuple[int, int], style: RegimeStyle) -> FundMetrics:
-        agt = fit_benchmark_adjusted(
-            subsample(sample, *window), sig_level=sig_level, hac=hac
-        )
+    @functools.cache
+    def regime(pos: int) -> FundMetrics:
+        part = subsample(sample, *styles[pos].window)
         return annualized_metrics(
-            sample, window, style.fit, agt,
-            n_breaks=bs.chosen_m, annualization=annualization,
+            part, styles[pos].fit, fit_benchmark_adjusted(part),
+            n_breaks=len(styles) - 1, annualization=annualization,
         )
 
-    return _metrics(win_pre, styles[break_pos]), _metrics(win_post, styles[break_pos + 1])
+    long_enough = [end - start + 1 >= min_window for start, end in (s.window for s in styles)]
+    return tuple(
+        (regime(pos), regime(pos + 1)) if long_enough[pos] and long_enough[pos + 1] else None
+        for pos in range(len(styles) - 1)
+    )
 
 
 #: Canonical key order for the decile histograms.

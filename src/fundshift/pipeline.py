@@ -3,7 +3,7 @@
 ``analyze_fund`` chains the layers for one aligned sample: break
 detection on the benchmark-adjusted regression, short-regime filtering,
 per-regime style classification, break grading, full-sample metrics and
-pre/post break comparisons. ``build_report`` folds the per-fund records
+a pre/post comparison per break. ``build_report`` folds the per-fund records
 into the machine-readable report document with its aggregate tables,
 and ``render_table`` prints one of those tables as CSV or Markdown.
 
@@ -18,9 +18,9 @@ import math
 from dataclasses import asdict, dataclass
 
 from .breaks import (
+    DEFAULT_TRIM,
     BreakSet,
     build_ssr_table,
-    default_h,
     filter_short_regimes,
     max_breaks_bound,
     select_break_count,
@@ -29,6 +29,7 @@ from .marketdata import MIN_ALIGNED_OBS, AlignedSample
 from .perf import (
     GROUP_COLUMNS,
     METRIC_FIELDS,
+    TRADING_DAYS_PER_YEAR,
     FundMetrics,
     annualized_metrics,
     break_histogram,
@@ -36,7 +37,13 @@ from .perf import (
     group_by_break_count,
     pre_post_compare,
 )
-from .regress import RegressionResult, fit_benchmark_adjusted, fit_carhart, fit_ff3
+from .regress import (
+    DEFAULT_SIG_LEVEL,
+    RegressionResult,
+    fit_benchmark_adjusted,
+    fit_carhart,
+    fit_ff3,
+)
 from .stylebox import (
     BreakShift,
     FactorShift,
@@ -47,10 +54,6 @@ from .stylebox import (
     regime_styles,
 )
 
-#: Regressor count of the break-detection design.
-_DETECTION_K = 4
-
-
 class ConfigError(ValueError):
     """Analysis parameters violate their bounds."""
 
@@ -59,11 +62,11 @@ class ConfigError(ValueError):
 class AnalysisConfig:
     """Tunable parameters of one analysis run."""
 
-    sig_level: float = 0.05
-    trim: float = 0.15
+    sig_level: float = DEFAULT_SIG_LEVEL
+    trim: float = DEFAULT_TRIM
     max_breaks: int | None = None  # None: the most any sample can hold
     min_regime_obs: int = 0
-    annualization: int = 252
+    annualization: int = TRADING_DAYS_PER_YEAR
     hac: bool = False
     carhart: bool = False
     min_aligned_obs: int = MIN_ALIGNED_OBS
@@ -119,30 +122,20 @@ def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
     # O(n^2) table would grind through it window by window.
     ff3_full = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
     agt_full = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
-    h = default_h(sample.n, config.trim, _DETECTION_K)
-    table = build_ssr_table(sample, h)
-    bs = select_break_count(
-        sample, max_breaks=config.max_breaks, trim=config.trim, table=table
-    )
+    table = build_ssr_table(sample, config.trim)
+    bs = select_break_count(sample, table, max_breaks=config.max_breaks)
     bs = filter_short_regimes(bs, config.min_regime_obs, table=table)
 
     styles = regime_styles(sample, bs, sig_level=config.sig_level, hac=config.hac)
     shifts = grade_breaks(bs, styles)
     bs = apply_style_flags(bs, shifts)
 
-    full = (0, sample.n - 1)
     metrics = annualized_metrics(
-        sample, full, ff3_full, agt_full,
+        sample, ff3_full, agt_full,
         n_breaks=bs.chosen_m, annualization=config.annualization,
     )
-
-    comparisons = tuple(
-        pre_post_compare(
-            sample, bs, styles, pos,
-            sig_level=config.sig_level, hac=config.hac,
-            min_window=config.min_aligned_obs, annualization=config.annualization,
-        )
-        for pos in range(bs.chosen_m)
+    comparisons = pre_post_compare(
+        sample, styles, min_window=config.min_aligned_obs, annualization=config.annualization
     )
 
     carhart_fit = None
@@ -273,17 +266,20 @@ def build_aggregates(records: list[FundRecord], config: AnalysisConfig) -> dict:
 
     Keys are the report's: ``break_histogram``, ``transitions``,
     ``performance_by_breaks`` and ``deciles`` (None below 10 funds).
+    Break counts run to the most any fund holds, n // h - 1, at most ``max_breaks``.
     """
     metrics = [rec.metrics for rec in records]
+    parts = [rec.break_set.partition for rec in records]
+    max_m = min(config.max_breaks, max((p.n // p.h - 1 for p in parts), default=0))
     deciles = None
     if len(metrics) >= 10:
         deciles = decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records})
     return {
-        "break_histogram": break_histogram(metrics, max_m=config.max_breaks),
+        "break_histogram": break_histogram(metrics, max_m=max_m),
         "transitions": accumulate_transitions(
             [[style.box for style in rec.styles] for rec in records]
         ),
-        "performance_by_breaks": group_by_break_count(metrics, max_m=config.max_breaks),
+        "performance_by_breaks": group_by_break_count(metrics, max_m=max_m),
         "deciles": deciles,
     }
 

@@ -15,7 +15,12 @@ import pytest
 
 from oracles import exhaustive_best_partition, normal_equations_fit, weekdays
 
-from fundshift.breaks import optimal_partition, select_break_count, ssr_table_from_arrays
+from fundshift.breaks import (
+    build_ssr_table,
+    optimal_partition,
+    select_break_count,
+    ssr_table_from_arrays,
+)
 from fundshift.cli import EXIT_OK, main
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import annualized_metrics
@@ -134,7 +139,7 @@ def test_criterion_3_planted_break_recovery():
     located = 0
     for seed in range(100):
         sample = rotation_sample(seed)
-        bs = select_break_count(sample)
+        bs = select_break_count(sample, build_ssr_table(sample))
         if bs.chosen_m == 1:
             detected += 1
             if abs(bs.break_indices[0] - 499) <= 20:
@@ -228,7 +233,7 @@ def test_criterion_7_metrics_identity():
         alpha_ff3 = float(rng.uniform(-0.001, 0.001))
         alpha_agt = float(rng.uniform(-0.001, 0.001))
         m = annualized_metrics(
-            excess_sample(e), (0, n - 1),
+            excess_sample(e),
             fabricated_fit(alpha_ff3), fabricated_fit(alpha_agt, model="agt"),
         )
         assert abs(m.excess_return_pa / m.stdev_pa - m.sharpe_pa) \
@@ -237,7 +242,7 @@ def test_criterion_7_metrics_identity():
         assert m.agt_alpha_pa == alpha_agt * 252.0 * 100.0
         c = float(rng.uniform(0.5, 5.0))
         scaled = annualized_metrics(
-            excess_sample(c * e), (0, n - 1),
+            excess_sample(c * e),
             fabricated_fit(alpha_ff3), fabricated_fit(alpha_agt, model="agt"),
         )
         assert scaled.sharpe_pa == pytest.approx(m.sharpe_pa, rel=1e-12)

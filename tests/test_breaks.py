@@ -1,5 +1,6 @@
 """SSR table construction, DP segmentation and break-count selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -100,7 +101,8 @@ def test_max_breaks_bound_covers_every_sample_length():
 
 def test_ssr_table_zero_noise_constant_beta_is_zero_everywhere():
     sample = make_sample(120, 1, [(120, 0.4)])
-    table = build_ssr_table(sample, h=10)
+    table = build_ssr_table(sample, trim=0.08)
+    assert table.h == 10
     vals = table.values
     # Exact fit leaves only Gram-accumulation rounding, which scales with y'y.
     y = sample.r_fund - sample.r_bench
@@ -109,7 +111,8 @@ def test_ssr_table_zero_noise_constant_beta_is_zero_everywhere():
 
 def test_ssr_table_full_window_matches_direct_fit():
     sample = make_sample(200, 2, [(100, 0.4), (100, -0.4)], noise=0.003)
-    table = build_ssr_table(sample, h=20)
+    table = build_ssr_table(sample, trim=0.1)
+    assert table.h == 20
     direct = fit_benchmark_adjusted(sample).ssr
     assert table.ssr(0, 199) == pytest.approx(direct, rel=1e-10)
 
@@ -117,8 +120,9 @@ def test_ssr_table_full_window_matches_direct_fit():
 def test_ssr_table_spot_cells_match_refit_oracle():
     # 10 random reachable cells vs independent per-window lstsq refits.
     sample = make_sample(300, 3, [(150, 0.5), (150, -0.5)], noise=0.004)
-    h = 12
-    table = build_ssr_table(sample, h=h)
+    table = build_ssr_table(sample, trim=0.04)
+    h = table.h
+    assert h == 12
     y = excess_over_benchmark(sample)
     X = design_matrix(sample)
     rng = np.random.default_rng(99)
@@ -131,8 +135,9 @@ def test_ssr_table_spot_cells_match_refit_oracle():
 
 def test_ssr_table_split_never_increases_ssr():
     sample = make_sample(200, 4, [(200, 0.3)], noise=0.005)
-    h = 10
-    table = build_ssr_table(sample, h=h)
+    table = build_ssr_table(sample, trim=0.05)
+    h = table.h
+    assert h == 10
     rng = np.random.default_rng(5)
     for _ in range(50):
         i = int(rng.choice([0, *range(h, 150)]))
@@ -191,15 +196,20 @@ def test_ssr_table_singular_windows_fall_back_to_pseudo_inverse():
 
 def test_ssr_table_preconditions():
     sample = make_sample(100, 6, [(100, 0.2)])
+    y, X = excess_over_benchmark(sample), design_matrix(sample)
     with pytest.raises(BreakDetectionError, match="below 2h"):
-        build_ssr_table(sample, h=60)
+        ssr_table_from_arrays(y, X, 60)
     with pytest.raises(BreakDetectionError, match="k\\+1"):
-        build_ssr_table(sample, h=4)
+        ssr_table_from_arrays(y, X, 4)
+    with pytest.raises(BreakDetectionError, match="trim"):
+        build_ssr_table(sample, trim=0.5)
+    # A trim below (k+1)/n still leaves room for the k regressors.
+    assert build_ssr_table(sample, trim=0.01).h == 5
 
 
 def test_ssr_table_inadmissible_cell_raises():
     sample = make_sample(100, 6, [(100, 0.2)])
-    table = build_ssr_table(sample, h=10)
+    table = build_ssr_table(sample, trim=0.1)
     with pytest.raises(BreakDetectionError, match="inadmissible"):
         table.ssr(0, 5)
 
@@ -293,7 +303,7 @@ def test_partition_windows_tile_sample():
 
 def test_select_break_count_single_regime_zero_noise():
     sample = make_sample(400, 11, [(400, 0.5)])
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 0
     assert bs.regime_windows == ((0, 399),)
     # n=400, h=60: (m+1)*60 <= 400 holds for every m up to the default cap of 5.
@@ -302,7 +312,7 @@ def test_select_break_count_single_regime_zero_noise():
 
 def test_select_break_count_planted_rotation_with_noise():
     sample = make_sample(1000, 12, [(500, 0.8), (500, -0.8)], noise=0.01)
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 1
     assert abs(bs.break_indices[0] - 499) <= 20
 
@@ -311,45 +321,136 @@ def test_select_break_count_planted_rotation_with_noise():
 def test_select_break_count_no_false_breaks_without_a_break(t_df):
     for seed in range(30):
         sample = make_sample(600, seed, [(600, 0.5)], noise=0.006, t_df=t_df)
-        assert select_break_count(sample).chosen_m == 0, f"seed {seed}"
+        assert select_break_count(sample, build_ssr_table(sample)).chosen_m == 0, f"seed {seed}"
 
 
 def test_select_break_count_recovers_break_under_heavy_tailed_noise():
     for seed in range(20):
         sample = make_sample(600, seed, [(300, 0.8), (300, -0.8)], noise=0.006, t_df=3)
-        bs = select_break_count(sample)
+        bs = select_break_count(sample, build_ssr_table(sample))
         assert bs.chosen_m == 1, f"seed {seed}"
         assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
+
+
+def with_noise(sample: AlignedSample, eps: np.ndarray) -> AlignedSample:
+    return dataclasses.replace(sample, r_fund=sample.r_fund + eps)
+
+
+def ar1_noise(rng: np.random.Generator, n: int, phi: float, sd: float) -> np.ndarray:
+    """Stationary AR(1) noise with marginal stdev ``sd``."""
+    innov = rng.normal(0, sd * math.sqrt(1 - phi * phi), n)
+    eps = np.empty(n)
+    eps[0] = rng.normal(0, sd)
+    for t in range(1, n):
+        eps[t] = phi * eps[t - 1] + innov[t]
+    return eps
+
+
+def garch_noise(rng: np.random.Generator, n: int, alpha: float, beta: float,
+                sd: float) -> np.ndarray:
+    """GARCH(1,1) noise with unconditional stdev ``sd``."""
+    omega = sd * sd * (1 - alpha - beta)
+    z = rng.standard_normal(n)
+    eps = np.empty(n)
+    var = sd * sd
+    for t in range(n):
+        eps[t] = math.sqrt(var) * z[t]
+        var = omega + alpha * eps[t] ** 2 + beta * var
+    return eps
+
+
+def one_day_shock(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Gaussian noise plus a one-day -20% return, as an unadjusted payout leaves."""
+    eps = rng.normal(0, 0.006, n)
+    eps[rng.integers(n)] -= 0.2
+    return eps
+
+
+def no_break_runs(noise):
+    """(noise, BreakSet) for seeds 0..19 of a 600-day fund with no planted break."""
+    for seed in range(20):
+        eps = noise(np.random.default_rng([seed, 1]), 600)
+        sample = with_noise(make_sample(600, seed, [(600, 0.5)]), eps)
+        yield eps, select_break_count(sample, build_ssr_table(sample))
+
+
+@pytest.mark.parametrize("noise", [
+    lambda rng, n: ar1_noise(rng, n, 0.2, 0.006),
+    lambda rng, n: garch_noise(rng, n, 0.10, 0.85, 0.006),
+], ids=["ar1_0.2", "garch"])
+def test_no_false_breaks_under_serial_correlation_or_clustering(noise):
+    assert [bs.chosen_m for _, bs in no_break_runs(noise)] == [0] * 20
+
+
+def test_few_false_breaks_under_strong_serial_correlation():
+    # BIC's penalty assumes independent residuals; at phi = 0.5 the
+    # effective sample is smaller than n and BIC can over-select.
+    runs = no_break_runs(lambda rng, n: ar1_noise(rng, n, 0.5, 0.006))
+    assert sum(bs.chosen_m > 0 for _, bs in runs) <= 2
+
+
+def test_one_day_shock_false_breaks_fence_in_the_shock():
+    # A -20% day is a 33-sigma outlier in the least-squares fit. When the
+    # factors also moved that day, a regime of about h days around it can
+    # absorb much of it with loadings of its own, and BIC pays for the
+    # cut: 2 of these 20 seeds. Each such cut fences in the shock day.
+    found = [(eps, bs) for eps, bs in no_break_runs(one_day_shock) if bs.chosen_m]
+    assert len(found) <= 2
+    for eps, bs in found:
+        day = int(np.argmin(eps))
+        lengths = {(a, b): b - a + 1 for a, b in bs.regime_windows}
+        (home,) = [w for w in lengths if w[0] <= day <= w[1]]
+        assert lengths[home] == min(lengths.values())
+
+
+@pytest.mark.parametrize("case", ["noisy", "exact_fit", "all_zero", "mean_only"])
+def test_doubling_y_quadruples_every_ssr_exactly(case):
+    sample = make_sample(600, 33, [(300, 0.6), (300, -0.6)],
+                         noise=0.006 if case == "noisy" else 0.0)
+    y, X = excess_over_benchmark(sample), design_matrix(sample)
+    if case == "all_zero":
+        y = np.zeros(600)
+    elif case == "mean_only":
+        y, X = np.random.default_rng(33).normal(size=600), np.ones((600, 1))
+    once = ssr_table_from_arrays(y, X, 90)
+    twice = ssr_table_from_arrays(2.0 * y, X, 90)
+    assert np.array_equal(twice.values, 4.0 * once.values)
+    for a, b in zip(optimal_partitions(once, 5), optimal_partitions(twice, 5), strict=True):
+        assert b.break_indices == a.break_indices
+        assert b.total_ssr == 4.0 * a.total_ssr
 
 
 def test_select_break_count_respects_max_breaks():
     # Four planted breaks but a cap of 2: never more than 2 reported.
     path = [(130, 0.8), (130, -0.8), (130, 0.8), (130, -0.8), (130, 0.8)]
     sample = make_sample(650, 13, path, noise=0.005)
-    bs = select_break_count(sample, max_breaks=2, trim=0.05)
+    table = build_ssr_table(sample, trim=0.05)
+    bs = select_break_count(sample, table, max_breaks=2)
     assert bs.chosen_m <= 2
     assert max(m for m, _ in bs.criterion_values) <= 2
+    with pytest.raises(BreakDetectionError, match="negative"):
+        select_break_count(sample, table, max_breaks=-1)
 
 
 def test_select_break_count_deterministic():
     sample = make_sample(500, 14, [(250, 0.6), (250, -0.6)], noise=0.006)
-    assert select_break_count(sample) == select_break_count(sample)
+    first = select_break_count(sample, build_ssr_table(sample))
+    assert first == select_break_count(sample, build_ssr_table(sample))
 
 
 def test_select_break_count_rejects_mismatched_table():
     sample = make_sample(400, 15, [(400, 0.5)])
-    other = build_ssr_table(make_sample(400, 16, [(400, 0.5)]), h=10)
-    with pytest.raises(BreakDetectionError, match="does not match"):
-        select_break_count(sample, table=other)
+    other = build_ssr_table(make_sample(300, 16, [(300, 0.5)]))
+    with pytest.raises(BreakDetectionError, match="table of n=300, sample of n=400"):
+        select_break_count(sample, other)
 
 
 def _short_middle_regime_bs(min_regime: int | None = None):
     # Planted regimes of 600/30/600 observations, zero noise; trim low
     # enough that the 30-observation middle regime is admissible.
     sample = make_sample(1230, 17, [(600, 0.8), (30, -0.8), (600, 0.4)])
-    h = default_h(1230, 0.02, 4)
-    table = build_ssr_table(sample, h=h)
-    bs = select_break_count(sample, trim=0.02, table=table)
+    table = build_ssr_table(sample, trim=0.02)
+    bs = select_break_count(sample, table)
     return bs, table
 
 
@@ -377,8 +478,8 @@ def test_filter_short_regimes_idempotent():
 
 def test_filter_short_regimes_keeps_long_regimes():
     sample = make_sample(1200, 18, [(600, 0.8), (600, -0.8)])
-    table = build_ssr_table(sample, h=default_h(1200, 0.15, 4))
-    bs = select_break_count(sample, table=table)
+    table = build_ssr_table(sample)
+    bs = select_break_count(sample, table)
     assert bs.chosen_m == 1
     filtered = filter_short_regimes(bs, 500, table=table)
     assert filtered.break_indices == bs.break_indices

@@ -244,6 +244,21 @@ def test_analyze_report_compares_long_regimes_and_omits_short_ones(tmp_path):
     assert cmp["pre"]["n_breaks"] == cmp["post"]["n_breaks"] == 3
 
 
+def test_analyze_break_tables_stop_at_the_most_breaks_a_fund_holds(tmp_path):
+    # Trim 0.001 would allow 999 breaks, but h never falls below k + 1 = 5,
+    # so a 300-day fund holds at most 300 // 5 - 1 = 59.
+    out = simulate(tmp_path, rotation_spec())
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path, "--trim", "0.001") == EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    fund = report["funds"][0]
+    assert (fund["n_obs"], fund["h"]) == (300, 5)
+    agg = report["aggregates"]
+    assert [r["n_breaks"] for r in agg["break_histogram"]["rows"]] == list(range(60))
+    groups = [r["group"] for r in agg["performance_by_breaks"]["rows"]]
+    assert groups == [str(m) for m in range(60)] + ["all_with_breaks"]
+
+
 def test_analyze_unmapped_fund_is_skipped(tmp_path):
     out = simulate(tmp_path, rotation_spec())
     orphan = out / "nav" / "F9.csv"

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import annual_metrics_reference, weekdays
 
-from fundshift.breaks import BreakSet, Partition, select_break_count
+from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import (
     METRIC_FIELDS,
@@ -28,7 +28,13 @@ from fundshift.pipeline import (
     fund_record_dict,
     render_table,
 )
-from fundshift.regress import FactorLoading, RegressionResult
+from fundshift import perf
+from fundshift.regress import (
+    FactorLoading,
+    RegressionResult,
+    fit_benchmark_adjusted,
+    subsample,
+)
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
     BreakShift,
@@ -132,7 +138,7 @@ def make_shift(intensity: IntensityClass, to_label: str) -> BreakShift:
 
 def test_constant_excess_has_nan_sharpe_not_zero():
     sample = sample_from_excess(np.full(300, 0.0004))
-    m = annualized_metrics(sample, (0, 299), fit_with(), fit_with(model="agt"))
+    m = annualized_metrics(sample, fit_with(), fit_with(model="agt"))
     assert m.stdev_pa == 0.0
     assert math.isnan(m.sharpe_pa)
     assert m.excess_return_pa == pytest.approx(0.0004 * 252 * 100)
@@ -141,7 +147,7 @@ def test_constant_excess_has_nan_sharpe_not_zero():
 def test_alternating_excess_means_zero():
     e = np.tile([0.01, -0.01], 150)
     sample = sample_from_excess(e)
-    m = annualized_metrics(sample, (0, 299), fit_with(), fit_with(model="agt"))
+    m = annualized_metrics(sample, fit_with(), fit_with(model="agt"))
     assert m.excess_return_pa == 0.0
     assert m.sharpe_pa == 0.0
     assert m.stdev_pa > 0.0
@@ -157,7 +163,7 @@ def test_metrics_match_independent_oracle():
     assert abs(expected["sharpe_pa"] - 0.43) < 0.05
 
     sample = sample_from_excess(e)
-    m = annualized_metrics(sample, (0, 2519), fit_with(), fit_with(model="agt"))
+    m = annualized_metrics(sample, fit_with(), fit_with(model="agt"))
     assert m.excess_return_pa == pytest.approx(expected["excess_return_pa"], abs=1e-10)
     assert m.stdev_pa == pytest.approx(expected["stdev_pa"], abs=1e-10)
     assert m.sharpe_pa == pytest.approx(expected["sharpe_pa"], abs=1e-10)
@@ -167,7 +173,7 @@ def test_ratio_identity_excess_over_stdev_is_sharpe():
     rng = np.random.default_rng(5)
     e = rng.normal(0.0002, 0.009, 1000)
     sample = sample_from_excess(e)
-    m = annualized_metrics(sample, (0, 999), fit_with(), fit_with(model="agt"))
+    m = annualized_metrics(sample, fit_with(), fit_with(model="agt"))
     assert abs(m.excess_return_pa / m.stdev_pa - m.sharpe_pa) <= 1e-12 * abs(m.sharpe_pa)
 
 
@@ -175,7 +181,7 @@ def test_alpha_annualization_is_exact():
     ff3 = fit_with(alpha=0.00013)
     agt = fit_with(alpha=-0.00007, model="agt")
     sample = sample_from_excess(np.random.default_rng(6).normal(0, 0.01, 300))
-    m = annualized_metrics(sample, (0, 299), ff3, agt)
+    m = annualized_metrics(sample, ff3, agt)
     assert m.ff3_alpha_pa == 0.00013 * 252.0 * 100.0
     assert m.agt_alpha_pa == -0.00007 * 252.0 * 100.0
 
@@ -184,29 +190,27 @@ def test_treynor_divides_by_market_beta():
     rng = np.random.default_rng(7)
     e = rng.normal(0.0003, 0.01, 500)
     sample = sample_from_excess(e)
-    m = annualized_metrics(sample, (0, 499), fit_with(mkt=0.8), fit_with(model="agt"))
+    m = annualized_metrics(sample, fit_with(mkt=0.8), fit_with(model="agt"))
     assert m.treynor_pa == pytest.approx(m.excess_return_pa / 0.8)
-    nan_case = annualized_metrics(sample, (0, 499), fit_with(mkt=0.0), fit_with(model="agt"))
+    nan_case = annualized_metrics(sample, fit_with(mkt=0.0), fit_with(model="agt"))
     assert math.isnan(nan_case.treynor_pa)
 
 
 def test_sharpe_sign_and_positive_scale_invariance():
     rng = np.random.default_rng(8)
     e = rng.normal(0.0004, 0.012, 800)
-    m1 = annualized_metrics(sample_from_excess(e), (0, 799), fit_with(), fit_with(model="agt"))
-    m3 = annualized_metrics(sample_from_excess(3.0 * e), (0, 799), fit_with(), fit_with(model="agt"))
+    m1 = annualized_metrics(sample_from_excess(e), fit_with(), fit_with(model="agt"))
+    m3 = annualized_metrics(sample_from_excess(3.0 * e), fit_with(), fit_with(model="agt"))
     assert math.copysign(1.0, m1.sharpe_pa) == math.copysign(1.0, float(e.mean()))
     assert m3.sharpe_pa == pytest.approx(m1.sharpe_pa, rel=1e-12)
-    neg = annualized_metrics(sample_from_excess(-e), (0, 799), fit_with(), fit_with(model="agt"))
+    neg = annualized_metrics(sample_from_excess(-e), fit_with(), fit_with(model="agt"))
     assert neg.sharpe_pa < 0.0
 
 
 def test_window_validation():
-    sample = sample_from_excess(np.zeros(100))
-    with pytest.raises(PerfError, match="bad window"):
-        annualized_metrics(sample, (10, 100), fit_with(), fit_with(model="agt"))
+    one_day = subsample(sample_from_excess(np.zeros(100)), 5, 5)
     with pytest.raises(PerfError, match="shorter than 2"):
-        annualized_metrics(sample, (5, 5), fit_with(), fit_with(model="agt"))
+        annualized_metrics(one_day, fit_with(), fit_with(model="agt"))
 
 
 def test_fund_metrics_rejects_negative_stdev():
@@ -293,7 +297,8 @@ def test_break_histogram_max_m_extension_and_empty():
 def test_render_group_csv_layout():
     # Stand-in record: only the fields build_aggregates reads.
     record = SimpleNamespace(
-        fund_id="A", metrics=make_metrics("A", 4.0, 0), styles=[], shifts=()
+        fund_id="A", metrics=make_metrics("A", 4.0, 0), styles=[], shifts=(),
+        break_set=SimpleNamespace(partition=SimpleNamespace(n=300, h=45)),
     )
     agg = build_aggregates([record], AnalysisConfig(max_breaks=0))
     lines = render_table(agg, "performance", "csv").splitlines()
@@ -305,6 +310,23 @@ def test_render_group_csv_layout():
     assert lines[-1] == WITH_BREAKS_GROUP + ",0,0,,,,,"
     md = render_table(agg, "performance", "md").splitlines()
     assert md[-1] == f"| {WITH_BREAKS_GROUP} | 0 | 0 |  |  |  |  |  |"
+
+
+def test_aggregate_break_counts_stop_at_the_longest_fund_cap():
+    # At trim 0.2 the bound is 4 breaks, but n=1001 with h=201 holds 3; a
+    # second fund of n=1200, h=240 holds 4, and the tables follow it.
+    def record(fund_id, n, h):
+        return SimpleNamespace(
+            fund_id=fund_id, metrics=make_metrics(fund_id, 1.0, 0), styles=[], shifts=(),
+            break_set=SimpleNamespace(partition=SimpleNamespace(n=n, h=h)),
+        )
+
+    config = AnalysisConfig(trim=0.2)
+    short = build_aggregates([record("A", 1001, 201)], config)
+    assert [r["n_breaks"] for r in short["break_histogram"]["rows"]] == [0, 1, 2, 3]
+    assert len(short["performance_by_breaks"]["rows"]) == 4 + 1
+    both = build_aggregates([record("A", 1001, 201), record("B", 1200, 240)], config)
+    assert [r["n_breaks"] for r in both["break_histogram"]["rows"]] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("annualization", [252, 12])
@@ -330,7 +352,7 @@ def test_report_delta_is_post_minus_pre(annualization):
 
 
 def _graded(sample):
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
     return bs, styles, shifts
@@ -344,7 +366,7 @@ def test_pre_post_alpha_doubling_raises_alpha_delta():
     )
     bs, styles, shifts = _graded(sample)
     assert bs.chosen_m == 1
-    pair = pre_post_compare(sample, bs, styles, 0)
+    (pair,) = pre_post_compare(sample, styles)
     assert pair is not None
     pre, post = pair
     assert post.ff3_alpha_pa - pre.ff3_alpha_pa > 0.0
@@ -362,10 +384,10 @@ def test_pre_post_null_comparison_with_tiled_factors():
         11, [(400, 0.0003, 0.6, 0.2), (400, 0.0003, 0.6, 0.2)], tile_factors=True
     )
     part = Partition(m=1, break_indices=(399,), total_ssr=0.0, n=800, h=120)
-    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
+    bs = BreakSet(partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
-    pair = pre_post_compare(sample, bs, styles, 0)
+    (pair,) = pre_post_compare(sample, styles)
     assert pair is not None
     pre, post = pair
     for name in METRIC_FIELDS:
@@ -375,10 +397,9 @@ def test_pre_post_null_comparison_with_tiled_factors():
 
 def test_pre_post_short_flanking_regime_is_omitted():
     sample = make_styled_sample(12, [(200, 0.0, 0.5, 0.0)])
-    part = Partition(m=1, break_indices=(196,), total_ssr=0.0, n=200, h=3)
-    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
-    styles = (None, None)  # never reached: the window gate comes first
-    assert pre_post_compare(sample, bs, styles, 0) is None
+    # Stand-in regimes: the window gate comes before any fit.
+    styles = (SimpleNamespace(window=(0, 196)), SimpleNamespace(window=(197, 199)))
+    assert pre_post_compare(sample, styles) == (None,)
 
 
 def test_pre_post_min_window_boundary():
@@ -386,17 +407,48 @@ def test_pre_post_min_window_boundary():
         13, [(60, 0.0, 0.5, 0.0), (60, 0.0, 0.5, 0.0)], tile_factors=True
     )
     part = Partition(m=1, break_indices=(59,), total_ssr=0.0, n=120, h=10)
-    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
+    bs = BreakSet(partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
-    assert pre_post_compare(sample, bs, styles, 0, min_window=60) is not None
-    assert pre_post_compare(sample, bs, styles, 0, min_window=61) is None
+    assert pre_post_compare(sample, styles, min_window=60)[0] is not None
+    assert pre_post_compare(sample, styles, min_window=61) == (None,)
 
 
-def test_pre_post_break_position_out_of_range():
-    sample = make_styled_sample(14, [(300, 0.0, 0.5, 0.0)])
-    bs = select_break_count(sample)
-    with pytest.raises(PerfError, match="out of range"):
-        pre_post_compare(sample, bs, regime_styles(sample, bs), 0)
+@pytest.mark.parametrize("lengths, trim, fitted", [
+    ((250, 250, 250, 250), 0.15, (0, 1, 2, 3)),  # inner regimes flank two breaks each
+    ((400, 300, 55, 245), 0.05, (0, 1)),  # the 55-day regime is too short to compare
+], ids=["four_long_regimes", "short_third_regime"])
+def test_pre_post_fits_each_compared_regime_once(monkeypatch, lengths, trim, fitted):
+    loads = [(0.0001, 0.6, 0.0), (0.0002, -0.6, 0.0), (0.0, 0.6, 0.5), (0.0003, 0.0, -0.5)]
+    sample = make_styled_sample(
+        15, [(length, *load) for length, load in zip(lengths, loads)], noise=0.002
+    )
+    first_days = []
+
+    def counted(regime, **kwargs):
+        first_days.append(regime.dates[0])
+        return fit_benchmark_adjusted(regime, **kwargs)
+
+    monkeypatch.setattr(perf, "fit_benchmark_adjusted", counted)
+    rec = analyze_fund(sample, AnalysisConfig(trim=trim))
+    planted = np.cumsum(lengths)[:-1] - 1
+    assert np.abs(np.array(rec.break_set.break_indices) - planted).max() <= 5
+    styles, comparisons = rec.styles, rec.comparisons
+    assert first_days == [sample.dates[styles[pos].window[0]] for pos in fitted]
+    assert [pair is not None for pair in comparisons] == [
+        pos in fitted and pos + 1 in fitted for pos in range(3)
+    ]
+    for pos, pair in enumerate(comparisons):
+        if pair is None:
+            continue
+        if pos + 1 < len(comparisons) and comparisons[pos + 1] is not None:
+            assert pair[1] is comparisons[pos + 1][0]
+        # Each side is its regime measured on its own, bit for bit.
+        for side, style in zip(pair, styles[pos : pos + 2]):
+            regime = subsample(sample, *style.window)
+            alone = annualized_metrics(
+                regime, style.fit, fit_benchmark_adjusted(regime), n_breaks=3
+            )
+            assert side == alone
 
 
 # --------------------------------------------------------------- deciles

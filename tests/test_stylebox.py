@@ -8,7 +8,7 @@ import pytest
 
 from oracles import weekdays
 
-from fundshift.breaks import BreakSet, Partition, select_break_count
+from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import FundMetrics
 from fundshift.pipeline import AnalysisConfig, build_aggregates, render_table
@@ -266,7 +266,7 @@ def test_fund_shift_intensity_takes_max_severity():
 
 def test_regime_styles_single_regime():
     sample = make_styled_sample(21, [(400, 0.0, 0.8, 0.5)])
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 0
     styles = regime_styles(sample, bs)
     assert len(styles) == 1
@@ -278,7 +278,7 @@ def test_regime_styles_planted_two_regime_fund():
     sample = make_styled_sample(
         22, [(500, 0.0, 0.8, 0.5), (500, 0.0, -0.8, -0.5)]
     )
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Value", "Large Growth"]
@@ -289,7 +289,7 @@ def test_regime_styles_planted_two_regime_fund():
 def test_regime_styles_rejects_regime_shorter_than_parameters():
     sample = make_styled_sample(23, [(20, 0.0, 0.5, 0.0)])
     part = Partition(m=1, break_indices=(2,), total_ssr=0.0, n=20, h=3)
-    bs = BreakSet(fund_id="F1", partition=part, criterion_values=())
+    bs = BreakSet(partition=part, criterion_values=())
     with pytest.raises(RegressionError, match="need more than"):
         regime_styles(sample, bs)
 
@@ -298,7 +298,7 @@ def test_grade_breaks_planted_rotation():
     sample = make_styled_sample(
         24, [(500, 0.0, 0.8, 0.5), (500, 0.0, -0.8, -0.5)]
     )
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
     assert len(shifts) == 1
@@ -316,7 +316,7 @@ def test_grade_breaks_planted_rotation():
 
 def test_grade_breaks_planted_drift():
     sample = make_styled_sample(25, [(500, 0.0, 0.6, 0.0), (500, 0.0, 0.0, 0.0)])
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Blend", "Mid Blend"]
@@ -328,7 +328,7 @@ def test_grade_breaks_planted_drift():
 
 def test_grade_breaks_planted_strengthen_stays_on_diagonal():
     sample = make_styled_sample(26, [(500, 0.0, 0.3, -0.4), (500, 0.0, 0.7, -0.4)])
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Growth", "Small Growth"]
@@ -345,7 +345,7 @@ def test_alpha_only_break_grades_unchanged():
     sample = make_styled_sample(
         27, [(500, 0.0, 0.5, -0.4), (500, 0.003, 0.5, -0.4)]
     )
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     (shift,) = grade_breaks(bs, styles)
@@ -360,7 +360,7 @@ def test_grade_breaks_requires_one_fit_per_regime():
     sample = make_styled_sample(
         28, [(500, 0.0, 0.8, 0.5), (500, 0.0, -0.8, -0.5)]
     )
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
     with pytest.raises(StyleError, match="one fit per regime"):
         grade_breaks(bs, styles[:1])
@@ -467,6 +467,7 @@ def render_transitions(chains: list[list[str]]) -> str:
             styles=[SimpleNamespace(box=style_box_from_label(l)) for l in chain],
             shifts=(),
             metrics=FundMetrics(f"F{i}", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, len(chain) - 1),
+            break_set=SimpleNamespace(partition=SimpleNamespace(n=1000, h=150)),
         )
         for i, chain in enumerate(chains)
     ]

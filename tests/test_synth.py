@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from fundshift.breaks import select_break_count
+from fundshift.breaks import build_ssr_table, select_break_count
 from fundshift.marketdata import align, compute_returns
 from fundshift.regress import fit_benchmark_adjusted
 from fundshift.stylebox import IntensityClass, grade_breaks, regime_styles
@@ -252,7 +252,7 @@ def test_pipeline_reproduces_planted_truth_exactly():
     sample = align(
         compute_returns(out.funds[0]), compute_returns(out.benchmarks[0]), out.factors
     )
-    bs = select_break_count(sample)
+    bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(bs, styles)
     assert bs.chosen_m == len(truth.break_indices)

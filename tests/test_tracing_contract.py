@@ -83,12 +83,15 @@ def test_benchmark_spans_fire_on_analyze(tmp_path, monkeypatch):
         for attr in tables[table]
     ]
     calls = {f"{module.__name__}.{attr}": 0 for module, attr in targets}
+    results = {key: [] for key in calls}
 
     def counted(key, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            results[key].append(result)
+            return result
 
         return wrapper
 
@@ -107,5 +110,10 @@ def test_benchmark_spans_fire_on_analyze(tmp_path, monkeypatch):
     ])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert report["funds"][0]["chosen_m"] == 1
+    fund = report["funds"][0]
+    assert fund["chosen_m"] == 1
     assert [key for key, n in calls.items() if n == 0] == []
+    # The benchmark sizes each table from what build_ssr_table returns.
+    (table,) = results["fundshift.pipeline.build_ssr_table"]
+    assert (table.n, table.h) == (fund["n_obs"], fund["h"])
+    assert table.values.nbytes > 0

@@ -64,7 +64,7 @@ for nav, truth in zip(sim.funds, sim.truths):
               f"{shift.style_to.label}  graded {shift.intensity.value}")
     print()
 
-aggregates = build_aggregates(records, config)
+aggregates = build_aggregates(records)
 print(f"transition matrix over {aggregates['transitions']['grand_total']} "
       "adjacent regime pairs:")
 print(render_table(aggregates, "transitions", "csv"))

@@ -62,7 +62,7 @@ for nav in sim.funds:
     sample = align(compute_returns(nav), bench_returns, sim.factors)
     records.append(analyze_fund(sample, config))
 
-aggregates = build_aggregates(records, config)
+aggregates = build_aggregates(records)
 print("break histogram (totals cover funds with >= 1 break):")
 print(render_table(aggregates, "breaks", "csv"))
 

@@ -65,7 +65,10 @@ def max_breaks_bound(trim: float) -> int:
     """The most breaks any sample can hold: floor(1/trim) - 1."""
     # Regimes hold >= trim * n observations; the ulps of slack cover
     # default_h's rounding of trim * n.
-    return math.floor(1.0 / trim * (1.0 + 4 * math.ulp(1.0))) - 1
+    bound = 1.0 / trim * (1.0 + 4 * math.ulp(1.0))
+    if not math.isfinite(bound):
+        raise BreakDetectionError(f"trim {trim!r} is too small: 1/trim overflows")
+    return math.floor(bound) - 1
 
 
 def packed_layout(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
-from .regress import RegressionResult, fit_benchmark_adjusted, subsample
+from .regress import RegressionResult, excess_over_cash, fit_benchmark_adjusted, subsample
 from .stylebox import STYLE_BOX_LABELS, BreakShift, IntensityClass, RegimeStyle
 
 #: Annualization factor for daily data.
@@ -81,7 +81,7 @@ def annualized_metrics(
     """
     if sample.n < 2:
         raise PerfError(f"{sample.fund_id}: sample shorter than 2 observations")
-    e = sample.r_fund - sample.rf
+    e = excess_over_cash(sample)
     mean = float(e.mean())
     sd = float(e.std(ddof=1))
 

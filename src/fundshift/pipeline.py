@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 from .breaks import (
     DEFAULT_TRIM,
+    BreakDetectionError,
     BreakSet,
     build_ssr_table,
     filter_short_regimes,
@@ -76,7 +77,10 @@ class AnalysisConfig:
             raise ConfigError(f"sig_level must lie in (0, 1), got {self.sig_level!r}")
         if not 0.0 < self.trim < 0.5:
             raise ConfigError(f"trim must lie in (0, 0.5), got {self.trim!r}")
-        most = max_breaks_bound(self.trim)
+        try:
+            most = max_breaks_bound(self.trim)
+        except BreakDetectionError as exc:
+            raise ConfigError(str(exc)) from None
         if self.max_breaks is None:
             object.__setattr__(self, "max_breaks", most)
         if self.max_breaks < 0:
@@ -261,16 +265,15 @@ def fund_record_dict(rec: FundRecord) -> dict:
     return record
 
 
-def build_aggregates(records: list[FundRecord], config: AnalysisConfig) -> dict:
+def build_aggregates(records: list[FundRecord]) -> dict:
     """The report's aggregate tables, recomputable from the per-fund records.
 
     Keys are the report's: ``break_histogram``, ``transitions``,
     ``performance_by_breaks`` and ``deciles`` (None below 10 funds).
-    Break counts run to the most any fund holds, n // h - 1, at most ``max_breaks``.
+    Break counts run to the largest count any fund's criterion scored.
     """
     metrics = [rec.metrics for rec in records]
-    parts = [rec.break_set.partition for rec in records]
-    max_m = min(config.max_breaks, max((p.n // p.h - 1 for p in parts), default=0))
+    max_m = max((len(rec.break_set.criterion_values) - 1 for rec in records), default=0)
     deciles = None
     if len(metrics) >= 10:
         deciles = decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records})
@@ -300,7 +303,7 @@ def build_report(
             {"fund_id": fund_id, "reason": reason}
             for fund_id, reason in sorted(skipped)
         ],
-        "aggregates": build_aggregates(records, config),
+        "aggregates": build_aggregates(records),
     }
     return _clean(report)
 

@@ -413,6 +413,8 @@ def run_simulation(spec: SimSpec, seed: int | None = None) -> SimOutput:
     identical spec and seed give byte-identical artifacts.
     """
     root_seed = spec.seed if seed is None else int(seed)
+    if root_seed < 0:
+        raise SynthError(f"seed must be >= 0, got {root_seed}")
     root = np.random.SeedSequence(root_seed)
     children = root.spawn(1 + len(spec.funds))
 

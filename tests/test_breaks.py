@@ -87,6 +87,13 @@ def test_config_max_breaks_bound():
             AnalysisConfig(trim=trim, max_breaks=most + 1)
 
 
+def test_max_breaks_bound_rejects_a_trim_whose_reciprocal_overflows():
+    with pytest.raises(BreakDetectionError, match="1/trim overflows"):
+        max_breaks_bound(1e-310)
+    with pytest.raises(ConfigError, match="1/trim overflows"):
+        AnalysisConfig(trim=1e-310)
+
+
 def test_max_breaks_bound_covers_every_sample_length():
     # A grid of trims, plus the doubles next to 1/j: there default_h's
     # rounded trim * n can fall a hair below the exact product, so j
@@ -401,6 +408,44 @@ def test_one_day_shock_false_breaks_fence_in_the_shock():
         lengths = {(a, b): b - a + 1 for a, b in bs.regime_windows}
         (home,) = [w for w in lengths if w[0] <= day <= w[1]]
         assert lengths[home] == min(lengths.values())
+
+
+def test_select_break_count_recovers_break_under_clustered_noise():
+    # GARCH(1,1) volatility clusters at the no-false-break test's
+    # alpha = 0.10, beta = 0.85, same unconditional stdev as the t(3) case.
+    for seed in range(20):
+        eps = garch_noise(np.random.default_rng([seed, 1]), 600, 0.10, 0.85, 0.006)
+        sample = with_noise(make_sample(600, seed, [(300, 0.8), (300, -0.8)]), eps)
+        bs = select_break_count(sample, build_ssr_table(sample))
+        assert bs.chosen_m == 1, f"seed {seed}"
+        assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
+
+
+def reversed_in_time(sample: AlignedSample) -> AlignedSample:
+    """The same returns in reverse order, on the same dates."""
+    return dataclasses.replace(
+        sample,
+        **{name: getattr(sample, name)[::-1].copy()
+           for name in ("r_fund", "r_bench", "mkt_rf", "smb", "hml", "rf")},
+    )
+
+
+@pytest.mark.parametrize("path", [
+    [(300, 0.8), (300, -0.8)],
+    [(200, 0.8), (250, -0.8), (150, 0.0)],
+], ids=["one_break", "two_breaks"])
+def test_time_reversal_mirrors_the_breaks(path):
+    # A break after day b splits days b and b+1; reversed, it splits days
+    # n-2-b and n-1-b. The SSR bits differ, so only partitions are compared.
+    for seed in range(10):
+        sample = make_sample(600, seed, path, noise=0.006)
+        mirror = reversed_in_time(sample)
+        forward = select_break_count(sample, build_ssr_table(sample))
+        backward = select_break_count(mirror, build_ssr_table(mirror))
+        n = sample.n
+        assert forward.break_indices == tuple(
+            sorted(n - 2 - b for b in backward.break_indices)
+        ), f"seed {seed}"
 
 
 @pytest.mark.parametrize("case", ["noisy", "exact_fit", "all_zero", "mean_only"])

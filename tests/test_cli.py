@@ -131,6 +131,21 @@ def test_simulate_seed_override(tmp_path):
     assert truth["seed"] == 123
 
 
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    # A spec seed and an override seed seed one SeedSequence; neither may be < 0.
+    spec_path = write_spec(tmp_path, rotation_spec(seed=-3))
+    code = main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "a")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "simulation failed: seed must be >= 0, got -3" in err
+    spec_path = write_spec(tmp_path, rotation_spec())
+    code = main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "b"),
+                 "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert "simulation failed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_simulate_missing_spec_file(tmp_path, capsys):
     code = main(["simulate", "--spec", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "x")])
@@ -290,6 +305,15 @@ def test_analyze_max_breaks_above_bound_exits_2(tmp_path, capsys):
     assert "= 4 at trim 0.2, got 5" in capsys.readouterr().err
     assert not report_path.exists()
     assert analyze(out, report_path, "--max-breaks", "5") == EXIT_OK
+
+
+def test_analyze_trim_with_overflowing_reciprocal_exits_2(tmp_path, capsys):
+    # 1e-310 lies in (0, 0.5), but 1/trim overflows to inf.
+    out = simulate(tmp_path, rotation_spec())
+    report_path = tmp_path / "r.json"
+    assert analyze(out, report_path, "--trim", "1e-310") == EXIT_CONFIG
+    assert "trim 1e-310 is too small: 1/trim overflows" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_analyze_trim_alone_caps_max_breaks_at_bound(tmp_path):

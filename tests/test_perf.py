@@ -298,9 +298,9 @@ def test_render_group_csv_layout():
     # Stand-in record: only the fields build_aggregates reads.
     record = SimpleNamespace(
         fund_id="A", metrics=make_metrics("A", 4.0, 0), styles=[], shifts=(),
-        break_set=SimpleNamespace(partition=SimpleNamespace(n=300, h=45)),
+        break_set=SimpleNamespace(criterion_values=((0, 0.0),)),
     )
-    agg = build_aggregates([record], AnalysisConfig(max_breaks=0))
+    agg = build_aggregates([record])
     lines = render_table(agg, "performance", "csv").splitlines()
     assert lines[0] == (
         "group,funds,breaks,excess_return_pa,stdev_pa,sharpe_pa,ff3_alpha_pa,agt_alpha_pa"
@@ -313,19 +313,19 @@ def test_render_group_csv_layout():
 
 
 def test_aggregate_break_counts_stop_at_the_longest_fund_cap():
-    # At trim 0.2 the bound is 4 breaks, but n=1001 with h=201 holds 3; a
-    # second fund of n=1200, h=240 holds 4, and the tables follow it.
-    def record(fund_id, n, h):
+    # At trim 0.2 the bound is 4 breaks, but n=1001 with h=201 holds 3, so
+    # its criterion scores m = 0..3; a second fund of n=1200, h=240 holds 4,
+    # and the tables follow it.
+    def record(fund_id, cap):
         return SimpleNamespace(
             fund_id=fund_id, metrics=make_metrics(fund_id, 1.0, 0), styles=[], shifts=(),
-            break_set=SimpleNamespace(partition=SimpleNamespace(n=n, h=h)),
+            break_set=SimpleNamespace(criterion_values=tuple((m, 0.0) for m in range(cap + 1))),
         )
 
-    config = AnalysisConfig(trim=0.2)
-    short = build_aggregates([record("A", 1001, 201)], config)
+    short = build_aggregates([record("A", 3)])
     assert [r["n_breaks"] for r in short["break_histogram"]["rows"]] == [0, 1, 2, 3]
     assert len(short["performance_by_breaks"]["rows"]) == 4 + 1
-    both = build_aggregates([record("A", 1001, 201), record("B", 1200, 240)], config)
+    both = build_aggregates([record("A", 3), record("B", 4)])
     assert [r["n_breaks"] for r in both["break_histogram"]["rows"]] == [0, 1, 2, 3, 4]
 
 

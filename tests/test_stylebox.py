@@ -11,7 +11,7 @@ from oracles import weekdays
 from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import FundMetrics
-from fundshift.pipeline import AnalysisConfig, build_aggregates, render_table
+from fundshift.pipeline import build_aggregates, render_table
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
@@ -467,11 +467,11 @@ def render_transitions(chains: list[list[str]]) -> str:
             styles=[SimpleNamespace(box=style_box_from_label(l)) for l in chain],
             shifts=(),
             metrics=FundMetrics(f"F{i}", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, len(chain) - 1),
-            break_set=SimpleNamespace(partition=SimpleNamespace(n=1000, h=150)),
+            break_set=SimpleNamespace(criterion_values=tuple((m, 0.0) for m in range(6))),
         )
         for i, chain in enumerate(chains)
     ]
-    return render_table(build_aggregates(records, AnalysisConfig()), "transitions", "csv")
+    return render_table(build_aggregates(records), "transitions", "csv")
 
 
 def test_render_transition_csv_layout():

@@ -108,7 +108,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(f"invalid simulation spec: {exc}", EXIT_CONFIG)
     try:
         spec = parse_sim_spec(json.loads(text))
-    except (json.JSONDecodeError, SynthError, TypeError, ValueError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError and SynthError, and the plain ValueError json.loads
+        # raises for an integer literal of more than 4300 digits.
         return _fail(f"invalid simulation spec: {exc}", EXIT_CONFIG)
 
     try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -99,9 +100,6 @@ class ReturnSeries:
                 raise MarketDataError(
                     f"ReturnSeries {self.series_id}: return {r!r} on {d.isoformat()} <= -1"
                 )
-
-    def __len__(self) -> int:
-        return len(self.returns)
 
 
 @dataclass(frozen=True)
@@ -188,30 +186,59 @@ class AlignedSample:
         return self.mom is not None
 
 
-def _read_rows(text: str, expected_header: list[str], context: str) -> list[list[str]]:
+def _read_rows(
+    text: str, headers: list[list[str]], context: str
+) -> tuple[list[str], Iterator[list[str]]]:
+    """Header of a CSV, which must be one of ``headers``, and its non-blank rows.
+
+    The rows are read lazily and each must be as wide as the header.
+    Columns missing from the first (narrowest) allowed header are named
+    in the header error.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = [h.strip().lower() for h in next(reader)]
     except StopIteration:
         raise MarketDataError(f"{context}: empty file") from None
-    header = [h.strip().lower() for h in header]
-    if header != expected_header:
+    if header not in headers:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        missing = [c for c in headers[0] if c not in header]
         raise MarketDataError(
-            f"{context}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
+            f"{context}: expected header {expected}, got {','.join(header)!r}"
+            + (f" (missing column(s) {', '.join(missing)})" if missing else "")
         )
-    return [row for row in reader if row and any(cell.strip() for cell in row)]
+
+    def rows() -> Iterator[list[str]]:
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise MarketDataError(f"{context}: expected {len(header)} columns, got {len(row)}")
+            yield row
+
+    return header, rows()
+
+
+def _read_columns(text: str, headers: list[list[str]], context: str) -> dict[str, tuple]:
+    """Columns, keyed by header name, of a CSV whose first column is ``date``.
+
+    The other columns hold finite floats. Rows are parsed in file order,
+    so the first bad row is the one reported.
+    """
+    header, rows = _read_rows(text, headers, context)
+    dates: list[date] = []
+    columns: list[list[float]] = [[] for _ in header[1:]]
+    for row in rows:
+        dates.append(_parse_date(row[0], context))
+        for column, cell in zip(columns, row[1:]):
+            column.append(_parse_float(cell, context))
+    return dict(zip(header, [tuple(dates), *map(tuple, columns)]))
 
 
 def parse_nav_csv(text: str, fund_id: str) -> NavSeries:
     """Parse a two-column ``date,nav`` CSV into a :class:`NavSeries`."""
-    rows = _read_rows(text, ["date", "nav"], f"NAV file {fund_id}")
-    dates, navs = [], []
-    for row in rows:
-        if len(row) != 2:
-            raise MarketDataError(f"NAV file {fund_id}: expected 2 columns, got {len(row)}")
-        dates.append(_parse_date(row[0], f"NAV file {fund_id}"))
-        navs.append(_parse_float(row[1], f"NAV file {fund_id}"))
-    return NavSeries(fund_id=fund_id, dates=tuple(dates), navs=tuple(navs))
+    columns = _read_columns(text, [["date", "nav"]], f"NAV file {fund_id}")
+    return NavSeries(fund_id=fund_id, dates=columns["date"], navs=columns["nav"])
 
 
 def compute_returns(nav: NavSeries) -> ReturnSeries:
@@ -220,59 +247,24 @@ def compute_returns(nav: NavSeries) -> ReturnSeries:
     return ReturnSeries(series_id=nav.fund_id, dates=nav.dates[1:], returns=returns)
 
 
-#: Factor file headers, with and without the optional momentum column.
-_FACTOR_HEADER_MOM = ["date", "mkt_rf", "smb", "hml", "mom", "rf"]
-_FACTOR_HEADER = ["date", "mkt_rf", "smb", "hml", "rf"]
+#: Factor file headers, without and with the optional momentum column.
+_FACTOR_HEADERS = [
+    ["date", "mkt_rf", "smb", "hml", "rf"],
+    ["date", "mkt_rf", "smb", "hml", "mom", "rf"],
+]
 
 
 def parse_factor_csv(text: str) -> FactorPanel:
     """Parse the daily factor panel; the ``mom`` column is optional."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = [h.strip().lower() for h in next(reader)]
-    except StopIteration:
-        raise MarketDataError("factor file: empty file") from None
-    if header == _FACTOR_HEADER_MOM:
-        has_mom = True
-    elif header == _FACTOR_HEADER:
-        has_mom = False
-    else:
-        missing = [c for c in _FACTOR_HEADER if c not in header]
-        if missing:
-            raise MarketDataError(f"factor file: missing column(s) {', '.join(missing)}")
-        raise MarketDataError(f"factor file: unexpected header {','.join(header)!r}")
-
-    ncol = 6 if has_mom else 5
-    dates: list[date] = []
-    cols: list[list[float]] = [[] for _ in range(ncol - 1)]
-    for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) != ncol:
-            raise MarketDataError(f"factor file: expected {ncol} columns, got {len(row)}")
-        dates.append(_parse_date(row[0], "factor file"))
-        for k, cell in enumerate(row[1:]):
-            cols[k].append(_parse_float(cell, "factor file"))
-    if has_mom:
-        mkt, smb, hml, mom, rf = cols
-        return FactorPanel(
-            dates=tuple(dates), mkt_rf=tuple(mkt), smb=tuple(smb),
-            hml=tuple(hml), rf=tuple(rf), mom=tuple(mom),
-        )
-    mkt, smb, hml, rf = cols
-    return FactorPanel(
-        dates=tuple(dates), mkt_rf=tuple(mkt), smb=tuple(smb),
-        hml=tuple(hml), rf=tuple(rf),
-    )
+    columns = _read_columns(text, _FACTOR_HEADERS, "factor file")
+    return FactorPanel(dates=columns.pop("date"), **columns)
 
 
 def parse_benchmark_map_csv(text: str) -> BenchmarkMap:
     """Parse the ``fund_id,benchmark_id`` map file."""
-    rows = _read_rows(text, ["fund_id", "benchmark_id"], "benchmark map")
+    _, rows = _read_rows(text, [["fund_id", "benchmark_id"]], "benchmark map")
     entries: dict[str, str] = {}
     for row in rows:
-        if len(row) != 2:
-            raise MarketDataError(f"benchmark map: expected 2 columns, got {len(row)}")
         fund_id, bench_id = row[0].strip(), row[1].strip()
         if fund_id in entries:
             raise MarketDataError(f"benchmark map: duplicate fund_id {fund_id!r}")
@@ -299,20 +291,10 @@ def write_nav_csv(nav: NavSeries) -> str:
 
 def write_factor_csv(panel: FactorPanel) -> str:
     """Serialize a factor panel, emitting ``mom`` only when present."""
-    if panel.has_mom:
-        lines = [",".join(_FACTOR_HEADER_MOM)]
-        for i, d in enumerate(panel.dates):
-            lines.append(
-                f"{d.isoformat()},{_ftext(panel.mkt_rf[i])},{_ftext(panel.smb[i])},"
-                f"{_ftext(panel.hml[i])},{_ftext(panel.mom[i])},{_ftext(panel.rf[i])}"
-            )
-    else:
-        lines = [",".join(_FACTOR_HEADER)]
-        for i, d in enumerate(panel.dates):
-            lines.append(
-                f"{d.isoformat()},{_ftext(panel.mkt_rf[i])},{_ftext(panel.smb[i])},"
-                f"{_ftext(panel.hml[i])},{_ftext(panel.rf[i])}"
-            )
+    header = _FACTOR_HEADERS[panel.has_mom]
+    columns = [[d.isoformat() for d in panel.dates]]
+    columns += [list(map(_ftext, getattr(panel, name))) for name in header[1:]]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 

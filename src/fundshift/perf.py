@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -210,17 +211,10 @@ def pre_post_compare(
 INTENSITY_LABELS = tuple(c.value for c in IntensityClass)
 
 
-def _intensity_histogram(shifts: list[BreakShift]) -> dict[str, int]:
-    counts = {label: 0 for label in INTENSITY_LABELS}
+def _histogram(shifts: list[BreakShift], labels: tuple[str, ...], key) -> dict[str, int]:
+    counts = {label: 0 for label in labels}
     for s in shifts:
-        counts[s.intensity.value] += 1
-    return counts
-
-
-def _destination_histogram(shifts: list[BreakShift]) -> dict[str, int]:
-    counts = {label: 0 for label in STYLE_BOX_LABELS}
-    for s in shifts:
-        counts[s.style_to.label] += 1
+        counts[key(s)] += 1
     return counts
 
 
@@ -250,12 +244,14 @@ def decile_analysis(
         return out
 
     top_pool, bottom_pool = _pool(top_ids), _pool(bottom_ids)
+    intensity = (INTENSITY_LABELS, attrgetter("intensity.value"))
+    destination = (STYLE_BOX_LABELS, attrgetter("style_to.label"))
     return {
         "decile_size": size,
         "top_fund_ids": top_ids,
         "bottom_fund_ids": bottom_ids,
-        "top_intensity": _intensity_histogram(top_pool),
-        "bottom_intensity": _intensity_histogram(bottom_pool),
-        "top_destinations": _destination_histogram(top_pool),
-        "bottom_destinations": _destination_histogram(bottom_pool),
+        "top_intensity": _histogram(top_pool, *intensity),
+        "bottom_intensity": _histogram(bottom_pool, *intensity),
+        "top_destinations": _histogram(top_pool, *destination),
+        "bottom_destinations": _histogram(bottom_pool, *destination),
     }

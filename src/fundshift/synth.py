@@ -21,8 +21,10 @@ dates and planted break indices equal aligned-sample indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,12 +52,6 @@ class SynthError(ValueError):
     """Invalid generation spec."""
 
 
-def _rng(seed: "int | np.random.SeedSequence") -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
 @dataclass(frozen=True)
 class FactorVols:
     """Daily stdevs of the generated factor returns.
@@ -70,9 +66,9 @@ class FactorVols:
     mom: float = 0.006
 
     def __post_init__(self) -> None:
-        for name in ("mkt_rf", "smb", "hml", "mom"):
-            if not getattr(self, name) > 0.0:
-                raise SynthError(f"FactorVols: {name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise SynthError(f"FactorVols: {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ def gen_factors(
     """Generate an iid Gaussian factor panel with a constant cash rate."""
     if T < 1:
         raise SynthError(f"gen_factors: T={T} < 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     mkt = rng.standard_normal(T) * vols.mkt_rf
     smb = rng.standard_normal(T) * vols.smb
     hml = rng.standard_normal(T) * vols.hml
@@ -205,26 +201,17 @@ def gen_factors(
 
 
 def _returns_from_loadings(
-    factors: FactorPanel,
-    span: slice,
-    alpha: float,
-    beta_mkt: float,
-    beta_smb: float,
-    beta_hml: float,
-    beta_mom: float,
-    eps: np.ndarray,
+    factors: FactorPanel, span: slice, spec: RegimeSpec | BenchmarkSpec, eps: np.ndarray
 ) -> np.ndarray:
-    rf = np.asarray(factors.rf[span])
-    r = (
-        rf
-        + alpha
-        + beta_mkt * np.asarray(factors.mkt_rf[span])
-        + beta_smb * np.asarray(factors.smb[span])
-        + beta_hml * np.asarray(factors.hml[span])
-        + beta_mom * np.asarray(factors.mom[span])
+    return (
+        np.asarray(factors.rf[span])
+        + spec.alpha
+        + spec.beta_mkt * np.asarray(factors.mkt_rf[span])
+        + spec.beta_smb * np.asarray(factors.smb[span])
+        + spec.beta_hml * np.asarray(factors.hml[span])
+        + spec.beta_mom * np.asarray(factors.mom[span])
         + eps
     )
-    return r
 
 
 def _nav_from_returns(series_id: str, factors: FactorPanel, r: np.ndarray) -> NavSeries:
@@ -248,7 +235,7 @@ def gen_fund(
             f"{spec.fund_id}: regimes need {spec.total_length} observations, "
             f"panel has {len(factors)}"
         )
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     chunks = []
     pos = 0
     for regime in spec.regimes:
@@ -258,12 +245,7 @@ def gen_fund(
             if regime.noise_sigma > 0.0
             else np.zeros(regime.length)
         )
-        chunks.append(
-            _returns_from_loadings(
-                factors, span, regime.alpha, regime.beta_mkt,
-                regime.beta_smb, regime.beta_hml, regime.beta_mom, eps,
-            )
-        )
+        chunks.append(_returns_from_loadings(factors, span, regime, eps))
         pos += regime.length
     r = np.concatenate(chunks)
     nav = _nav_from_returns(spec.fund_id, factors, r)
@@ -282,22 +264,23 @@ def gen_fund(
 
 def gen_benchmark(spec: BenchmarkSpec, factors: FactorPanel) -> NavSeries:
     """Generate a zero-noise single-regime benchmark over the full panel."""
-    r = _returns_from_loadings(
-        factors, slice(0, len(factors)), spec.alpha, spec.beta_mkt,
-        spec.beta_smb, spec.beta_hml, spec.beta_mom, np.zeros(len(factors)),
-    )
+    r = _returns_from_loadings(factors, slice(0, len(factors)), spec, np.zeros(len(factors)))
     return _nav_from_returns(spec.benchmark_id, factors, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimSpec:
-    """Parsed simulation spec: panel parameters plus all funds and benchmarks."""
+    """Parsed simulation spec: panel parameters plus all funds and benchmarks.
 
-    seed: int
+    Each field is the JSON key of the same name; a field without a
+    default is a required key.
+    """
+
+    seed: int = 0
     t: int
-    start_date: date
-    rf_daily: float
-    vols: FactorVols
+    start_date: date = DEFAULT_START_DATE
+    rf_daily: float = DEFAULT_RF_DAILY
+    factor_vols: FactorVols = FactorVols()
     benchmarks: tuple[BenchmarkSpec, ...]
     funds: tuple[FundSpec, ...]
 
@@ -324,73 +307,60 @@ class SimSpec:
             raise SynthError("SimSpec: no funds")
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise SynthError(f"{context}: missing required key {key!r}")
-    return obj[key]
+#: JSON values a scalar field of each type accepts: a JSON integer is
+#: also a valid float, and a bool is neither.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+#: Field types of a spec dataclass, with its string annotations resolved.
+_field_types = functools.cache(get_type_hints)
 
 
-def parse_sim_spec(obj: dict) -> SimSpec:
-    """Validate and convert a JSON simulation document."""
-    if not isinstance(obj, dict):
-        raise SynthError("simulation spec: top level must be an object")
-    try:
-        start = date.fromisoformat(obj.get("start_date", DEFAULT_START_DATE.isoformat()))
-    except ValueError as exc:
-        raise SynthError(f"simulation spec: bad start_date: {exc}") from exc
+def _from_json(cls, value, path: str):
+    """Convert the JSON ``value`` found at ``path`` into ``cls``.
 
-    vols_obj = obj.get("factor_vols", {})
-    if not isinstance(vols_obj, dict):
-        raise SynthError("simulation spec: factor_vols must be an object")
-    vols = FactorVols(**{k: float(v) for k, v in vols_obj.items()
-                         if k in ("mkt_rf", "smb", "hml", "mom")})
+    ``cls`` is a spec dataclass, read from an object whose keys are its
+    fields (a field without a default is required), or a tuple of them,
+    read from a list. Field types give the JSON type of each key; a
+    date is an ISO string. Any mismatch raises :class:`SynthError`.
+    """
+    if get_origin(cls) is tuple:
+        if not isinstance(value, list):
+            raise SynthError(f"{path}: expected a list, got {value!r}")
+        item = get_args(cls)[0]
+        return tuple(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        raise SynthError(f"{path}: expected an object, got {value!r}")
+    types = _field_types(cls)
+    for key in value:
+        if key not in types:
+            raise SynthError(f"{path}: unknown key {key!r}")
+    for f in fields(cls):
+        if f.name not in value and f.default is MISSING:
+            raise SynthError(f"{path}: missing required key {f.name!r}")
+    kwargs = {}
+    for key, v in value.items():
+        kind = types[key]
+        if kind is date:
+            try:
+                kwargs[key] = date.fromisoformat(v)
+            except (TypeError, ValueError) as exc:
+                raise SynthError(f"{path}: bad {key}: {exc}") from exc
+        elif kind not in _JSON_TYPES:
+            kwargs[key] = _from_json(kind, v, f"{path}.{key}")
+        elif isinstance(v, bool) or not isinstance(v, _JSON_TYPES[kind]):
+            raise SynthError(f"{path}: key {key!r} must be {kind.__name__}, got {v!r}")
+        else:
+            kwargs[key] = kind(v)
+    return cls(**kwargs)
 
-    benchmarks = []
-    for b in _require(obj, "benchmarks", "simulation spec"):
-        benchmarks.append(
-            BenchmarkSpec(
-                benchmark_id=str(_require(b, "benchmark_id", "benchmark")),
-                alpha=float(b.get("alpha", 0.0)),
-                beta_mkt=float(b.get("beta_mkt", 0.0)),
-                beta_smb=float(b.get("beta_smb", 0.0)),
-                beta_hml=float(b.get("beta_hml", 0.0)),
-                beta_mom=float(b.get("beta_mom", 0.0)),
-            )
-        )
 
-    funds = []
-    for f in _require(obj, "funds", "simulation spec"):
-        context = f"fund {f.get('fund_id', '?')}"
-        regimes = []
-        for rg in _require(f, "regimes", context):
-            regimes.append(
-                RegimeSpec(
-                    length=int(_require(rg, "length", context)),
-                    alpha=float(rg.get("alpha", 0.0)),
-                    beta_mkt=float(rg.get("beta_mkt", 0.0)),
-                    beta_smb=float(rg.get("beta_smb", 0.0)),
-                    beta_hml=float(rg.get("beta_hml", 0.0)),
-                    beta_mom=float(rg.get("beta_mom", 0.0)),
-                    noise_sigma=float(rg.get("noise_sigma", 0.0)),
-                )
-            )
-        funds.append(
-            FundSpec(
-                fund_id=str(_require(f, "fund_id", "fund")),
-                benchmark_id=str(_require(f, "benchmark_id", context)),
-                regimes=tuple(regimes),
-            )
-        )
+def parse_sim_spec(obj) -> SimSpec:
+    """Validate and convert a JSON simulation document.
 
-    return SimSpec(
-        seed=int(obj.get("seed", 0)),
-        t=int(_require(obj, "t", "simulation spec")),
-        start_date=start,
-        rf_daily=float(obj.get("rf_daily", DEFAULT_RF_DAILY)),
-        vols=vols,
-        benchmarks=tuple(benchmarks),
-        funds=tuple(funds),
-    )
+    An unknown key, a missing required key or a value of the wrong JSON
+    type raises :class:`SynthError` naming the key and where it sits.
+    """
+    return _from_json(SimSpec, obj, "spec")
 
 
 @dataclass(frozen=True)
@@ -402,7 +372,7 @@ class SimOutput:
     benchmarks: tuple[NavSeries, ...]
     funds: tuple[NavSeries, ...]
     truths: tuple[PlantedTruth, ...]
-    benchmark_map: BenchmarkMap = field(default_factory=BenchmarkMap)
+    benchmark_map: BenchmarkMap
 
 
 def run_simulation(spec: SimSpec, seed: int | None = None) -> SimOutput:
@@ -419,7 +389,7 @@ def run_simulation(spec: SimSpec, seed: int | None = None) -> SimOutput:
     children = root.spawn(1 + len(spec.funds))
 
     factors = gen_factors(
-        spec.t, children[0], vols=spec.vols,
+        spec.t, children[0], vols=spec.factor_vols,
         rf_daily=spec.rf_daily, start=spec.start_date,
     )
     benchmarks = tuple(gen_benchmark(b, factors) for b in spec.benchmarks)

@@ -1,6 +1,7 @@
 """End-to-end command-line workflow: simulate, analyze, report."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,69 @@ def test_simulate_non_utf8_spec_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid simulation spec: spec.json: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+def _regime(spec: dict, k: int) -> dict:
+    return spec["funds"][0]["regimes"][k]
+
+
+#: Edits that make ``rotation_spec`` malformed, each with the message
+#: that must name the key at fault.
+MALFORMED_SPECS = {
+    "seed_float": (lambda s: s.update(seed=1.9), "spec: key 'seed' must be int, got 1.9"),
+    "seed_string": (lambda s: s.update(seed="7"), "spec: key 'seed' must be int, got '7'"),
+    "seed_bool": (lambda s: s.update(seed=True), "spec: key 'seed' must be int, got True"),
+    "t_float": (lambda s: s.update(t=300.0), "spec: key 't' must be int, got 300.0"),
+    "length_string": (
+        lambda s: _regime(s, 0).update(length="150"),
+        "spec.funds[0].regimes[0]: key 'length' must be int, got '150'",
+    ),
+    "regime_typo": (
+        lambda s: _regime(s, 1).update(beta_smbb=0.8),
+        "spec.funds[0].regimes[1]: unknown key 'beta_smbb'",
+    ),
+    "factor_vols_typo": (
+        lambda s: s.update(factor_vols={"smbb": 0.1}), "spec.factor_vols: unknown key 'smbb'"
+    ),
+    "top_level_typo": (lambda s: s.update(sede=9), "spec: unknown key 'sede'"),
+    "fund_id_int": (
+        lambda s: s["funds"][0].update(fund_id=7),
+        "spec.funds[0]: key 'fund_id' must be str, got 7",
+    ),
+    "benchmark_not_object": (
+        lambda s: s.update(benchmarks=[5]), "spec.benchmarks[0]: expected an object, got 5"
+    ),
+    "funds_not_list": (lambda s: s.update(funds=5), "spec.funds: expected a list, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPECS)
+def test_simulate_rejects_malformed_spec(tmp_path, capsys, case):
+    edit, message = MALFORMED_SPECS[case]
+    spec = rotation_spec()
+    edit(spec)
+    code = main(["simulate", "--spec", str(write_spec(tmp_path, spec)),
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"invalid simulation spec: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+def test_simulate_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of over 4300 digits.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps(rotation_spec()).replace('"seed": 9', '"seed": ' + "1" * 5000),
+        encoding="utf-8",
+    )
+    code = main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid simulation spec:" in err and "Traceback" not in err
 
 
 def test_simulate_unwritable_out_dir(tmp_path, capsys):

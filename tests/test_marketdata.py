@@ -1,5 +1,6 @@
 """Parsing, return computation and calendar alignment."""
 
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -168,6 +169,28 @@ def test_parse_factor_csv_without_mom():
     assert panel.mom is None
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (lambda t: parse_nav_csv(t, "F1"),
+         "date,nav\n2006-01-02,100.0\n2006-01-03,101.0,7\n",
+         "NAV file F1: expected 2 columns, got 3"),
+        (parse_factor_csv,
+         "date,mkt_rf,smb,hml,rf\n2006-01-02,0.001,0.0002,-0.0001,0.0002\n"
+         "2006-01-03,0.001,0.0002,0.0002\n",
+         "factor file: expected 5 columns, got 4"),
+        (parse_benchmark_map_csv,
+         "fund_id,benchmark_id\nF1,B1\n\nF2\n",
+         "benchmark map: expected 2 columns, got 1"),
+    ],
+    ids=["nav", "factor", "benchmark_map"],
+)
+def test_row_of_wrong_width_is_rejected(parse, text, message):
+    with pytest.raises(MarketDataError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_parse_factor_csv_missing_column():
     text = "date,mkt_rf,hml,rf\n2006-01-02,0.001,-0.0001,0.0002\n"
     with pytest.raises(MarketDataError, match="missing column"):
@@ -288,7 +311,10 @@ def test_nav_csv_round_trip_exact():
 def test_factor_csv_round_trip_exact():
     dates = weekdays(date(2006, 1, 2), 40)
     panel = _panel(dates)
-    assert parse_factor_csv(write_factor_csv(panel)) == panel
+    with_mom = replace(panel, mom=tuple(np.random.default_rng(4).normal(0, 0.006, 40)))
+    for p in (panel, with_mom):
+        assert parse_factor_csv(write_factor_csv(p)) == p
+    assert write_factor_csv(with_mom).startswith("date,mkt_rf,smb,hml,mom,rf\n")
 
 
 def test_benchmark_map_round_trip():

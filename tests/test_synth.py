@@ -1,6 +1,10 @@
 """Synthetic panel and fund generation against planted ground truth."""
 
+import json
+import re
+from dataclasses import MISSING, fields
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,7 +281,7 @@ def test_parse_sim_spec_defaults():
     assert spec.seed == 0
     assert spec.start_date == DEFAULT_START_DATE
     assert spec.rf_daily == DEFAULT_RF_DAILY
-    assert spec.vols == FactorVols()
+    assert spec.factor_vols == FactorVols()
     assert spec.funds[0].regimes[0].noise_sigma == 0.0
 
 
@@ -300,24 +304,44 @@ def test_parse_sim_spec_missing_keys():
         parse_sim_spec({**base, "start_date": "not-a-date"})
 
 
+def test_readme_spec_schema_parses_and_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The spec schema, with defaults:")[1]
+    block = block.split("```jsonc\n")[1].split("```")[0]
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    spec = parse_sim_spec(doc)
+    for parsed, raw in [
+        (spec, doc),
+        (spec.factor_vols, doc["factor_vols"]),
+        (spec.benchmarks[0], doc["benchmarks"][0]),
+        (spec.funds[0], doc["funds"][0]),
+        (spec.funds[0].regimes[0], doc["funds"][0]["regimes"][0]),
+    ]:
+        # README lists every key, and each key with a default shows it.
+        assert set(raw) == {f.name for f in fields(parsed)}
+        for f in fields(parsed):
+            if f.default is not MISSING:
+                assert getattr(parsed, f.name) == f.default, f.name
+
+
 def test_sim_spec_cross_validation():
     bench = BenchmarkSpec(benchmark_id="B1")
     fund = FundSpec(fund_id="F1", benchmark_id="B1", regimes=(RegimeSpec(length=100),))
     with pytest.raises(SynthError, match="unknown benchmark"):
         SimSpec(seed=0, t=100, start_date=DEFAULT_START_DATE, rf_daily=0.0002,
-                vols=FactorVols(), benchmarks=(),
+                factor_vols=FactorVols(), benchmarks=(),
                 funds=(fund,))
     with pytest.raises(SynthError, match="duplicate fund_id"):
         SimSpec(seed=0, t=100, start_date=DEFAULT_START_DATE, rf_daily=0.0002,
-                vols=FactorVols(), benchmarks=(bench,), funds=(fund, fund))
+                factor_vols=FactorVols(), benchmarks=(bench,), funds=(fund, fund))
     with pytest.raises(SynthError, match="needs 200 observations"):
         SimSpec(seed=0, t=100, start_date=DEFAULT_START_DATE, rf_daily=0.0002,
-                vols=FactorVols(), benchmarks=(bench,),
+                factor_vols=FactorVols(), benchmarks=(bench,),
                 funds=(FundSpec(fund_id="F2", benchmark_id="B1",
                                 regimes=(RegimeSpec(length=200),)),))
     with pytest.raises(SynthError, match="no funds"):
         SimSpec(seed=0, t=100, start_date=DEFAULT_START_DATE, rf_daily=0.0002,
-                vols=FactorVols(), benchmarks=(bench,), funds=())
+                factor_vols=FactorVols(), benchmarks=(bench,), funds=())
 
 
 def test_run_simulation_is_deterministic_and_seed_overridable():

@@ -5,7 +5,12 @@ The fund holds three regimes: a small-cap tilt, a rotation to large-cap,
 and finally the same size bet plus a fresh value tilt. The benchmark
 carries the market loading, so everything the detector sees in the
 benchmark-adjusted return is style. We walk the full path a real NAV
-file would take: NAV -> returns -> alignment -> SSR table -> BIC scan.
+file would take: NAV -> returns -> alignment -> SSR table -> break
+search -> BIC scan. The SSR table holds one row of regression moments
+per day; the search sweeps the start days from last to first and fits
+only the windows that can still beat the best partition found, so most
+of the O(n^2) windows are never fitted, yet every break and SSR is the
+one the full table would give.
 """
 
 from fundshift.breaks import build_ssr_table, select_break_count
@@ -36,7 +41,8 @@ print(f"planted break indices: {list(truth.break_indices)}")
 
 sample = align(compute_returns(fund_nav), compute_returns(bench_nav), factors)
 table = build_ssr_table(sample, trim=0.15)
-print(f"\naligned sample: n={sample.n}, minimum regime length h={table.h}")
+print(f"\naligned sample: n={sample.n}, minimum regime length h={table.h}, "
+      f"SSR table of {table.values.nbytes / 1e3:.0f} kB moments")
 
 bs = select_break_count(sample, table)
 print("\nBIC by break count (chosen m minimizes):")

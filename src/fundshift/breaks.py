@@ -1,10 +1,9 @@
 """Multiple structural break detection by least-squares segmentation.
 
-The benchmark-adjusted regression is refitted on every admissible
-window (i, j), the per-segment sums of squared residuals are tabulated,
-and a dynamic program finds, for each candidate break count m, the
-partition that globally minimizes total SSR subject to a minimum
-segment length h. The break count is then chosen by BIC.
+For each candidate break count m, a dynamic program finds the partition
+that globally minimizes the total SSR of the benchmark-adjusted
+regression over its segments, subject to a minimum segment length h.
+The break count is then chosen by BIC.
 
 Conventions:
 
@@ -17,21 +16,19 @@ Conventions:
   touched the style loadings is flagged afterwards (``is_style_break``)
   by the classification layer.
 
-Table construction uses segment-local cumulative Gram matrices, so the
-whole O(n^2) family of window fits costs O(n^2 k^2) instead of
-O(n^3 k^2). Only windows some partition can use are fitted and kept: a
-segment starts at 0 or at i >= h (its predecessors need h
-observations) and ends at n-1 or at j <= n-h-1 (its successors do). At
-trim 0.15 that is about 42% of the windows of length >= h, packed row
-after row into one array (:func:`packed_layout`). The DP cost recursion is
-cost(j, r) = min_i { cost(i, r-1) + ssr(i+1, j) },
-with ties broken toward the lexicographically earliest break vector.
+The SSR table is lazy: it holds one row of regression moments per
+observation, and a cumulative sum of the rows from i gives the Gram
+matrix and cross moments of every window (i, j) at once. The DP sweeps
+the start rows backwards and solves only the windows that can still win
+(:func:`optimal_partitions`); its partitions, totals and ties equal
+those of the full table bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +45,12 @@ DEFAULT_TRIM = 0.15
 #: shrink rounding error. Anything below tss * 1e-12 is numerically zero
 #: for model comparison and ties resolve by the parameter penalty.
 _SSR_FLOOR_REL = 1e-12
+
+#: Margin, relative to a start row's y'y, by which a window's lower bound
+#: must exceed the row's best exact cost before the search skips it.
+#: Computed SSR is monotone only up to rounding: on exact fits ssr(i, j)
+#: can fall below ssr(i+1, j) by a few 1e-16 of y'y.
+_PRUNE_SLACK_REL = 1e-12
 
 
 class BreakDetectionError(ValueError):
@@ -71,83 +74,80 @@ def max_breaks_bound(trim: float) -> int:
     return math.floor(bound) - 1
 
 
-def packed_layout(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start rows of the packed SSR table and the offset of each row.
-
-    Row i exists for i = 0 and h <= i <= n-h. It holds the windows
-    (i, i+h-1) ... (i, n-h-1), then (i, n-1): every end a partition can
-    use after a segment starting at i. Row ``starts[r]`` occupies
-    ``offsets[r]:offsets[r + 1]`` of the packed values.
-    """
-    starts = np.r_[0, h : n - h + 1]
-    widths = np.maximum(n - 2 * h + 1 - starts, 0) + 1
-    offsets = np.zeros(starts.size + 1, dtype=np.intp)
-    np.cumsum(widths, out=offsets[1:])
-    return starts, offsets
+@functools.cache
+def _gram_index(k: int) -> np.ndarray:
+    """Column of each Gram entry (a, b) within a moment row."""
+    rows, cols = np.triu_indices(k)
+    at = np.empty((k, k), dtype=np.intp)
+    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    at.flags.writeable = False
+    return at
 
 
 @dataclass(frozen=True)
 class SsrTable:
-    """SSR of the segment regression on every window a partition can use.
+    """Segment regressions of y on X, solved window by window on demand.
 
-    ``values`` holds the rows of :func:`packed_layout` end to end;
-    ``row(i)`` is the row of windows starting at i and ``ssr(i, j)`` the
-    SSR of the fit on observations i..j inclusive. A window is
-    admissible when it is at least h long, starts at 0 or at i >= h, and
-    ends at n-1 or at j <= n-h-1.
+    Row t of ``values`` holds observation t's moments: the k(k+1)/2
+    distinct products x_a x_b, then x y, then y^2. A window a partition
+    can use is at least h long, starts at 0 or at i >= h, and ends at
+    n-1 or at j <= n-h-1.
     """
 
     n: int
     h: int
     values: np.ndarray
-    _spans: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        starts, offsets = packed_layout(self.n, self.h)
-        if self.values.shape != (offsets[-1],):
+        if self.values.shape != (self.n, (self.k + 1) * (self.k + 2) // 2):
             raise BreakDetectionError("SsrTable: values shape mismatch")
         self.values.flags.writeable = False
-        spans = dict(zip(starts.tolist(), zip(offsets[:-1].tolist(), offsets[1:].tolist())))
-        object.__setattr__(self, "_spans", spans)
 
-    def row(self, i: int) -> np.ndarray:
-        """SSR of windows (i, i+h-1) ... (i, n-h-1), then (i, n-1)."""
-        if i not in self._spans:
-            raise BreakDetectionError(f"SsrTable: no segment starts at {i} for h={self.h}")
-        lo, hi = self._spans[i]
-        return self.values[lo:hi]
+    @property
+    def k(self) -> int:
+        """Regressor count: a moment row holds (k+1)(k+2)/2 values."""
+        return (math.isqrt(8 * self.values.shape[-1] + 1) - 3) // 2
 
-    def _cell(self, i: int, j: int) -> int | None:
-        if i not in self._spans or not 0 <= j < self.n:
-            return None
-        lo, hi = self._spans[i]
-        if j == self.n - 1:
-            return hi - 1
-        col = j - (i + self.h - 1)
-        return lo + col if 0 <= col < hi - lo - 1 else None
+    def ends(self, i: int) -> np.ndarray:
+        """Ends a partition can use after a segment from i: i+h-1 ... n-h-1, then n-1."""
+        return np.append(np.arange(i + self.h - 1, self.n - self.h), self.n - 1)
 
-    def admissible(self, i: int, j: int) -> bool:
-        return self._cell(i, j) is not None
+    def solve(self, sums: np.ndarray, i: int, ends: np.ndarray, pinv: bool = False) -> np.ndarray:
+        """SSR of the windows (i, j), j in ``ends``, from ``sums`` = cumsum of values[i:].
+
+        Raises ``LinAlgError`` if a window is singular, unless ``pinv``:
+        a Gram system is consistent, so its pseudo-inverse solution still
+        gives the least SSR. A window's bits do not depend on the batch.
+        """
+        k = self.k
+        cells = sums[ends - i]
+        grams = cells[:, _gram_index(k)]
+        rhs = cells[:, -k - 1 : -1]
+        if pinv:
+            beta = (np.linalg.pinv(grams) @ rhs[:, :, None])[..., 0]
+        else:
+            beta = np.linalg.solve(grams, rhs[:, :, None])[..., 0]
+        return np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0)
 
     def ssr(self, i: int, j: int) -> float:
-        cell = self._cell(i, j)
-        if cell is None:
+        """SSR of the fit on observations i..j inclusive, with the search's bits.
+
+        If a window from i is singular, so is the row's first: the search
+        then solves the whole row by pseudo-inverse, and so does this.
+        """
+        row = self.ends(i)
+        if not (i == 0 or self.h <= i <= self.n - self.h) or j not in row:
             raise BreakDetectionError(f"SsrTable: window ({i}, {j}) inadmissible for h={self.h}")
-        return float(self.values[cell])
+        sums = np.cumsum(self.values[i : j + 1], axis=0)
+        ends = np.array([row[0], j])
+        try:
+            return float(self.solve(sums, i, ends)[-1])
+        except np.linalg.LinAlgError:
+            return float(self.solve(sums, i, ends, pinv=True)[-1])
 
 
 def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
-    """Tabulate per-window least-squares SSR for an arbitrary design.
-
-    Each observation contributes one packed row of moments: the
-    k(k+1)/2 distinct products x_a x_b, then x y, then y^2. For each
-    start row i one cumulative sum of those rows gives the Gram matrix
-    and cross moments of every window (i, j) at once; only the ends of
-    the row are solved, so the batched solves cost O(n^2 k^2) overall.
-    A row holding a singular window is solved by pseudo-inverse: Gram
-    systems are always consistent (the right-hand side lies in the
-    Gram's range), so that still yields the minimal SSR.
-    """
+    """Moment table of the segment regression of y on X, segments >= h long."""
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if y.ndim != 1 or X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -157,27 +157,9 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
         raise BreakDetectionError(f"ssr table: h={h} below k+1={k + 1}")
     if n < 2 * h:
         raise BreakDetectionError(f"ssr table: n={n} below 2h={2 * h}")
-
     rows, cols = np.triu_indices(k)
-    pairs = rows.size
-    gram_at = np.empty((k, k), dtype=np.intp)
-    gram_at[rows, cols] = gram_at[cols, rows] = np.arange(pairs)
     moments = np.column_stack([X[:, rows] * X[:, cols], X * y[:, None], y * y])
-    starts, offsets = packed_layout(n, h)
-    values = np.empty(offsets[-1])
-    for i, lo, hi in zip(starts.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
-        sums = np.cumsum(moments[i:], axis=0)
-        ends = np.r_[i + h - 1 : i + h - 2 + hi - lo, n - 1]
-        cells = sums[ends - i]
-        grams = cells[:, gram_at]
-        rhs = cells[:, pairs : pairs + k]
-        try:
-            beta = np.linalg.solve(grams, rhs[:, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            beta = (np.linalg.pinv(grams) @ rhs[:, :, None])[..., 0]
-        ssr = cells[:, -1] - np.einsum("bk,bk->b", beta, rhs)
-        values[lo:hi] = np.maximum(ssr, 0.0)
-    return SsrTable(n=n, h=h, values=values)
+    return SsrTable(n=n, h=h, values=moments)
 
 
 def build_ssr_table(sample: AlignedSample, trim: float = DEFAULT_TRIM) -> SsrTable:
@@ -223,14 +205,15 @@ class Partition:
 def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
     """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks.
 
-    Suffix dynamic program: B[r][i] is the least total SSR over
-    segmentations of i..n-1 into r+1 segments of length >= h. Level r
-    reads only level r-1, so one sweep up to max_m holds every
-    B[m][0] and its break vector. Only the start rows of the table are
-    swept: no segment of a partition of 0..n-1 starts at 1..h-1.
-    Scanning candidate first breaks in ascending order and keeping the
-    first minimum makes each reconstructed break vector
-    lexicographically earliest among all global minimizers.
+    Suffix DP: best[r][i] is the least total SSR of i..n-1 in r+1
+    segments of length >= h, filled by one descending sweep over the
+    start rows in O(n * max_m) memory. Removing an observation never
+    raises a least-squares SSR, so windows solved on later rows bound
+    those of row i from below. Row i solves its first end, its last and
+    each level's bound-argmin, which gives an exact cost per level, then
+    every end whose bound comes within the slack of that cost; the rest
+    can neither win nor tie. Keeping the first minimum over ascending
+    ends makes each break vector the earliest among global minimizers.
     """
     if max_m < 0:
         raise BreakDetectionError(f"break count m={max_m} negative")
@@ -238,40 +221,50 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
     if n < (max_m + 1) * h:
         raise BreakDetectionError(f"m={max_m} infeasible: n={n} < (m+1)h={(max_m + 1) * h}")
 
-    starts, offsets = packed_layout(n, h)
     best = np.full((max_m + 1, n), np.inf)
     choice = np.zeros((max_m + 1, n), dtype=np.intp)
-    best[0, starts] = table.values[offsets[1:] - 1]
-    for r in range(1, max_m + 1):
-        hi = n - 1 - r * h
-        for i in starts[starts <= n - (r + 1) * h].tolist():
-            lo = i + h - 1
-            cand = table.row(i)[: hi - lo + 1] + best[r - 1, lo + 1 : hi + 2]
-            j = int(np.argmin(cand))
-            best[r, i] = cand[j]
-            choice[r, i] = lo + j
+    bound = np.zeros(n)  # bound[j] <= ssr(i, j): the last solved ssr(i', j), i' > i, or 0
+    for i in [*range(n - h, h - 1, -1), 0]:
+        sums = np.cumsum(table.values[i:], axis=0)
+        ends = table.ends(i)
+        inner = slice(i + h - 1, n - h)
+        levels = min(max_m, (n - i) // h - 1)
+        follow = best[:levels, i + h : n - h + 1]  # best[r-1, j+1] per interior end j
+        lower = bound[inner] + follow
+        ssr = np.full(ends.size, np.inf)
+        try:
+            first = {0, ends.size - 1}
+            if lower.shape[1] > 1:
+                first.update((lower[:, 1:].argmin(axis=1) + 1).tolist())
+            first = sorted(first)
+            ssr[first] = table.solve(sums, i, ends[first])
+            if levels:
+                upper = np.min(ssr[:-1] + follow, axis=1) + _PRUNE_SLACK_REL * sums[-1, -1]
+                rest = np.flatnonzero((lower <= upper[:, None]).any(axis=0) & np.isinf(ssr[:-1]))
+                if rest.size:
+                    ssr[rest] = table.solve(sums, i, ends[rest])
+        except np.linalg.LinAlgError:
+            ssr = table.solve(sums, i, ends, pinv=True)
+        best[0, i] = ssr[-1]
+        if levels:
+            cand = ssr[:-1] + follow
+            at = cand.argmin(axis=1)
+            best[1 : levels + 1, i] = cand[np.arange(levels), at]
+            choice[1 : levels + 1, i] = i + h - 1 + at
+        np.copyto(bound[inner], ssr[:-1], where=np.isfinite(ssr[:-1]))
 
     partitions = []
     for m in range(max_m + 1):
-        breaks: list[int] = []
-        i = 0
+        path = [-1]  # each break is the choice at the row after the last one
         for r in range(m, 0, -1):
-            b = int(choice[r, i])
-            breaks.append(b)
-            i = b + 1
-        partitions.append(
-            Partition(m=m, break_indices=tuple(breaks), total_ssr=float(best[m, 0]),
-                      n=n, h=h)
-        )
+            path.append(int(choice[r, path[-1] + 1]))
+        partitions.append(Partition(m=m, break_indices=tuple(path[1:]),
+                                    total_ssr=float(best[m, 0]), n=n, h=h))
     return tuple(partitions)
 
 
 def optimal_partition(table: SsrTable, m: int) -> Partition:
-    """Globally SSR-minimal partition with exactly m breaks.
-
-    The sweep of :func:`optimal_partitions` stopped at m; ties go to
-    the lexicographically earliest break vector.
-    """
+    """Globally SSR-minimal partition with exactly m breaks: the sweep stopped at m."""
     return optimal_partitions(table, m)[m]
 
 
@@ -324,7 +317,7 @@ def select_break_count(
     n, most = table.n, table.n // table.h - 1
     if n != sample.n:
         raise BreakDetectionError(f"select_break_count: table of n={n}, sample of n={sample.n}")
-    k = design_matrix(sample).shape[1]
+    k = table.k
 
     y = excess_over_benchmark(sample)
     tss = float(np.sum((y - y.mean()) ** 2))

@@ -123,7 +123,7 @@ class FundRecord:
 def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
     """Run the full per-fund pipeline on one aligned sample."""
     # The full-sample fits reject a rank-deficient design before the
-    # O(n^2) table would grind through it window by window.
+    # break search would grind through it window by window.
     ff3_full = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
     agt_full = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
     table = build_ssr_table(sample, config.trim)

@@ -22,6 +22,7 @@ dates and planted break indices equal aligned-sample indices.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
 from typing import get_args, get_origin, get_type_hints
@@ -321,7 +322,8 @@ def _from_json(cls, value, path: str):
     ``cls`` is a spec dataclass, read from an object whose keys are its
     fields (a field without a default is required), or a tuple of them,
     read from a list. Field types give the JSON type of each key; a
-    date is an ISO string. Any mismatch raises :class:`SynthError`.
+    date is an ISO string, and a float must be finite. Any mismatch
+    raises :class:`SynthError`.
     """
     if get_origin(cls) is tuple:
         if not isinstance(value, list):
@@ -349,6 +351,8 @@ def _from_json(cls, value, path: str):
             kwargs[key] = _from_json(kind, v, f"{path}.{key}")
         elif isinstance(v, bool) or not isinstance(v, _JSON_TYPES[kind]):
             raise SynthError(f"{path}: key {key!r} must be {kind.__name__}, got {v!r}")
+        elif kind is float and not abs(v) <= sys.float_info.max:  # NaN, inf, 10**400
+            raise SynthError(f"{path}: key {key!r} must be a finite number, got {v!r}")
         else:
             kwargs[key] = kind(v)
     return cls(**kwargs)

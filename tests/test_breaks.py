@@ -6,17 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_ssr_table, exhaustive_best_partition, weekdays, window_ssr
+from oracles import (
+    dense_ssr_table,
+    exhaustive_best_partition,
+    packed_layout,
+    packed_ssr_table,
+    reachable_cells,
+    reference_partitions,
+    weekdays,
+    window_ssr,
+)
 
+from fundshift import breaks
 from fundshift.breaks import (
     BreakDetectionError,
+    SsrTable,
     build_ssr_table,
     default_h,
     filter_short_regimes,
     max_breaks_bound,
     optimal_partition,
     optimal_partitions,
-    packed_layout,
     select_break_count,
     ssr_table_from_arrays,
 )
@@ -110,7 +120,7 @@ def test_ssr_table_zero_noise_constant_beta_is_zero_everywhere():
     sample = make_sample(120, 1, [(120, 0.4)])
     table = build_ssr_table(sample, trim=0.08)
     assert table.h == 10
-    vals = table.values
+    vals = np.array([table.ssr(i, j) for i, j in zip(*np.nonzero(reachable_cells(120, 10)))])
     # Exact fit leaves only Gram-accumulation rounding, which scales with y'y.
     y = sample.r_fund - sample.r_bench
     assert vals.max() <= 1e-12 * float(y @ y)
@@ -153,27 +163,32 @@ def test_ssr_table_split_never_increases_ssr():
         assert table.ssr(i, cut) + table.ssr(cut + 1, j) <= table.ssr(i, j) + 1e-8
 
 
+def dense_oracle_instance(n: int, k: int):
+    """(y, X) with an intercept and k-1 small regressors, nearly an exact fit."""
+    rng = np.random.default_rng(n * 10 + k)
+    X = np.column_stack([np.ones(n), rng.normal(0, 0.01, (n, k - 1))])
+    return X @ rng.normal(size=k) + rng.normal(0, 0.001, n), X
+
+
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("n, h", [(10, 5), (11, 5), (90, 15), (121, 19)])
 def test_ssr_table_matches_dense_oracle_on_reachable_cells(k, n, h):
-    # Bitwise equal to the full row loop where a partition can reach,
-    # and nothing else is stored.
-    rng = np.random.default_rng(n * 10 + k)
-    X = np.column_stack([np.ones(n), rng.normal(0, 0.01, (n, k - 1))])
-    y = X @ rng.normal(size=k) + rng.normal(0, 0.001, n)
-    table = ssr_table_from_arrays(y, X, h)
+    # Bitwise equal to the full row loop where a partition can reach:
+    # the lazy table cell by cell, and the packed reference, which
+    # stores nothing else.
+    y, X = dense_oracle_instance(n, k)
     dense = dense_ssr_table(y, X, h)
-    reach = np.zeros((n, n), dtype=bool)
-    for i in [0, *range(h, n - h + 1)]:
-        reach[i, [*range(i + h - 1, n - h), n - 1]] = True
-    admissible = [[table.admissible(i, j) for j in range(n)] for i in range(n)]
+    reach = reachable_cells(n, h)
+    packed = packed_ssr_table(y, X, h)
+    admissible = [[packed.admissible(i, j) for j in range(n)] for i in range(n)]
     assert np.array_equal(np.array(admissible), reach)
-    got = np.array([table.ssr(i, j) for i, j in zip(*np.nonzero(reach))])
-    assert np.array_equal(got.view(np.uint64), dense[reach].view(np.uint64))
-    assert table.values.size == reach.sum()
-    for i, j in ((1, n - 1), (h, n - 2)):
-        with pytest.raises(BreakDetectionError, match="inadmissible"):
-            table.ssr(i, j)
+    assert packed.values.size == reach.sum()
+    for table in (ssr_table_from_arrays(y, X, h), packed):
+        got = np.array([table.ssr(i, j) for i, j in zip(*np.nonzero(reach))])
+        assert np.array_equal(got.view(np.uint64), dense[reach].view(np.uint64))
+        for i, j in ((1, n - 1), (h, n - 2)):
+            with pytest.raises(BreakDetectionError, match="inadmissible"):
+                table.ssr(i, j)
 
 
 def test_packed_layout_size_at_long_history():
@@ -185,20 +200,36 @@ def test_packed_layout_size_at_long_history():
     assert round(offsets[-1] * 8 / 1e6, 1) == 30.3
 
 
-def test_ssr_table_singular_windows_fall_back_to_pseudo_inverse():
-    # hml is zero on a leading block, so every window inside it has a
-    # singular Gram while the full design keeps rank 4.
-    n, h = 300, 45
+def test_ssr_table_holds_one_moment_row_per_observation():
+    # The lazy table at n=5000, k=4: 15 moments per row, 0.6 MB.
+    sample = make_sample(5000, 6, [(5000, 0.2)])
+    table = build_ssr_table(sample)
+    assert (table.n, table.h, table.k) == (5000, 750, 4)
+    assert table.values.shape == (5000, 15)
+    assert table.values.nbytes == 600_000
+
+
+def singular_window_instance():
+    """(y, X, h) whose hml column is zero on a leading block.
+
+    Every window inside the block has a singular Gram, while the full
+    design keeps rank 4.
+    """
+    n = 300
     rng = np.random.default_rng(21)
     X = np.column_stack([np.ones(n), rng.normal(0, 0.01, (n, 3))])
     X[:120, 3] = 0.0
     y = X @ np.array([1e-4, 0.9, 0.3, -0.2]) + rng.normal(0, 0.002, n)
+    return y, X, 45
+
+
+def test_ssr_table_singular_windows_fall_back_to_pseudo_inverse():
+    y, X, h = singular_window_instance()
     table = ssr_table_from_arrays(y, X, h)
-    assert table.admissible(0, h - 1)
-    for i in range(n):
-        for j in range(i, n):
-            if table.admissible(i, j):
-                assert table.ssr(i, j) == pytest.approx(window_ssr(y, X, i, j), rel=1e-10)
+    reach = reachable_cells(len(y), h)
+    assert reach[0, h - 1]
+    for i, j in zip(*np.nonzero(reach)):
+        assert table.ssr(i, j) == pytest.approx(window_ssr(y, X, i, j), rel=1e-10)
 
 
 def test_ssr_table_preconditions():
@@ -306,6 +337,110 @@ def test_partition_windows_tile_sample():
     for (a0, a1), (b0, b1) in zip(windows, windows[1:]):
         assert b0 == a1 + 1
     assert sum(end - start + 1 for start, end in windows) == 200
+
+
+def criterion_2_instances():
+    """The 50 (y, X, h) instances test_criterion_2_dp_global_optimality draws."""
+    rng = np.random.default_rng(2002)
+    instances = []
+    while len(instances) < 50:
+        h = int(rng.integers(5, 13))
+        n = int(rng.integers(2 * h, 121))
+        m = int(rng.integers(0, 4))
+        if (m + 1) * h > n:
+            continue
+        y = np.zeros(n) if len(instances) % 5 == 4 else rng.normal(size=n)
+        instances.append((y, np.ones((n, 1)), h))
+    return instances
+
+
+def exact_fit_instance(seed: int):
+    """Three planted regimes and no noise: SSR is rounding dust within them."""
+    sample = make_sample(600, seed, [(200, 0.8), (250, -0.8), (150, 0.0)])
+    return excess_over_benchmark(sample), design_matrix(sample), 90
+
+
+SEARCH_INSTANCES = {
+    "criterion_2": criterion_2_instances,
+    "dense_oracle": lambda: [
+        dense_oracle_instance(n, k) + (h,)
+        for k in (1, 4) for n, h in ((10, 5), (11, 5), (90, 15), (121, 19))
+    ],
+    "exact_fit": lambda: [exact_fit_instance(seed) for seed in range(10)],
+    "all_zero": lambda: [
+        (np.zeros(60), np.ones((60, 1)), 10),
+        (np.zeros(600), exact_fit_instance(0)[1], 90),
+    ],
+    "singular_window": lambda: [singular_window_instance()],
+    "mean_only": lambda: [
+        random_mean_instance(n, seed, h)[:2] + (h,)
+        for n, seed, h in ((120, 42, 15), (300, 9, 15), (200, 10, 20), (90, 13, 15))
+    ],
+}
+
+
+def solved_cells(monkeypatch) -> dict[tuple[int, int], float]:
+    """Record every window the search's row kernel solves, with its SSR."""
+    cells = {}
+    kernel = SsrTable.solve
+
+    def recording(table, sums, i, ends, pinv=False):
+        ssr = kernel(table, sums, i, ends, pinv)
+        cells.update(zip(((i, int(j)) for j in ends), ssr.tolist()))
+        return ssr
+
+    monkeypatch.setattr(SsrTable, "solve", recording)
+    return cells
+
+
+def search_differs_from_reference(y, X, h, cells) -> bool:
+    """Run the search and the unpruned reference DP to the most breaks that fit."""
+    cells.clear()
+    most = len(y) // h - 1
+    got = optimal_partitions(ssr_table_from_arrays(y, X, h), most)
+    packed = packed_ssr_table(y, X, h)
+    want = reference_partitions(packed, most)
+    assert all(value == packed.ssr(i, j) for (i, j), value in cells.items())
+    return [(p.break_indices, p.total_ssr.hex()) for p in got] != [
+        (p.break_indices, p.total_ssr.hex()) for p in want
+    ]
+
+
+@pytest.mark.parametrize("family", SEARCH_INSTANCES)
+def test_pruned_search_equals_the_full_table_bit_for_bit(monkeypatch, family):
+    # Every break vector and total for m = 0 .. n // h - 1, and every
+    # cell the search solved, carry the reference's bits.
+    cells = solved_cells(monkeypatch)
+    for case, (y, X, h) in enumerate(SEARCH_INSTANCES[family]()):
+        assert not search_differs_from_reference(y, X, h, cells), f"{family} {case}"
+        assert cells, f"{family} {case}"
+
+
+def test_pruning_without_slack_breaks_exactness(monkeypatch):
+    # On exact fits computed SSR can fall when a window gains an
+    # observation, so a bound can overshoot by rounding dust. With no
+    # slack the search then skips a winning window on some seeds,
+    # which shows the equality test above can fail.
+    cells = solved_cells(monkeypatch)
+    monkeypatch.setattr(breaks, "_PRUNE_SLACK_REL", 0.0)
+    differs = [search_differs_from_reference(*exact_fit_instance(seed), cells)
+               for seed in range(10)]
+    assert any(differs)
+
+
+def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
+    # Three planted breaks, n = 3000, h = 450: 1,367,929 reachable cells.
+    # The search solved 57,308 of them (4.2%) when this test was written;
+    # the bound is that share rounded up to 5%.
+    path = [(750, 0.8), (750, -0.8), (750, 0.8), (750, -0.8)]
+    sample = make_sample(3000, 12, path, noise=0.006)
+    table = build_ssr_table(sample)
+    cells = solved_cells(monkeypatch)
+    bs = select_break_count(sample, table)
+    reachable = int(packed_layout(3000, table.h)[1][-1])
+    assert (table.h, reachable) == (450, 1_367_929)
+    assert bs.chosen_m == 3
+    assert len(cells) <= 0.05 * reachable
 
 
 def test_select_break_count_single_regime_zero_noise():
@@ -457,9 +592,10 @@ def test_doubling_y_quadruples_every_ssr_exactly(case):
         y = np.zeros(600)
     elif case == "mean_only":
         y, X = np.random.default_rng(33).normal(size=600), np.ones((600, 1))
-    once = ssr_table_from_arrays(y, X, 90)
-    twice = ssr_table_from_arrays(2.0 * y, X, 90)
+    once = packed_ssr_table(y, X, 90)
+    twice = packed_ssr_table(2.0 * y, X, 90)
     assert np.array_equal(twice.values, 4.0 * once.values)
+    once, twice = ssr_table_from_arrays(y, X, 90), ssr_table_from_arrays(2.0 * y, X, 90)
     for a, b in zip(optimal_partitions(once, 5), optimal_partitions(twice, 5), strict=True):
         assert b.break_indices == a.break_indices
         assert b.total_ssr == 4.0 * a.total_ssr

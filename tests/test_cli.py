@@ -1,6 +1,7 @@
 """End-to-end command-line workflow: simulate, analyze, report."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -195,6 +196,23 @@ MALFORMED_SPECS = {
         lambda s: s.update(benchmarks=[5]), "spec.benchmarks[0]: expected an object, got 5"
     ),
     "funds_not_list": (lambda s: s.update(funds=5), "spec.funds: expected a list, got 5"),
+    # json.dumps writes NaN and Infinity, which json.loads reads back as floats.
+    "noise_sigma_nan": (
+        lambda s: _regime(s, 0).update(noise_sigma=float("nan")),
+        "spec.funds[0].regimes[0]: key 'noise_sigma' must be a finite number, got nan",
+    ),
+    "beta_smb_nan": (
+        lambda s: _regime(s, 1).update(beta_smb=float("nan")),
+        "spec.funds[0].regimes[1]: key 'beta_smb' must be a finite number, got nan",
+    ),
+    "rf_daily_infinity": (
+        lambda s: s.update(rf_daily=float("inf")),
+        "spec: key 'rf_daily' must be a finite number, got inf",
+    ),
+    "beta_mkt_integer_overflow": (
+        lambda s: s["benchmarks"][0].update(beta_mkt=10**400),
+        "spec.benchmarks[0]: key 'beta_mkt' must be a finite number, got 1000",
+    ),
 }
 
 
@@ -534,6 +552,25 @@ def test_analyze_is_deterministic_and_jobs_invariant(tmp_path):
     assert analyze(out, r4, "--jobs", "4") == EXIT_OK
     assert r1.read_bytes() == r2.read_bytes()
     assert r1.read_bytes() == r4.read_bytes()
+
+
+def test_analyze_fund_entry_is_the_same_alone_or_in_a_cohort(tmp_path):
+    # No state of one fund's analysis reaches the next: each fund's
+    # entry is byte-identical whether its file is analysed alone or
+    # after the other funds of the cohort.
+    out = simulate(tmp_path, three_fund_spec())
+    assert analyze(out, tmp_path / "cohort.json") == EXIT_OK
+    cohort = json.loads((tmp_path / "cohort.json").read_text(encoding="utf-8"))["funds"]
+    assert [fund["fund_id"] for fund in cohort] == ["F1", "F2", "F3"]
+    for fund in cohort:
+        alone = tmp_path / f"alone_{fund['fund_id']}"
+        shutil.copytree(out, alone)
+        for nav in (alone / "nav").iterdir():
+            if nav.stem != fund["fund_id"]:
+                nav.unlink()
+        assert analyze(alone, alone / "report.json") == EXIT_OK
+        (entry,) = json.loads((alone / "report.json").read_text(encoding="utf-8"))["funds"]
+        assert json.dumps(entry, sort_keys=True) == json.dumps(fund, sort_keys=True)
 
 
 def test_report_self_consistency(tmp_path):

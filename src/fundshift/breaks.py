@@ -48,8 +48,9 @@ _SSR_FLOOR_REL = 1e-12
 
 #: Margin, relative to a start row's y'y, by which a window's lower bound
 #: must exceed the row's best exact cost before the search skips it.
-#: Computed SSR is monotone only up to rounding: on exact fits ssr(i, j)
-#: can fall below ssr(i+1, j) by a few 1e-16 of y'y.
+#: Computed SSR is monotone only up to rounding: ssr(i, j) fell below
+#: ssr(i', j), i' > i, by up to 1.9e-15 of y'y on 600-day exact fits (tested
+#: to 1e-14) and 4.1e-15 at 5000 days (Gram condition number 6e4).
 _PRUNE_SLACK_REL = 1e-12
 
 
@@ -212,8 +213,9 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
     those of row i from below. Row i solves its first end, its last and
     each level's bound-argmin, which gives an exact cost per level, then
     every end whose bound comes within the slack of that cost; the rest
-    can neither win nor tie. Keeping the first minimum over ascending
-    ends makes each break vector the earliest among global minimizers.
+    can neither win nor tie. Breaks let the bounds prune most ends; a flat
+    fund without one solves a fifth to a third. The first minimum over
+    ascending ends makes each break vector the earliest global minimizer.
     """
     if max_m < 0:
         raise BreakDetectionError(f"break count m={max_m} negative")

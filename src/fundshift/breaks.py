@@ -21,7 +21,8 @@ observation, and a cumulative sum of the rows from i gives the Gram
 matrix and cross moments of every window (i, j) at once. The DP sweeps
 the start rows backwards and solves only the windows that can still win
 (:func:`optimal_partitions`); its partitions, totals and ties equal
-those of the full table bit for bit.
+those of the full table bit for bit. The row kernel,
+:meth:`SsrTable.solve`, solves a row with singular windows by pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -38,12 +39,16 @@ from .regress import design_matrix, excess_over_benchmark
 #: Default minimum-segment-length fraction of the sample.
 DEFAULT_TRIM = 0.15
 
-#: Relative floor applied to SSR inside the BIC log. Exact-fit segments
-#: drive SSR to rounding dust whose size varies with window length (the
-#: cumulative Gram sums can leave ~1e-14 of y'y on long windows), so the
-#: floor must sit above the dust or the selector would add cuts just to
-#: shrink rounding error. Anything below tss * 1e-12 is numerically zero
-#: for model comparison and ties resolve by the parameter penalty.
+#: Smallest trim: at 0.001, h = ceil(trim * n) is at most the k + 1 = 5 floor
+#: for any fund up to 5,000 days, so a smaller trim says nothing more.
+MIN_TRIM = 0.001
+
+#: Relative floor applied to SSR inside the BIC log. Only exact fits (in the
+#: tests, noise-free simulated funds) reach it: they drive SSR to rounding
+#: dust whose size varies with window length (~1e-14 of y'y on long windows),
+#: so the floor must sit above the dust or the selector would add cuts just
+#: to shrink rounding error. Below tss * 1e-12 SSR is numerically zero for
+#: model comparison, and ties resolve by the parameter penalty.
 _SSR_FLOOR_REL = 1e-12
 
 #: Margin, relative to a start row's y'y, by which a window's lower bound
@@ -58,21 +63,24 @@ class BreakDetectionError(ValueError):
     """Sample or parameters unusable for break detection."""
 
 
+def check_trim(trim: float) -> None:
+    """Reject a trim outside [MIN_TRIM, 0.5)."""
+    if not MIN_TRIM <= trim < 0.5:
+        raise BreakDetectionError(f"trim must lie in [{MIN_TRIM}, 0.5), got {trim!r}")
+
+
 def default_h(n: int, trim: float, k: int) -> int:
     """Minimum segment length: the trimming floor, but never below k+1."""
-    if not 0.0 < trim < 0.5:
-        raise BreakDetectionError(f"trim must lie in (0, 0.5), got {trim!r}")
+    check_trim(trim)
     return max(math.ceil(trim * n), k + 1)
 
 
 def max_breaks_bound(trim: float) -> int:
     """The most breaks any sample can hold: floor(1/trim) - 1."""
+    check_trim(trim)
     # Regimes hold >= trim * n observations; the ulps of slack cover
     # default_h's rounding of trim * n.
-    bound = 1.0 / trim * (1.0 + 4 * math.ulp(1.0))
-    if not math.isfinite(bound):
-        raise BreakDetectionError(f"trim {trim!r} is too small: 1/trim overflows")
-    return math.floor(bound) - 1
+    return math.floor(1.0 / trim * (1.0 + 4 * math.ulp(1.0))) - 1
 
 
 @functools.cache
@@ -113,38 +121,34 @@ class SsrTable:
         """Ends a partition can use after a segment from i: i+h-1 ... n-h-1, then n-1."""
         return np.append(np.arange(i + self.h - 1, self.n - self.h), self.n - 1)
 
-    def solve(self, sums: np.ndarray, i: int, ends: np.ndarray, pinv: bool = False) -> np.ndarray:
+    def solve(self, sums: np.ndarray, i: int, ends: np.ndarray) -> np.ndarray:
         """SSR of the windows (i, j), j in ``ends``, from ``sums`` = cumsum of values[i:].
 
-        Raises ``LinAlgError`` if a window is singular, unless ``pinv``:
-        a Gram system is consistent, so its pseudo-inverse solution still
-        gives the least SSR. A window's bits do not depend on the batch.
+        The batch leads with the row's first window, (i, ends(i)[0]), added
+        unless ``ends`` starts with it. Every window from i holds the first,
+        so none is singular unless the first is. A singular row raises and
+        is solved by pseudo-inverse, which still gives the least SSR of a
+        consistent Gram system. A window's bits thus depend on (i, j) alone.
         """
         k = self.k
-        cells = sums[ends - i]
+        first = i + self.h - 1 if i + self.h - 1 < self.n - self.h else self.n - 1
+        led = ends[0] == first  # as the search's first batch does; saves a copy
+        cells = sums[(ends if led else np.concatenate(([first], ends))) - i]
         grams = cells[:, _gram_index(k)]
         rhs = cells[:, -k - 1 : -1]
-        if pinv:
-            beta = (np.linalg.pinv(grams) @ rhs[:, :, None])[..., 0]
-        else:
+        try:
             beta = np.linalg.solve(grams, rhs[:, :, None])[..., 0]
-        return np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0)
+        except np.linalg.LinAlgError:
+            beta = (np.linalg.pinv(grams) @ rhs[:, :, None])[..., 0]
+        ssr = np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0)
+        return ssr if led else ssr[1:]
 
     def ssr(self, i: int, j: int) -> float:
-        """SSR of the fit on observations i..j inclusive, with the search's bits.
-
-        If a window from i is singular, so is the row's first: the search
-        then solves the whole row by pseudo-inverse, and so does this.
-        """
-        row = self.ends(i)
-        if not (i == 0 or self.h <= i <= self.n - self.h) or j not in row:
+        """SSR of the fit on observations i..j inclusive, with the search's bits."""
+        if not (i == 0 or self.h <= i <= self.n - self.h) or j not in self.ends(i):
             raise BreakDetectionError(f"SsrTable: window ({i}, {j}) inadmissible for h={self.h}")
         sums = np.cumsum(self.values[i : j + 1], axis=0)
-        ends = np.array([row[0], j])
-        try:
-            return float(self.solve(sums, i, ends)[-1])
-        except np.linalg.LinAlgError:
-            return float(self.solve(sums, i, ends, pinv=True)[-1])
+        return float(self.solve(sums, i, np.array([j]))[0])
 
 
 def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
@@ -234,19 +238,16 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
         follow = best[:levels, i + h : n - h + 1]  # best[r-1, j+1] per interior end j
         lower = bound[inner] + follow
         ssr = np.full(ends.size, np.inf)
-        try:
-            first = {0, ends.size - 1}
-            if lower.shape[1] > 1:
-                first.update((lower[:, 1:].argmin(axis=1) + 1).tolist())
-            first = sorted(first)
-            ssr[first] = table.solve(sums, i, ends[first])
-            if levels:
-                upper = np.min(ssr[:-1] + follow, axis=1) + _PRUNE_SLACK_REL * sums[-1, -1]
-                rest = np.flatnonzero((lower <= upper[:, None]).any(axis=0) & np.isinf(ssr[:-1]))
-                if rest.size:
-                    ssr[rest] = table.solve(sums, i, ends[rest])
-        except np.linalg.LinAlgError:
-            ssr = table.solve(sums, i, ends, pinv=True)
+        first = {0, ends.size - 1}
+        if lower.shape[1] > 1:
+            first.update((lower[:, 1:].argmin(axis=1) + 1).tolist())
+        first = sorted(first)
+        ssr[first] = table.solve(sums, i, ends[first])
+        if levels:
+            upper = np.min(ssr[:-1] + follow, axis=1) + _PRUNE_SLACK_REL * sums[-1, -1]
+            rest = np.flatnonzero((lower <= upper[:, None]).any(axis=0) & np.isinf(ssr[:-1]))
+            if rest.size:
+                ssr[rest] = table.solve(sums, i, ends[rest])
         best[0, i] = ssr[-1]
         if levels:
             cand = ssr[:-1] + follow

@@ -28,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
+from .breaks import MIN_TRIM
 from .marketdata import (
     MarketDataError,
     ReturnSeries,
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sig", type=float, default=AnalysisConfig.sig_level,
                       help="significance level")
     p_an.add_argument("--trim", type=float, default=AnalysisConfig.trim,
-                      help="minimum segment fraction")
+                      help=f"minimum segment fraction, in [{MIN_TRIM}, 0.5)")
     p_an.add_argument(
         "--max-breaks", type=int, default=None,
         help="maximum break count; default and upper bound floor(1/trim) - 1 "

@@ -75,8 +75,6 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.sig_level < 1.0:
             raise ConfigError(f"sig_level must lie in (0, 1), got {self.sig_level!r}")
-        if not 0.0 < self.trim < 0.5:
-            raise ConfigError(f"trim must lie in (0, 0.5), got {self.trim!r}")
         try:
             most = max_breaks_bound(self.trim)
         except BreakDetectionError as exc:
@@ -131,7 +129,7 @@ def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
     bs = filter_short_regimes(bs, config.min_regime_obs, table=table)
 
     styles = regime_styles(sample, bs, sig_level=config.sig_level, hac=config.hac)
-    shifts = grade_breaks(bs, styles)
+    shifts = grade_breaks(styles)
     bs = apply_style_flags(bs, shifts)
 
     metrics = annualized_metrics(

@@ -229,16 +229,11 @@ class BreakShift:
 
 
 def grade_breaks(
-    bs: BreakSet,
-    styles: tuple[RegimeStyle, ...],
-    tol: float = DEFAULT_SHIFT_TOL,
+    styles: tuple[RegimeStyle, ...], tol: float = DEFAULT_SHIFT_TOL
 ) -> tuple[BreakShift, ...]:
-    """Grade every break from the per-regime fits flanking it."""
-    if len(styles) != bs.chosen_m + 1:
-        raise StyleError("grade_breaks: one fit per regime required")
+    """Grade each break, the last observation of a regime, from the fits flanking it."""
     shifts = []
-    for pos, b in enumerate(bs.break_indices):
-        pre, post = styles[pos], styles[pos + 1]
+    for pre, post in zip(styles, styles[1:]):
         per_factor = {}
         for name in ("smb", "hml"):
             before = factor_state(pre.fit.loading(name))
@@ -249,7 +244,7 @@ def grade_breaks(
             )
         shifts.append(
             BreakShift(
-                break_index=b,
+                break_index=pre.window[1],
                 smb=per_factor["smb"],
                 hml=per_factor["hml"],
                 intensity=fund_shift_intensity(

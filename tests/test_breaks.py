@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,10 +99,13 @@ def test_config_max_breaks_bound():
 
 
 def test_max_breaks_bound_rejects_a_trim_whose_reciprocal_overflows():
-    with pytest.raises(BreakDetectionError, match="1/trim overflows"):
-        max_breaks_bound(1e-310)
-    with pytest.raises(ConfigError, match="1/trim overflows"):
-        AnalysisConfig(trim=1e-310)
+    # Both trims lie below the floor; 1/1e-310 would also overflow.
+    floor = re.escape("trim must lie in [0.001, 0.5)")
+    for trim in (1e-300, 1e-310):
+        with pytest.raises(BreakDetectionError, match=floor):
+            max_breaks_bound(trim)
+        with pytest.raises(ConfigError, match=floor):
+            AnalysisConfig(trim=trim)
 
 
 def test_max_breaks_bound_covers_every_sample_length():
@@ -224,12 +228,19 @@ def singular_window_instance():
 
 
 def test_ssr_table_singular_windows_fall_back_to_pseudo_inverse():
+    # ssr(i, j), the filter's single-window read, carries the bits of the
+    # full table's whole-row solve on every reachable cell: on rows whose
+    # windows are singular, and on an exact fit, whose SSR is rounding dust.
     y, X, h = singular_window_instance()
     table = ssr_table_from_arrays(y, X, h)
     reach = reachable_cells(len(y), h)
     assert reach[0, h - 1]
     for i, j in zip(*np.nonzero(reach)):
         assert table.ssr(i, j) == pytest.approx(window_ssr(y, X, i, j), rel=1e-10)
+    for y, X, h in ((y, X, h), exact_fit_instance(0)):
+        table, packed = ssr_table_from_arrays(y, X, h), packed_ssr_table(y, X, h)
+        for i, j in zip(*np.nonzero(reachable_cells(len(y), h))):
+            assert table.ssr(i, j).hex() == packed.ssr(i, j).hex(), (i, j)
 
 
 def test_ssr_table_preconditions():
@@ -384,8 +395,8 @@ def solved_cells(monkeypatch) -> dict[tuple[int, int], float]:
     cells = {}
     kernel = SsrTable.solve
 
-    def recording(table, sums, i, ends, pinv=False):
-        ssr = kernel(table, sums, i, ends, pinv)
+    def recording(table, sums, i, ends):
+        ssr = kernel(table, sums, i, ends)
         cells.update(zip(((i, int(j)) for j in ends), ssr.tolist()))
         return ssr
 
@@ -396,16 +407,12 @@ def solved_cells(monkeypatch) -> dict[tuple[int, int], float]:
 def row_kernel_ssr(table: SsrTable) -> np.ndarray:
     """(n, n) SSR of every reachable window, one search-kernel batch per start row.
 
-    NaN off the reachable cells. A singular row falls back to the
-    pseudo-inverse, as in the search.
+    NaN off the reachable cells.
     """
     ssr = np.full((table.n, table.n), np.nan)
     for i in [0, *range(table.h, table.n - table.h + 1)]:
-        sums, ends = np.cumsum(table.values[i:], axis=0), table.ends(i)
-        try:
-            ssr[i, ends] = table.solve(sums, i, ends)
-        except np.linalg.LinAlgError:
-            ssr[i, ends] = table.solve(sums, i, ends, pinv=True)
+        ends = table.ends(i)
+        ssr[i, ends] = table.solve(np.cumsum(table.values[i:], axis=0), i, ends)
     return ssr
 
 

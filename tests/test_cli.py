@@ -390,12 +390,13 @@ def test_analyze_max_breaks_above_bound_exits_2(tmp_path, capsys):
 
 
 def test_analyze_trim_with_overflowing_reciprocal_exits_2(tmp_path, capsys):
-    # 1e-310 lies in (0, 0.5), but 1/trim overflows to inf.
+    # Both trims lie below the 0.001 floor; 1/1e-310 would also overflow.
     out = simulate(tmp_path, rotation_spec())
     report_path = tmp_path / "r.json"
-    assert analyze(out, report_path, "--trim", "1e-310") == EXIT_CONFIG
-    assert "trim 1e-310 is too small: 1/trim overflows" in capsys.readouterr().err
-    assert not report_path.exists()
+    for trim in ("1e-300", "1e-310"):
+        assert analyze(out, report_path, "--trim", trim) == EXIT_CONFIG
+        assert f"trim must lie in [0.001, 0.5), got {trim}" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 def test_analyze_trim_alone_caps_max_breaks_at_bound(tmp_path):

@@ -6,6 +6,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from oracles import weekdays
+
 from fundshift.marketdata import (
     FactorPanel,
     MarketDataError,
@@ -20,16 +22,6 @@ from fundshift.marketdata import (
     write_factor_csv,
     write_nav_csv,
 )
-
-
-def weekdays(start: date, count: int) -> list[date]:
-    out = []
-    d = start
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
 
 
 def nav_csv(rows: list[tuple[str, float]]) -> str:
@@ -107,7 +99,7 @@ def test_parse_nav_full_sample_window_accepts_every_row():
 def test_compute_returns_hand_arithmetic():
     series = NavSeries(
         fund_id="F1",
-        dates=tuple(weekdays(date(2006, 1, 2), 2)),
+        dates=weekdays(2),
         navs=(100.0, 101.0),
     )
     rs = compute_returns(series)
@@ -118,7 +110,7 @@ def test_compute_returns_hand_arithmetic():
 def test_compute_returns_constant_series():
     series = NavSeries(
         fund_id="F1",
-        dates=tuple(weekdays(date(2006, 1, 2), 3)),
+        dates=weekdays(3),
         navs=(100.0, 100.0, 100.0),
     )
     assert compute_returns(series).returns == (0.0, 0.0)
@@ -127,7 +119,7 @@ def test_compute_returns_constant_series():
 def test_compute_returns_down_then_up():
     series = NavSeries(
         fund_id="F1",
-        dates=tuple(weekdays(date(2006, 1, 2), 3)),
+        dates=weekdays(3),
         navs=(100.0, 99.0, 108.9),
     )
     rs = compute_returns(series)
@@ -142,7 +134,7 @@ def test_nav_reconstruction_round_trip():
         navs.append(navs[-1] * (1.0 + rng.normal(0.0003, 0.01)))
     series = NavSeries(
         fund_id="F1",
-        dates=tuple(weekdays(date(2006, 1, 2), len(navs))),
+        dates=weekdays(len(navs)),
         navs=tuple(navs),
     )
     rs = compute_returns(series)
@@ -246,14 +238,14 @@ def _returns(series_id: str, dates: list[date], seed: int) -> ReturnSeries:
 
 
 def test_align_identical_calendars():
-    dates = weekdays(date(2006, 1, 2), 500)
+    dates = weekdays(500)
     sample = align(_returns("F1", dates, 1), _returns("B1", dates, 2), _panel(dates))
     assert sample.n == 500
     assert sample.dates == tuple(dates)
 
 
 def test_align_intersection_starts_at_latest_calendar():
-    long_dates = weekdays(date(2006, 1, 2), 400)
+    long_dates = weekdays(400)
     short_dates = long_dates[100:]
     sample = align(
         _returns("F1", long_dates, 1), _returns("B1", long_dates, 2), _panel(short_dates)
@@ -263,7 +255,7 @@ def test_align_intersection_starts_at_latest_calendar():
 
 
 def test_align_values_follow_their_dates():
-    dates = weekdays(date(2006, 1, 2), 100)
+    dates = weekdays(100)
     fund = _returns("F1", dates, 1)
     sample = align(fund, _returns("B1", dates, 2), _panel(dates), min_obs=60)
     lookup = dict(zip(fund.dates, fund.returns))
@@ -271,14 +263,14 @@ def test_align_values_follow_their_dates():
 
 
 def test_align_disjoint_calendars_error():
-    a = weekdays(date(2006, 1, 2), 100)
-    b = weekdays(date(2010, 1, 4), 100)
+    a = weekdays(100)
+    b = weekdays(100, date(2010, 1, 4))
     with pytest.raises(MarketDataError, match="common calendar"):
         align(_returns("F1", a, 1), _returns("B1", a, 2), _panel(b))
 
 
 def test_align_idempotent():
-    dates = weekdays(date(2006, 1, 2), 120)
+    dates = weekdays(120)
     sample = align(
         _returns("F1", dates, 1), _returns("B1", dates, 2), _panel(dates), min_obs=60
     )
@@ -303,13 +295,13 @@ def test_nav_csv_round_trip_exact():
     rng = np.random.default_rng(5)
     navs = tuple(100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 50))))
     series = NavSeries(
-        fund_id="F1", dates=tuple(weekdays(date(2006, 1, 2), 50)), navs=navs
+        fund_id="F1", dates=weekdays(50), navs=navs
     )
     assert parse_nav_csv(write_nav_csv(series), "F1") == series
 
 
 def test_factor_csv_round_trip_exact():
-    dates = weekdays(date(2006, 1, 2), 40)
+    dates = weekdays(40)
     panel = _panel(dates)
     with_mom = replace(panel, mom=tuple(np.random.default_rng(4).normal(0, 0.006, 40)))
     for p in (panel, with_mom):

@@ -354,7 +354,7 @@ def test_report_delta_is_post_minus_pre(annualization):
 def _graded(sample):
     bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
-    shifts = grade_breaks(bs, styles)
+    shifts = grade_breaks(styles)
     return bs, styles, shifts
 
 
@@ -386,7 +386,7 @@ def test_pre_post_null_comparison_with_tiled_factors():
     part = Partition(m=1, break_indices=(399,), total_ssr=0.0, n=800, h=120)
     bs = BreakSet(partition=part, criterion_values=())
     styles = regime_styles(sample, bs)
-    shifts = grade_breaks(bs, styles)
+    shifts = grade_breaks(styles)
     (pair,) = pre_post_compare(sample, styles)
     assert pair is not None
     pre, post = pair

@@ -6,11 +6,12 @@ the QR path under test.
 """
 
 import dataclasses
-from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from scipy import linalg, stats
+
+from oracles import weekdays
 
 from fundshift import pipeline
 from fundshift.marketdata import AlignedSample
@@ -26,16 +27,6 @@ from fundshift.regress import (
 
 #: Two-sided Student-t critical value, level 0.05, dof 200 (standard table).
 T_CRIT_200_5PCT = 1.972
-
-
-def weekdays(count: int) -> tuple[date, ...]:
-    out = []
-    d = date(2006, 1, 2)
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return tuple(out)
 
 
 def make_sample(

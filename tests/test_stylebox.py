@@ -300,7 +300,7 @@ def test_grade_breaks_planted_rotation():
     )
     bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
-    shifts = grade_breaks(bs, styles)
+    shifts = grade_breaks(styles)
     assert len(shifts) == 1
     s = shifts[0]
     assert s.break_index == bs.break_indices[0]
@@ -320,7 +320,7 @@ def test_grade_breaks_planted_drift():
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Blend", "Mid Blend"]
-    (shift,) = grade_breaks(bs, styles)
+    (shift,) = grade_breaks(styles)
     assert shift.smb.intensity is IntensityClass.DRIFT
     assert shift.hml.intensity is IntensityClass.UNCHANGED
     assert shift.intensity is IntensityClass.DRIFT
@@ -332,7 +332,7 @@ def test_grade_breaks_planted_strengthen_stays_on_diagonal():
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Growth", "Small Growth"]
-    (shift,) = grade_breaks(bs, styles)
+    (shift,) = grade_breaks(styles)
     assert shift.smb.intensity is IntensityClass.STRENGTHEN
     assert shift.intensity is IntensityClass.STRENGTHEN
     assert shift.style_from == shift.style_to
@@ -348,22 +348,12 @@ def test_alpha_only_break_grades_unchanged():
     bs = select_break_count(sample, build_ssr_table(sample))
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
-    (shift,) = grade_breaks(bs, styles)
+    (shift,) = grade_breaks(styles)
     assert shift.intensity is IntensityClass.UNCHANGED
     assert not shift.is_style_break
     assert shift.style_from == shift.style_to
     flagged = apply_style_flags(bs, (shift,))
     assert flagged.is_style_break == (False,)
-
-
-def test_grade_breaks_requires_one_fit_per_regime():
-    sample = make_styled_sample(
-        28, [(500, 0.0, 0.8, 0.5), (500, 0.0, -0.8, -0.5)]
-    )
-    bs = select_break_count(sample, build_ssr_table(sample))
-    styles = regime_styles(sample, bs)
-    with pytest.raises(StyleError, match="one fit per regime"):
-        grade_breaks(bs, styles[:1])
 
 
 def test_box_change_mirrors_shift_severity():

@@ -258,7 +258,7 @@ def test_pipeline_reproduces_planted_truth_exactly():
     )
     bs = select_break_count(sample, build_ssr_table(sample))
     styles = regime_styles(sample, bs)
-    shifts = grade_breaks(bs, styles)
+    shifts = grade_breaks(styles)
     assert bs.chosen_m == len(truth.break_indices)
     assert bs.break_indices == truth.break_indices
     assert tuple(s.box for s in styles) == truth.styles

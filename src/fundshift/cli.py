@@ -199,10 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             continue
         try:
             nav = parse_nav_csv(_read_text(path), fund_id)
-            sample = align(
-                compute_returns(nav), bench_returns[bench_id], factors,
-                min_obs=config.min_aligned_obs,
-            )
+            sample = align(compute_returns(nav), bench_returns[bench_id], factors)
             record = analyze_fund(sample, config)
         except (ValueError, OSError) as exc:
             log.warning("skipping %s: %s", fund_id, exc)

@@ -79,9 +79,6 @@ class NavSeries:
                     f"NavSeries {self.fund_id}: nav {v!r} on {d.isoformat()} is not positive"
                 )
 
-    def __len__(self) -> int:
-        return len(self.navs)
-
 
 @dataclass(frozen=True)
 class ReturnSeries:
@@ -304,23 +301,18 @@ def write_benchmark_map_csv(bmap: BenchmarkMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def align(
-    fund: ReturnSeries,
-    bench: ReturnSeries,
-    factors: FactorPanel,
-    min_obs: int = MIN_ALIGNED_OBS,
-) -> AlignedSample:
+def align(fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel) -> AlignedSample:
     """Restrict all series to the exact intersection of their calendars.
 
     No forward-filling: a date survives only if the fund, the benchmark
     and the factor panel all observed it. Raises when the intersection
-    is shorter than ``min_obs``.
+    is shorter than :data:`MIN_ALIGNED_OBS`.
     """
     common = set(fund.dates) & set(bench.dates) & set(factors.dates)
-    if len(common) < min_obs:
+    if len(common) < MIN_ALIGNED_OBS:
         raise MarketDataError(
             f"align {fund.series_id}: common calendar has {len(common)} observations, "
-            f"need at least {min_obs}"
+            f"need at least {MIN_ALIGNED_OBS}"
         )
     dates = tuple(sorted(common))
 

@@ -1,8 +1,8 @@
 """Annualized performance metrics and break-count attribution tables.
 
 All metrics are computed from the daily excess returns over cash of a
-whole sample (a fund, or one regime's subsample) and annualized with A
-periods a year (``annualization``, 252 trading days by default):
+whole sample (a fund, or one regime's subsample) and annualized with
+A = :data:`TRADING_DAYS_PER_YEAR` = 252 periods a year:
 
 * excess return p.a. (%) = mean * A * 100
 * stdev p.a. (%)         = stdev(ddof=1) * sqrt(A) * 100
@@ -73,7 +73,6 @@ def annualized_metrics(
     ff3_fit: RegressionResult,
     agt_fit: RegressionResult,
     n_breaks: int = 0,
-    annualization: int = TRADING_DAYS_PER_YEAR,
 ) -> FundMetrics:
     """Annualized metrics of the whole sample.
 
@@ -86,7 +85,7 @@ def annualized_metrics(
     mean = float(e.mean())
     sd = float(e.std(ddof=1))
 
-    a = float(annualization)
+    a = float(TRADING_DAYS_PER_YEAR)
     excess_pa = mean * a * 100.0
     stdev_pa = sd * math.sqrt(a) * 100.0
     sharpe_pa = mean / sd * math.sqrt(a) if sd > 0.0 else float("nan")
@@ -179,28 +178,25 @@ def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> dic
 def pre_post_compare(
     sample: AlignedSample,
     styles: tuple[RegimeStyle, ...],
-    min_window: int = MIN_ALIGNED_OBS,
-    annualization: int = TRADING_DAYS_PER_YEAR,
 ) -> tuple[tuple[FundMetrics, FundMetrics] | None, ...]:
     """Metrics of the regimes before and after each break.
 
     Returns one entry per break between the ``styles`` regimes: ``(pre,
     post)``, or None (caller records the omission) when either flanking
-    regime is shorter than ``min_window``: annualized ratios on a few
-    dozen points would be noise dressed as signal. Each regime used is
-    fitted and measured once; only the fit's alpha is read, which neither
-    the significance level nor HAC errors move.
+    regime is shorter than :data:`MIN_ALIGNED_OBS`: annualized ratios on
+    a few dozen points would be noise dressed as signal. Each regime used
+    is fitted and measured once; only the fit's alpha is read, which
+    neither the significance level nor HAC errors move.
     """
 
     @functools.cache
     def regime(pos: int) -> FundMetrics:
         part = subsample(sample, *styles[pos].window)
         return annualized_metrics(
-            part, styles[pos].fit, fit_benchmark_adjusted(part),
-            n_breaks=len(styles) - 1, annualization=annualization,
+            part, styles[pos].fit, fit_benchmark_adjusted(part), n_breaks=len(styles) - 1
         )
 
-    long_enough = [end - start + 1 >= min_window for start, end in (s.window for s in styles)]
+    long_enough = [end - start + 1 >= MIN_ALIGNED_OBS for start, end in (s.window for s in styles)]
     return tuple(
         (regime(pos), regime(pos + 1)) if long_enough[pos] and long_enough[pos + 1] else None
         for pos in range(len(styles) - 1)

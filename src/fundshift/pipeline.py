@@ -14,6 +14,8 @@ to JSON null.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import asdict, dataclass
 
@@ -61,16 +63,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Tunable parameters of one analysis run."""
+    """Settings of one analysis run, one per ``fundshift analyze`` flag."""
 
     sig_level: float = DEFAULT_SIG_LEVEL
     trim: float = DEFAULT_TRIM
     max_breaks: int | None = None  # None: the most any sample can hold
     min_regime_obs: int = 0
-    annualization: int = TRADING_DAYS_PER_YEAR
     hac: bool = False
     carhart: bool = False
-    min_aligned_obs: int = MIN_ALIGNED_OBS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sig_level < 1.0:
@@ -90,13 +90,14 @@ class AnalysisConfig:
             )
         if self.min_regime_obs < 0:
             raise ConfigError(f"min_regime_obs must be >= 0, got {self.min_regime_obs!r}")
-        if self.annualization < 1:
-            raise ConfigError(f"annualization must be >= 1, got {self.annualization!r}")
-        if self.min_aligned_obs < 2:
-            raise ConfigError(f"min_aligned_obs must be >= 2, got {self.min_aligned_obs!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The settings, plus the fixed constants the report echoes."""
+        return {
+            **asdict(self),
+            "annualization": TRADING_DAYS_PER_YEAR,
+            "min_aligned_obs": MIN_ALIGNED_OBS,
+        }
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,8 @@ def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
     shifts = grade_breaks(styles)
     bs = apply_style_flags(bs, shifts)
 
-    metrics = annualized_metrics(
-        sample, ff3_full, agt_full,
-        n_breaks=bs.chosen_m, annualization=config.annualization,
-    )
-    comparisons = pre_post_compare(
-        sample, styles, min_window=config.min_aligned_obs, annualization=config.annualization
-    )
+    metrics = annualized_metrics(sample, ff3_full, agt_full, n_breaks=bs.chosen_m)
+    comparisons = pre_post_compare(sample, styles)
 
     carhart_fit = None
     if config.carhart:
@@ -307,13 +303,17 @@ def build_report(
 
 
 def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    # Cells may hold fund ids, which are file-name stems and can contain
+    # the format's own separators.
     if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue()
     lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -26,11 +26,7 @@ from .marketdata import AlignedSample
 from .regress import DEFAULT_SIG_LEVEL, FactorLoading, RegressionResult, fit_ff3, subsample
 
 #: Loading-magnitude move below this is noise, not a strengthen/weaken.
-DEFAULT_SHIFT_TOL = 1e-6
-
-
-class StyleError(ValueError):
-    """Inputs unusable for style classification."""
+SHIFT_TOL = 1e-6
 
 
 class SizeClass(Enum):
@@ -73,13 +69,6 @@ STYLE_BOX_ORDER: tuple[StyleBox, ...] = tuple(
 )
 
 STYLE_BOX_LABELS: tuple[str, ...] = tuple(box.label for box in STYLE_BOX_ORDER)
-
-
-def style_box_from_label(label: str) -> StyleBox:
-    for box in STYLE_BOX_ORDER:
-        if box.label == label:
-            return box
-    raise StyleError(f"unknown style box label {label!r}")
 
 
 class IntensityClass(Enum):
@@ -150,9 +139,7 @@ def style_of(fit: RegressionResult) -> StyleBox:
     )
 
 
-def classify_factor_shift(
-    before: FactorState, after: FactorState, tol: float = DEFAULT_SHIFT_TOL
-) -> IntensityClass:
+def classify_factor_shift(before: FactorState, after: FactorState) -> IntensityClass:
     """Grade one loading's move across a break.
 
     Branch order matters: a significant sign flip outranks everything,
@@ -165,9 +152,9 @@ def classify_factor_shift(
     if before.significant != after.significant:
         return IntensityClass.DRIFT
     if before.sign == after.sign:
-        if abs(after.beta) > abs(before.beta) + tol:
+        if abs(after.beta) > abs(before.beta) + SHIFT_TOL:
             return IntensityClass.STRENGTHEN
-        if abs(after.beta) < abs(before.beta) - tol:
+        if abs(after.beta) < abs(before.beta) - SHIFT_TOL:
             return IntensityClass.WEAKEN
     return IntensityClass.UNCHANGED
 
@@ -228,9 +215,7 @@ class BreakShift:
         return self.intensity is not IntensityClass.UNCHANGED
 
 
-def grade_breaks(
-    styles: tuple[RegimeStyle, ...], tol: float = DEFAULT_SHIFT_TOL
-) -> tuple[BreakShift, ...]:
+def grade_breaks(styles: tuple[RegimeStyle, ...]) -> tuple[BreakShift, ...]:
     """Grade each break, the last observation of a regime, from the fits flanking it."""
     shifts = []
     for pre, post in zip(styles, styles[1:]):
@@ -240,7 +225,7 @@ def grade_breaks(
             after = factor_state(post.fit.loading(name))
             per_factor[name] = FactorShift(
                 factor=name, before=before, after=after,
-                intensity=classify_factor_shift(before, after, tol=tol),
+                intensity=classify_factor_shift(before, after),
             )
         shifts.append(
             BreakShift(

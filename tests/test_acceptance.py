@@ -28,6 +28,7 @@ from fundshift.regress import FactorLoading, RegressionResult, ols
 from fundshift.synth import gen_factors
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
+    STYLE_BOX_ORDER,
     FactorState,
     IntensityClass,
     StyleBox,
@@ -35,7 +36,6 @@ from fundshift.stylebox import (
     classify_factor_shift,
     classify_size,
     classify_value,
-    style_box_from_label,
 )
 
 
@@ -212,7 +212,7 @@ def test_criterion_6_fixture_arithmetic(tmp_path, capsys):
     assert lines[-1] == "total,160,473"
 
     rng = np.random.default_rng(6006)
-    boxes = [style_box_from_label(l) for l in STYLE_BOX_LABELS]
+    boxes = STYLE_BOX_ORDER
     for _ in range(20):
         chains = [
             [boxes[int(j)] for j in rng.integers(0, 9, size=int(rng.integers(1, 7)))]

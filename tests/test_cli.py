@@ -3,6 +3,7 @@
 import json
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.perf import GROUP_COLUMNS
+from fundshift.pipeline import AnalysisConfig
 from fundshift.stylebox import STYLE_BOX_LABELS
 
 
@@ -274,7 +276,17 @@ def test_analyze_recovers_planted_rotation(tmp_path):
     assert [r["style"] for r in fund["regimes"]] == truth["styles"]
     assert fund["shifts"][0]["is_style_break"] is True
     assert report["config"]["sig_level"] == 0.05
+    assert report["config"]["annualization"] == 252
+    assert report["config"]["min_aligned_obs"] == 60
     assert report["version"]
+
+
+def test_every_analysis_setting_is_an_analyze_flag():
+    # --sig, --trim, --max-breaks, --min-regime-obs, --hac and --carhart;
+    # anything else the analysis fixes is a module constant.
+    assert [f.name for f in fields(AnalysisConfig)] == [
+        "sig_level", "trim", "max_breaks", "min_regime_obs", "hac", "carhart",
+    ]
 
 
 def test_analyze_min_regime_obs_drops_short_regime_breaks(tmp_path):

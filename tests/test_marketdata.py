@@ -91,7 +91,7 @@ def test_parse_nav_full_sample_window_accepts_every_row():
         d += timedelta(days=1)
     text = nav_csv([(dd.isoformat(), 100.0 + i * 0.01) for i, dd in enumerate(dates)])
     series = parse_nav_csv(text, "F1")
-    assert len(series) == len(dates)
+    assert len(series.navs) == len(dates)
     assert series.dates[0] == date(2006, 1, 2)
     assert series.dates[-1] == date(2023, 6, 30)
 
@@ -257,7 +257,7 @@ def test_align_intersection_starts_at_latest_calendar():
 def test_align_values_follow_their_dates():
     dates = weekdays(100)
     fund = _returns("F1", dates, 1)
-    sample = align(fund, _returns("B1", dates, 2), _panel(dates), min_obs=60)
+    sample = align(fund, _returns("B1", dates, 2), _panel(dates))
     lookup = dict(zip(fund.dates, fund.returns))
     assert sample.r_fund[17] == lookup[sample.dates[17]]
 
@@ -271,9 +271,7 @@ def test_align_disjoint_calendars_error():
 
 def test_align_idempotent():
     dates = weekdays(120)
-    sample = align(
-        _returns("F1", dates, 1), _returns("B1", dates, 2), _panel(dates), min_obs=60
-    )
+    sample = align(_returns("F1", dates, 1), _returns("B1", dates, 2), _panel(dates))
     again = align(
         ReturnSeries("F1", sample.dates, tuple(sample.r_fund)),
         ReturnSeries("B1", sample.dates, tuple(sample.r_bench)),
@@ -284,7 +282,6 @@ def test_align_idempotent():
             hml=tuple(sample.hml),
             rf=tuple(sample.rf),
         ),
-        min_obs=60,
     )
     assert again.dates == sample.dates
     assert np.array_equal(again.r_fund, sample.r_fund)

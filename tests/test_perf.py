@@ -1,6 +1,9 @@
 """Annualized metrics, break-count grouping and decile composition."""
 
+import csv
+import io
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from oracles import annual_metrics_reference, weekdays
 
 from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
-from fundshift.marketdata import AlignedSample
+from fundshift.marketdata import MIN_ALIGNED_OBS, AlignedSample
 from fundshift.perf import (
     METRIC_FIELDS,
     WITH_BREAKS_GROUP,
@@ -37,13 +40,13 @@ from fundshift.regress import (
 )
 from fundshift.stylebox import (
     STYLE_BOX_LABELS,
+    STYLE_BOX_ORDER,
     BreakShift,
     FactorShift,
     FactorState,
     IntensityClass,
     grade_breaks,
     regime_styles,
-    style_box_from_label,
 )
 
 
@@ -128,8 +131,8 @@ def make_shift(intensity: IntensityClass, to_label: str) -> BreakShift:
         hml=FactorShift(factor="hml", before=before, after=before,
                         intensity=IntensityClass.UNCHANGED),
         intensity=intensity,
-        style_from=style_box_from_label("Small Value"),
-        style_to=style_box_from_label(to_label),
+        style_from=STYLE_BOX_ORDER[STYLE_BOX_LABELS.index("Small Value")],
+        style_to=STYLE_BOX_ORDER[STYLE_BOX_LABELS.index(to_label)],
     )
 
 
@@ -312,6 +315,29 @@ def test_render_group_csv_layout():
     assert md[-1] == f"| {WITH_BREAKS_GROUP} | 0 | 0 |  |  |  |  |  |"
 
 
+def test_render_deciles_keeps_odd_fund_ids_in_one_cell():
+    # Fund ids are NAV file stems, so they may hold either format's separator.
+    excess = {"F,1": 10.0, "G|x": -10.0, **{f"H{i}": float(i) for i in range(8)}}
+    records = [
+        SimpleNamespace(
+            fund_id=fund_id, metrics=make_metrics(fund_id, er, 0), styles=[], shifts=(),
+            break_set=SimpleNamespace(criterion_values=((0, 0.0),)),
+        )
+        for fund_id, er in excess.items()
+    ]
+    agg = build_aggregates(records)
+
+    rows = list(csv.reader(io.StringIO(render_table(agg, "deciles", "csv"))))
+    assert {len(row) for row in rows} == {3}
+    assert ["top_funds", "1", "F,1"] in rows
+    assert ["bottom_funds", "1", "G|x"] in rows
+
+    md = render_table(agg, "deciles", "md").splitlines()
+    cells = [re.split(r"(?<!\\)\|", line)[1:-1] for line in md]
+    assert {len(c) for c in cells} == {3}
+    assert [" bottom_funds ", " 1 ", r" G\|x "] in cells
+
+
 def test_aggregate_break_counts_stop_at_the_longest_fund_cap():
     # At trim 0.2 the bound is 4 breaks, but n=1001 with h=201 holds 3, so
     # its criterion scores m = 0..3; a second fund of n=1200, h=240 holds 4,
@@ -329,14 +355,13 @@ def test_aggregate_break_counts_stop_at_the_longest_fund_cap():
     assert [r["n_breaks"] for r in both["break_histogram"]["rows"]] == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("annualization", [252, 12])
-def test_report_delta_is_post_minus_pre(annualization):
-    # Each side is annualized at the configured factor, and the report's
-    # delta is post minus pre, bit for bit.
+def test_report_delta_is_post_minus_pre():
+    # Each side is annualized at 252 days a year, and the report's delta
+    # is post minus pre, bit for bit.
     sample = make_styled_sample(
         10, [(500, 0.0002, 0.5, -0.4), (500, 0.0004, 0.5, -0.4)]
     )
-    rec = analyze_fund(sample, AnalysisConfig(annualization=annualization))
+    rec = analyze_fund(sample, AnalysisConfig())
     (cmp,) = fund_record_dict(rec)["comparisons"]
     for name in METRIC_FIELDS:
         assert cmp["delta"][name] == cmp["post"][name] - cmp["pre"][name], name
@@ -344,7 +369,7 @@ def test_report_delta_is_post_minus_pre(annualization):
     for side, (start, end) in zip(("pre", "post"), rec.break_set.regime_windows):
         mean = float(e[start : end + 1].mean())
         assert cmp[side]["excess_return_pa"] == pytest.approx(
-            mean * annualization * 100.0, rel=1e-12
+            mean * 252 * 100.0, rel=1e-12
         )
 
 
@@ -403,14 +428,21 @@ def test_pre_post_short_flanking_regime_is_omitted():
 
 
 def test_pre_post_min_window_boundary():
+    # Both regimes must hold MIN_ALIGNED_OBS days: 60/60 is compared,
+    # 59/61 is not.
+    assert MIN_ALIGNED_OBS == 60
     sample = make_styled_sample(
         13, [(60, 0.0, 0.5, 0.0), (60, 0.0, 0.5, 0.0)], tile_factors=True
     )
-    part = Partition(m=1, break_indices=(59,), total_ssr=0.0, n=120, h=10)
-    bs = BreakSet(partition=part, criterion_values=())
-    styles = regime_styles(sample, bs)
-    assert pre_post_compare(sample, styles, min_window=60)[0] is not None
-    assert pre_post_compare(sample, styles, min_window=61) == (None,)
+
+    def compared(first: int) -> bool:
+        part = Partition(m=1, break_indices=(first - 1,), total_ssr=0.0, n=120, h=10)
+        styles = regime_styles(sample, BreakSet(partition=part, criterion_values=()))
+        (pair,) = pre_post_compare(sample, styles)
+        return pair is not None
+
+    assert compared(60)
+    assert not compared(59)
 
 
 @pytest.mark.parametrize("lengths, trim, fitted", [

@@ -14,13 +14,13 @@ from fundshift.perf import FundMetrics
 from fundshift.pipeline import build_aggregates, render_table
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
 from fundshift.stylebox import (
+    SHIFT_TOL,
     STYLE_BOX_LABELS,
     STYLE_BOX_ORDER,
     FactorState,
     IntensityClass,
     SizeClass,
     StyleBox,
-    StyleError,
     ValueClass,
     accumulate_transitions,
     apply_style_flags,
@@ -32,13 +32,16 @@ from fundshift.stylebox import (
     grade_breaks,
     regime_styles,
     severity,
-    style_box_from_label,
     style_of,
 )
 
 
 def state(beta: float, significant: bool) -> FactorState:
     return FactorState(beta=beta, significant=significant)
+
+
+def box_of(label: str) -> StyleBox:
+    return STYLE_BOX_ORDER[STYLE_BOX_LABELS.index(label)]
 
 
 def loading(name: str, coef: float, significant: bool) -> FactorLoading:
@@ -103,9 +106,6 @@ def test_canonical_box_order_and_labels():
     )
     for i, box in enumerate(STYLE_BOX_ORDER):
         assert box.index == i
-        assert style_box_from_label(box.label) == box
-    with pytest.raises(StyleError, match="unknown style box label"):
-        style_box_from_label("Huge Momentum")
 
 
 def test_classify_size_examples():
@@ -207,9 +207,13 @@ def test_unchanged_cases():
 
 
 def test_shift_tolerance_is_respected():
-    before, after_near, after_far = state(0.3, True), state(0.35, True), state(0.45, True)
-    assert classify_factor_shift(before, after_near, tol=0.1) is IntensityClass.UNCHANGED
-    assert classify_factor_shift(before, after_far, tol=0.1) is IntensityClass.STRENGTHEN
+    # Magnitude moves count only beyond SHIFT_TOL, in either direction.
+    before = state(0.3, True)
+    for step, grade in ((1, IntensityClass.STRENGTHEN), (-1, IntensityClass.WEAKEN)):
+        near = state(0.3 + step * 0.5 * SHIFT_TOL, True)
+        far = state(0.3 + step * 2.0 * SHIFT_TOL, True)
+        assert classify_factor_shift(before, near) is IntensityClass.UNCHANGED
+        assert classify_factor_shift(before, far) is grade
 
 
 def test_taxonomy_is_a_partition_over_the_state_grid():
@@ -399,8 +403,8 @@ def test_accumulate_no_funds():
 
 
 def test_accumulate_single_transition():
-    lv = style_box_from_label("Large Value")
-    lb = style_box_from_label("Large Blend")
+    lv = box_of("Large Value")
+    lb = box_of("Large Blend")
     m = accumulate_transitions([[lv, lb]])
     assert cell(m, lv, lb) == 1
     assert m["grand_total"] == 1
@@ -437,7 +441,7 @@ FUND_CHAINS = [
 def test_accumulate_matches_hand_tally():
     tally = Counter(HAND_PAIRS)
     assert sum(tally.values()) == 12
-    chains = [[style_box_from_label(l) for l in chain] for chain in FUND_CHAINS]
+    chains = [[box_of(l) for l in chain] for chain in FUND_CHAINS]
     m = accumulate_transitions(chains)
     for a in STYLE_BOX_ORDER:
         for b in STYLE_BOX_ORDER:
@@ -454,7 +458,7 @@ def render_transitions(chains: list[list[str]]) -> str:
     records = [
         SimpleNamespace(
             fund_id=f"F{i}",
-            styles=[SimpleNamespace(box=style_box_from_label(l)) for l in chain],
+            styles=[SimpleNamespace(box=box_of(l)) for l in chain],
             shifts=(),
             metrics=FundMetrics(f"F{i}", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, len(chain) - 1),
             break_set=SimpleNamespace(criterion_values=tuple((m, 0.0) for m in range(6))),

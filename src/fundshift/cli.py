@@ -228,14 +228,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     except MarketDataError as exc:
         return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
     try:
-        report = json.loads(text)
-        agg = report["aggregates"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        rendered = render_table(json.loads(text)["aggregates"], args.table, args.format)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        # ValueError covers malformed JSON; the rest, misshapen report data.
         return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
-    try:
-        rendered = render_table(agg, args.table, args.format)
-    except (KeyError, TypeError) as exc:
-        return _fail(f"report file missing required data: {exc}", EXIT_CONFIG)
     sys.stdout.write(rendered)
     return EXIT_OK
 

@@ -47,6 +47,12 @@ def _parse_float(text: str, context: str) -> float:
     return value
 
 
+def is_plain_id(text: str) -> bool:
+    """Whether ``text`` may be a fund or benchmark id, which names files, rows and cells."""
+    return (text.isprintable() and text == text.strip() and text not in ("", ".", "..")
+            and "/" not in text and "\\" not in text)
+
+
 def _check_dates_increasing(dates: tuple[date, ...], context: str) -> None:
     for a, b in zip(dates, dates[1:]):
         if b == a:
@@ -66,8 +72,8 @@ class NavSeries:
     navs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.fund_id:
-            raise MarketDataError("NavSeries: empty fund_id")
+        if not is_plain_id(self.fund_id):
+            raise MarketDataError(f"NavSeries: fund_id {self.fund_id!r} is not a plain file name")
         if len(self.dates) != len(self.navs):
             raise MarketDataError(f"NavSeries {self.fund_id}: dates/navs length mismatch")
         if len(self.navs) < 2:
@@ -135,9 +141,10 @@ class BenchmarkMap:
     entries: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for fund_id, bench_id in self.entries.items():
-            if not fund_id or not bench_id:
-                raise MarketDataError("BenchmarkMap: empty identifier")
+        for row in self.entries.items():
+            for value in row:
+                if not is_plain_id(value):
+                    raise MarketDataError(f"BenchmarkMap: id {value!r} is not a plain file name")
 
     def benchmark_for(self, fund_id: str) -> str | None:
         return self.entries.get(fund_id)
@@ -258,18 +265,12 @@ def parse_factor_csv(text: str) -> FactorPanel:
 
 
 def parse_benchmark_map_csv(text: str) -> BenchmarkMap:
-    """Parse the ``fund_id,benchmark_id`` map file."""
+    """Parse the ``fund_id,benchmark_id`` map file; its cells are ids as written."""
     _, rows = _read_rows(text, [["fund_id", "benchmark_id"]], "benchmark map")
     entries: dict[str, str] = {}
-    for row in rows:
-        fund_id, bench_id = row[0].strip(), row[1].strip()
+    for fund_id, bench_id in rows:
         if fund_id in entries:
             raise MarketDataError(f"benchmark map: duplicate fund_id {fund_id!r}")
-        # The id names the benchmark's NAV file inside the benchmark directory.
-        if bench_id in (".", "..") or "/" in bench_id or "\\" in bench_id:
-            raise MarketDataError(
-                f"benchmark map: benchmark_id {bench_id!r} is not a plain file name"
-            )
         entries[fund_id] = bench_id
     return BenchmarkMap(entries=entries)
 
@@ -295,10 +296,15 @@ def write_factor_csv(panel: FactorPanel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_csv(rows) -> str:
+    """CSV text of ``rows``, quoting the cells that need it, such as ids with commas."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def write_benchmark_map_csv(bmap: BenchmarkMap) -> str:
-    lines = ["fund_id,benchmark_id"]
-    lines += [f"{f},{b}" for f, b in sorted(bmap.entries.items())]
-    return "\n".join(lines) + "\n"
+    return write_csv([("fund_id", "benchmark_id"), *sorted(bmap.entries.items())])
 
 
 def align(fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel) -> AlignedSample:

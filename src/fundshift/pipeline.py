@@ -14,8 +14,6 @@ to JSON null.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import asdict, dataclass
 
@@ -28,7 +26,7 @@ from .breaks import (
     max_breaks_bound,
     select_break_count,
 )
-from .marketdata import MIN_ALIGNED_OBS, AlignedSample
+from .marketdata import MIN_ALIGNED_OBS, AlignedSample, write_csv
 from .perf import (
     GROUP_COLUMNS,
     METRIC_FIELDS,
@@ -306,9 +304,7 @@ def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
     # Cells may hold fund ids, which are file-name stems and can contain
     # the format's own separators.
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-        return buf.getvalue()
+        return write_csv([header, *rows])
     lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
@@ -384,8 +380,8 @@ REPORT_TABLES = tuple(sorted(_TABLE_RENDERERS))
 def render_table(aggregates: dict, table: str, fmt: str) -> str:
     """Render one aggregate table as ``csv`` or ``md`` (Markdown) text.
 
-    ``aggregates`` is the dict :func:`build_aggregates` returns, before
-    or after a JSON round trip; missing data raises KeyError or
-    TypeError. Empty cells stand for undefined values.
+    ``aggregates`` is the dict :func:`build_aggregates` returns, before or after a
+    JSON round trip; missing or misshapen data raises LookupError, TypeError or
+    AttributeError (exit 2 in ``fundshift report``). Empty cells are undefined values.
     """
     return _TABLE_RENDERERS[table](aggregates, fmt)

@@ -29,7 +29,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .marketdata import BenchmarkMap, FactorPanel, NavSeries
+from .marketdata import BenchmarkMap, FactorPanel, NavSeries, is_plain_id
 from .stylebox import (
     FactorState,
     IntensityClass,
@@ -100,8 +100,9 @@ class FundSpec:
     regimes: tuple[RegimeSpec, ...]
 
     def __post_init__(self) -> None:
-        if not self.fund_id or not self.benchmark_id:
-            raise SynthError("FundSpec: empty identifier")
+        for value in (self.fund_id, self.benchmark_id):
+            if not is_plain_id(value):
+                raise SynthError(f"FundSpec: id {value!r} is not a plain file name")
         if not self.regimes:
             raise SynthError(f"FundSpec {self.fund_id}: no regimes")
 
@@ -122,8 +123,8 @@ class BenchmarkSpec:
     beta_mom: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.benchmark_id:
-            raise SynthError("BenchmarkSpec: empty identifier")
+        if not is_plain_id(self.benchmark_id):
+            raise SynthError(f"BenchmarkSpec: id {self.benchmark_id!r} is not a plain file name")
 
 
 def _planted_state(beta: float) -> FactorState:

@@ -1,5 +1,7 @@
 """End-to-end command-line workflow: simulate, analyze, report."""
 
+import csv
+import hashlib
 import json
 import shutil
 import sys
@@ -257,6 +259,37 @@ def test_simulate_unwritable_out_dir(tmp_path, capsys):
     assert "cannot write outputs" in capsys.readouterr().err
 
 
+def test_simulate_output_tree_is_pinned(tmp_path):
+    # The bytes every analysis and benchmark set-up rests on: paths and
+    # contents of the whole tree, hashed in sorted path order.
+    out = simulate(tmp_path, three_fund_spec())
+    digest = hashlib.sha256()
+    for name, data in tree_bytes(out).items():
+        digest.update(name.encode() + b"\0" + data)
+    assert digest.hexdigest() == (
+        "83ff944aa1c5056485861fb4e11e17761aebdb2b00b9f33c0b7bbf921e8a4d31"
+    )
+
+
+#: Spec, map or NAV-file ids that the id rule refuses.
+BAD_IDS = ["", ".", "..", "a/b", "../x", "a\\b", " F1", "F1 ", "F\n1", "F\t1"]
+
+
+@pytest.mark.parametrize("key", ["fund_id", "benchmark_id"])
+@pytest.mark.parametrize("bad_id", BAD_IDS, ids=repr)
+def test_simulate_bad_id_exits_2_and_writes_nothing(tmp_path, capsys, bad_id, key):
+    spec = rotation_spec()
+    spec["funds"][0][key] = bad_id
+    if key == "benchmark_id":
+        spec["benchmarks"][0]["benchmark_id"] = bad_id
+    spec_path = write_spec(tmp_path, spec)
+    out = tmp_path / "deep" / "er" / "sim"
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid simulation spec" in err and "not a plain file name" in err
+    assert sorted(tmp_path.rglob("*")) == [spec_path]
+
+
 # --------------------------------------------------------------- analyze
 
 
@@ -474,6 +507,35 @@ def test_analyze_rejects_benchmark_id_outside_bench_dir(tmp_path, capsys):
     )
     assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
     assert "not a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_ids_with_separators_round_trip_from_simulate_to_analyze(tmp_path):
+    spec = three_fund_spec()
+    ids = ["F,1", "G|x", "Fund (G) & Co"]
+    for fund, fund_id in zip(spec["funds"], ids):
+        fund["fund_id"] = fund_id
+    out = simulate(tmp_path, spec)
+    assert (out / "benchmark_map.csv").read_text(encoding="utf-8") == (
+        'fund_id,benchmark_id\n"F,1",B1\nFund (G) & Co,B1\nG|x,B1\n'
+    )
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [f["fund_id"] for f in report["funds"]] == sorted(ids)
+    assert report["skipped"] == []
+
+
+@pytest.mark.parametrize("column", ["fund_id", "benchmark_id"])
+@pytest.mark.parametrize("bad_id", BAD_IDS, ids=repr)
+def test_analyze_map_with_bad_id_exits_2(tmp_path, capsys, bad_id, column):
+    out = simulate(tmp_path, rotation_spec())
+    row = (bad_id, "B1") if column == "fund_id" else ("F1", bad_id)
+    with (out / "benchmark_map.csv").open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("fund_id", "benchmark_id"), row])
+    assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad input file" in err and "not a plain file name" in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -719,6 +781,31 @@ def test_report_non_utf8_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid report file: fixture_report.json: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "table, text",
+    [
+        # Fewer count rows than labels.
+        ("transitions", json.dumps({"aggregates": {"transitions": {
+            "labels": ["A", "B"], "counts": [[0, 0]], "grand_total": 0}}})),
+        # A section that should map keys to counts given as a list.
+        ("deciles", json.dumps({"aggregates": {"deciles": {
+            "top_fund_ids": ["F1"], "bottom_fund_ids": ["F2"], "top_intensity": [],
+            "bottom_intensity": {}, "top_destinations": {}, "bottom_destinations": {}}}})),
+        # An integer literal longer than json.loads will convert.
+        ("breaks", '{"aggregates": ' + "1" * 5000 + "}"),
+    ],
+    ids=["transitions-short-counts", "deciles-list-section", "integer-too-long"],
+)
+def test_report_malformed_file_exits_2(tmp_path, capsys, table, text):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--in", str(path), "--table", table]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "invalid report file" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_report_unknown_table_is_usage_error(tmp_path):

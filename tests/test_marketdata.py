@@ -9,6 +9,7 @@ import pytest
 from oracles import weekdays
 
 from fundshift.marketdata import (
+    BenchmarkMap,
     FactorPanel,
     MarketDataError,
     NavSeries,
@@ -205,6 +206,18 @@ def test_parse_benchmark_map():
     assert bmap.benchmark_for("F3") is None
 
 
+#: Ids that are file names, map cells and report cells all at once.
+GOOD_IDS = ["F1", "F,1", "G|x", "Fund (G) & Co", 'Q"1', "Fund-ü", "a.b", "..."]
+#: Ids the rule refuses: not a plain file name, padded or unprintable.
+BAD_IDS = ["", ".", "..", "a/b", "../x", "a\\b", " F1", "F1 ", "F\n1", "F\t1", "F\r1"]
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_nav_series_rejects_bad_fund_id(bad):
+    with pytest.raises(MarketDataError, match="not a plain file name"):
+        parse_nav_csv(nav_csv([("2006-01-02", 100.0), ("2006-01-03", 101.0)]), bad)
+
+
 def test_parse_benchmark_map_duplicate_fund():
     with pytest.raises(MarketDataError, match="duplicate fund_id"):
         parse_benchmark_map_csv("fund_id,benchmark_id\nF1,B1\nF1,B2\n")
@@ -309,3 +322,11 @@ def test_factor_csv_round_trip_exact():
 def test_benchmark_map_round_trip():
     bmap = parse_benchmark_map_csv("fund_id,benchmark_id\nF2,B9\nF1,B1\n")
     assert parse_benchmark_map_csv(write_benchmark_map_csv(bmap)) == bmap
+
+
+def test_benchmark_map_quotes_ids_that_hold_commas_or_quotes():
+    bmap = BenchmarkMap({fund_id: "B,1" for fund_id in GOOD_IDS})
+    text = write_benchmark_map_csv(bmap)
+    lines = text.splitlines()
+    assert {'"F,1","B,1"', '"Q""1","B,1"', 'F1,"B,1"', 'G|x,"B,1"'} <= set(lines)
+    assert parse_benchmark_map_csv(text) == bmap

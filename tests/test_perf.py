@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import annual_metrics_reference, weekdays
+from oracles import annual_metrics_reference, make_styled_sample, weekdays
 
 from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
 from fundshift.marketdata import MIN_ALIGNED_OBS, AlignedSample
@@ -76,41 +76,6 @@ def sample_from_excess(e: np.ndarray, rf_daily: float = 0.0002) -> AlignedSample
     return AlignedSample(
         fund_id="F1", dates=weekdays(n), r_fund=rf + e, r_bench=zeros.copy(),
         mkt_rf=zeros.copy(), smb=zeros.copy(), hml=zeros.copy(), rf=rf,
-    )
-
-
-def make_styled_sample(
-    seed: int,
-    path: list[tuple[int, float, float, float]],
-    noise: float = 0.0,
-    tile_factors: bool = False,
-) -> AlignedSample:
-    """Fund whose active (alpha, smb, hml) tilt is a step function.
-
-    With tile_factors the second half repeats the first half's factor
-    draws exactly, so two identical regimes produce identical excess
-    streams.
-    """
-    n = sum(length for length, *_ in path)
-    rng = np.random.default_rng(seed)
-    mkt = rng.normal(0, 0.008, n)
-    smb = rng.normal(0, 0.004, n)
-    hml = rng.normal(0, 0.004, n)
-    if tile_factors:
-        assert n % 2 == 0
-        half = n // 2
-        for arr in (mkt, smb, hml):
-            arr[half:] = arr[:half]
-    rf = np.full(n, 0.0002)
-    r_bench = rf + 1.0 * mkt
-    alpha = np.concatenate([np.full(length, a) for length, a, _, _ in path])
-    b_smb = np.concatenate([np.full(length, b) for length, _, b, _ in path])
-    b_hml = np.concatenate([np.full(length, b) for length, _, _, b in path])
-    eps = rng.normal(0, noise, n) if noise > 0 else np.zeros(n)
-    r_fund = r_bench + alpha + b_smb * smb + b_hml * hml + eps
-    return AlignedSample(
-        fund_id="F1", dates=weekdays(n), r_fund=r_fund, r_bench=r_bench,
-        mkt_rf=mkt, smb=smb, hml=hml, rf=rf,
     )
 
 

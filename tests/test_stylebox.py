@@ -3,13 +3,11 @@
 from collections import Counter
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from oracles import weekdays
+from oracles import make_styled_sample
 
 from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
-from fundshift.marketdata import AlignedSample
 from fundshift.perf import FundMetrics
 from fundshift.pipeline import build_aggregates, render_table
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
@@ -62,34 +60,6 @@ def fit_with(smb: tuple[float, bool], hml: tuple[float, bool]) -> RegressionResu
     )
     return RegressionResult(
         model="ff3", loadings=loadings, ssr=1.0, nobs=500, dof=496, r_squared=0.9
-    )
-
-
-def make_styled_sample(
-    seed: int,
-    path: list[tuple[int, float, float, float]],
-    noise: float = 0.0,
-) -> AlignedSample:
-    """Fund whose active (alpha, smb, hml) tilt is a step function.
-
-    path lists (length, alpha, beta_smb, beta_hml) segments; the
-    benchmark carries the market loading.
-    """
-    n = sum(length for length, *_ in path)
-    rng = np.random.default_rng(seed)
-    mkt = rng.normal(0, 0.008, n)
-    smb = rng.normal(0, 0.004, n)
-    hml = rng.normal(0, 0.004, n)
-    rf = np.full(n, 0.0002)
-    r_bench = rf + 1.0 * mkt
-    alpha = np.concatenate([np.full(length, a) for length, a, _, _ in path])
-    b_smb = np.concatenate([np.full(length, b) for length, _, b, _ in path])
-    b_hml = np.concatenate([np.full(length, b) for length, _, _, b in path])
-    eps = rng.normal(0, noise, n) if noise > 0 else np.zeros(n)
-    r_fund = r_bench + alpha + b_smb * smb + b_hml * hml + eps
-    return AlignedSample(
-        fund_id="F1", dates=weekdays(n), r_fund=r_fund, r_bench=r_bench,
-        mkt_rf=mkt, smb=smb, hml=hml, rf=rf,
     )
 
 

@@ -9,8 +9,9 @@ pairs accumulate into the 9x9 transition matrix.
 """
 
 from fundshift.marketdata import align, compute_returns
-from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, render_table
+from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates
 from fundshift.synth import parse_sim_spec, run_simulation
+from fundshift.tables import render_table
 
 NOISE = 0.006
 

@@ -15,6 +15,11 @@ Exit codes are stable: 0 success, 2 usage or configuration error,
 ``FUNDSHIFT_LOG`` (DEBUG/INFO/WARNING/ERROR) controls verbosity. All
 output files are written atomically (temp file, then rename) and are
 byte-identical across reruns on identical inputs.
+
+At import the module loads only the standard library and the numpy-free
+``marketdata`` and ``tables``. ``analyze`` loads the analysis stack and
+``simulate`` the generator when they run, so ``report``, ``--help`` and
+``--version`` never import numpy or scipy.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .breaks import MIN_TRIM
 from .marketdata import (
     MarketDataError,
     ReturnSeries,
@@ -41,15 +46,10 @@ from .marketdata import (
     write_factor_csv,
     write_nav_csv,
 )
-from .pipeline import (
-    REPORT_TABLES,
-    AnalysisConfig,
-    ConfigError,
-    analyze_fund,
-    build_report,
-    render_table,
-)
-from .synth import SynthError, parse_sim_spec, run_simulation, truth_to_dict
+from .tables import REPORT_TABLES, render_table
+
+if TYPE_CHECKING:
+    from .pipeline import AnalysisConfig, ConfigError, analyze_fund, build_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,6 +57,25 @@ EXIT_IO = 3
 EXIT_EMPTY = 4
 
 log = logging.getLogger("fundshift")
+
+#: The pipeline names ``cmd_analyze`` calls. They are attributes of this
+#: module, loaded on first use, so a caller can wrap them before a run.
+_STACK = ("AnalysisConfig", "ConfigError", "analyze_fund", "build_report")
+
+
+def _load_stack() -> None:
+    """Import the analysis stack, keeping any of its names already set here."""
+    from . import pipeline
+
+    for name in _STACK:
+        globals().setdefault(name, getattr(pipeline, name))
+
+
+def __getattr__(name: str):
+    if name in _STACK:
+        _load_stack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _setup_logging() -> None:
@@ -100,6 +119,8 @@ def _dump_json(obj) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .synth import SynthError, parse_sim_spec, run_simulation, truth_to_dict
+
     spec_path = Path(args.spec)
     try:
         text = _read_text(spec_path)
@@ -109,9 +130,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(f"invalid simulation spec: {exc}", EXIT_CONFIG)
     try:
         spec = parse_sim_spec(json.loads(text))
-    except ValueError as exc:
-        # JSONDecodeError and SynthError, and the plain ValueError json.loads
-        # raises for an integer literal of more than 4300 digits.
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and SynthError, the plain ValueError json.loads
+        # raises for an integer literal of more than 4300 digits, and the
+        # RecursionError of arrays or objects nested too deep to read.
         return _fail(f"invalid simulation spec: {exc}", EXIT_CONFIG)
 
     try:
@@ -142,12 +164,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _load_stack()
+    # A flag left out keeps AnalysisConfig's default.
+    given = {"sig_level": args.sig, "trim": args.trim, "max_breaks": args.max_breaks,
+             "min_regime_obs": args.min_regime_obs}
     try:
         config = AnalysisConfig(
-            sig_level=args.sig,
-            trim=args.trim,
-            max_breaks=args.max_breaks,
-            min_regime_obs=args.min_regime_obs,
+            **{name: value for name, value in given.items() if value is not None},
             hac=args.hac,
             carhart=args.carhart,
         )
@@ -229,8 +252,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
     try:
         rendered = render_table(json.loads(text)["aggregates"], args.table, args.format)
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        # ValueError covers malformed JSON; the rest, misshapen report data.
+    except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
+        # ValueError and RecursionError cover malformed or too deeply nested
+        # JSON; the rest, misshapen report data.
         return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
     sys.stdout.write(rendered)
     return EXIT_OK
@@ -259,17 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--bench-map", required=True, help="fund-to-benchmark map CSV")
     p_an.add_argument("--bench-nav", required=True, help="directory of benchmark NAV CSVs")
     p_an.add_argument("--out", required=True, help="output report JSON file")
-    p_an.add_argument("--sig", type=float, default=AnalysisConfig.sig_level,
-                      help="significance level")
-    p_an.add_argument("--trim", type=float, default=AnalysisConfig.trim,
-                      help=f"minimum segment fraction, in [{MIN_TRIM}, 0.5)")
+    # Defaults are AnalysisConfig's, applied in cmd_analyze: reading them
+    # here would load the analysis stack for every command.
+    p_an.add_argument("--sig", type=float, help="significance level")
+    p_an.add_argument("--trim", type=float,
+                      help="minimum segment fraction, in [0.001, 0.5)")
     p_an.add_argument(
-        "--max-breaks", type=int, default=None,
+        "--max-breaks", type=int,
         help="maximum break count; default and upper bound floor(1/trim) - 1 "
         "(5 at the default trim)",
     )
     p_an.add_argument(
-        "--min-regime-obs", type=int, default=AnalysisConfig.min_regime_obs,
+        "--min-regime-obs", type=int,
         help="drop breaks flanked by regimes shorter than this (500 is about 24 months)",
     )
     p_an.add_argument("--hac", action="store_true", help="Newey-West standard errors")

@@ -18,8 +18,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import tables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Alignments shorter than this are rejected: per-regime OLS with four
 #: regressors on fewer points is statistically meaningless.
@@ -296,15 +300,8 @@ def write_factor_csv(panel: FactorPanel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows) -> str:
-    """CSV text of ``rows``, quoting the cells that need it, such as ids with commas."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def write_benchmark_map_csv(bmap: BenchmarkMap) -> str:
-    return write_csv([("fund_id", "benchmark_id"), *sorted(bmap.entries.items())])
+    return tables.write_csv([("fund_id", "benchmark_id"), *sorted(bmap.entries.items())])
 
 
 def align(fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel) -> AlignedSample:
@@ -321,6 +318,8 @@ def align(fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel) -> Alig
             f"need at least {MIN_ALIGNED_OBS}"
         )
     dates = tuple(sorted(common))
+    # Imported here, so that reading and writing files loads no numpy.
+    import numpy as np
 
     def _take(src_dates: tuple[date, ...], values) -> np.ndarray:
         lookup = {d: v for d, v in zip(src_dates, values)}

@@ -25,6 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import tables
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
 from .regress import RegressionResult, excess_over_cash, fit_benchmark_adjusted, subsample
 from .stylebox import STYLE_BOX_LABELS, BreakShift, IntensityClass, RegimeStyle
@@ -106,19 +107,6 @@ def annualized_metrics(
 #: Label of the funds-with-at-least-one-break aggregate row.
 WITH_BREAKS_GROUP = "all_with_breaks"
 
-#: Columns of the performance-by-breaks table, in order: the bucket, its
-#: fund and break counts, then the equal-weighted mean of each metric.
-GROUP_COLUMNS = (
-    "group",
-    "funds",
-    "breaks",
-    "excess_return_pa",
-    "stdev_pa",
-    "sharpe_pa",
-    "ff3_alpha_pa",
-    "agt_alpha_pa",
-)
-
 
 def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
@@ -130,7 +118,7 @@ def _group_row(group: str, members: list[FundMetrics]) -> dict:
         "funds": len(members),
         "breaks": sum(m.n_breaks for m in members),
     }
-    for name in GROUP_COLUMNS[3:]:
+    for name in tables.GROUP_COLUMNS[3:]:
         row[name] = _mean_or_nan([getattr(m, name) for m in members])
     return row
 
@@ -138,7 +126,7 @@ def _group_row(group: str, members: list[FundMetrics]) -> dict:
 def group_by_break_count(metrics: list[FundMetrics], max_m: int | None = None) -> dict:
     """Bucket funds by break count and average each bucket.
 
-    Returns ``{"rows": [...]}``, one row keyed by :data:`GROUP_COLUMNS`
+    Returns ``{"rows": [...]}``, one row keyed by :data:`tables.GROUP_COLUMNS`
     per bucket m = 0..max_m (default: largest observed count), empty or
     not, then the row over all funds with at least one break. Empty
     input yields no rows.

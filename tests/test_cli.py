@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
-from fundshift.perf import GROUP_COLUMNS
+from fundshift.breaks import MIN_TRIM
 from fundshift.pipeline import AnalysisConfig
 from fundshift.stylebox import STYLE_BOX_LABELS
+from fundshift.tables import GROUP_COLUMNS
 
 
 def rotation_spec(seed: int = 9) -> dict:
@@ -249,6 +250,17 @@ def test_simulate_integer_too_long_to_read_exits_2(tmp_path, capsys):
     assert "invalid simulation spec:" in err and "Traceback" not in err
 
 
+def test_simulate_too_deeply_nested_spec_exits_2(tmp_path, capsys):
+    # json.loads raises RecursionError on arrays nested past the recursion limit.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text("[" * 200_000, encoding="utf-8")
+    code = main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid simulation spec:" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_unwritable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory", encoding="utf-8")
@@ -320,6 +332,15 @@ def test_every_analysis_setting_is_an_analyze_flag():
     assert [f.name for f in fields(AnalysisConfig)] == [
         "sig_level", "trim", "max_breaks", "min_regime_obs", "hac", "carhart",
     ]
+
+
+def test_analyze_help_states_the_trim_range_of_the_break_search(capsys, monkeypatch):
+    # cli.py spells the bound out, so that building the parser loads no numpy.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert f"minimum segment fraction, in [{MIN_TRIM}, 0.5)" in capsys.readouterr().out
 
 
 def test_analyze_min_regime_obs_drops_short_regime_breaks(tmp_path):
@@ -795,8 +816,11 @@ def test_report_non_utf8_file_exits_2(tmp_path, capsys):
             "bottom_intensity": {}, "top_destinations": {}, "bottom_destinations": {}}}})),
         # An integer literal longer than json.loads will convert.
         ("breaks", '{"aggregates": ' + "1" * 5000 + "}"),
+        # Arrays nested past the recursion limit.
+        ("breaks", "[" * 200_000),
     ],
-    ids=["transitions-short-counts", "deciles-list-section", "integer-too-long"],
+    ids=["transitions-short-counts", "deciles-list-section", "integer-too-long",
+         "nested-too-deep"],
 )
 def test_report_malformed_file_exits_2(tmp_path, capsys, table, text):
     path = tmp_path / "report.json"
@@ -805,6 +829,30 @@ def test_report_malformed_file_exits_2(tmp_path, capsys, table, text):
     captured = capsys.readouterr()
     assert "invalid report file" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize(
+    "table, aggregates",
+    [
+        ("deciles", {"deciles": {
+            "top_fund_ids": [1], "bottom_fund_ids": ["F2"], "top_intensity": {},
+            "bottom_intensity": {}, "top_destinations": {}, "bottom_destinations": {}}}),
+        ("transitions", {"transitions": {"labels": [1], "counts": [[0]], "grand_total": 0}}),
+    ],
+    ids=["deciles-int-fund-id", "transitions-int-label"],
+)
+def test_report_non_string_cell_exits_2_in_either_format(tmp_path, capsys, fmt, table,
+                                                          aggregates):
+    # A report fundshift writes holds ids and labels as strings; both
+    # formats reject the same hand-edited file.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregates": aggregates}), encoding="utf-8")
+    code = main(["report", "--in", str(path), "--table", table, "--format", fmt])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "invalid report file: table cell 1 is not a string" in captured.err
     assert captured.out == ""
 
 

@@ -24,13 +24,7 @@ from fundshift.perf import (
     group_by_break_count,
     pre_post_compare,
 )
-from fundshift.pipeline import (
-    AnalysisConfig,
-    analyze_fund,
-    build_aggregates,
-    fund_record_dict,
-    render_table,
-)
+from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, fund_record_dict
 from fundshift import perf
 from fundshift.regress import (
     FactorLoading,
@@ -48,6 +42,7 @@ from fundshift.stylebox import (
     grade_breaks,
     regime_styles,
 )
+from fundshift.tables import render_table
 
 
 def loading(name: str, coef: float) -> FactorLoading:

@@ -9,7 +9,7 @@ from oracles import make_styled_sample
 
 from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
 from fundshift.perf import FundMetrics
-from fundshift.pipeline import build_aggregates, render_table
+from fundshift.pipeline import build_aggregates
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
 from fundshift.stylebox import (
     SHIFT_TOL,
@@ -32,6 +32,7 @@ from fundshift.stylebox import (
     severity,
     style_of,
 )
+from fundshift.tables import render_table
 
 
 def state(beta: float, significant: bool) -> FactorState:

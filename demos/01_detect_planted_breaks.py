@@ -44,7 +44,8 @@ table = build_ssr_table(sample, trim=0.15)
 print(f"\naligned sample: n={sample.n}, minimum regime length h={table.h}, "
       f"SSR table of {table.values.nbytes / 1e3:.0f} kB moments")
 
-bs = select_break_count(sample, table)
+# The search takes a group of equal-length funds; this one is a group of one.
+(bs,) = select_break_count([sample], [table])
 print("\nBIC by break count (chosen m minimizes):")
 for m, bic in bs.criterion_values:
     marker = "  <- chosen" if m == bs.chosen_m else ""

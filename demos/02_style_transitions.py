@@ -9,7 +9,7 @@ pairs accumulate into the 9x9 transition matrix.
 """
 
 from fundshift.marketdata import align, compute_returns
-from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates
+from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, search_breaks
 from fundshift.synth import parse_sim_spec, run_simulation
 from fundshift.tables import render_table
 
@@ -47,12 +47,16 @@ sim = run_simulation(spec)
 config = AnalysisConfig()
 bench_returns = compute_returns(sim.benchmarks[0])
 
+# Equal-length funds share one break search; each then runs on alone.
+samples = [align(compute_returns(nav), bench_returns, sim.factors) for nav in sim.funds]
+searched, skipped = search_breaks(samples, config)
+truths = {truth.fund_id: truth for truth in sim.truths}
+
 records = []
-for nav, truth in zip(sim.funds, sim.truths):
-    sample = align(compute_returns(nav), bench_returns, sim.factors)
-    records.append(analyze_fund(sample, config))
-    rec = records[-1]
-    planted = " -> ".join(b.label for b in truth.styles)
+for fund in searched:
+    rec = analyze_fund(fund, config)
+    records.append(rec)
+    planted = " -> ".join(b.label for b in truths[rec.fund_id].styles)
     print(f"{rec.fund_id}: planted [{planted}]")
     for style in rec.styles:
         smb = next(l for l in style.fit.loadings if l.name == "smb")

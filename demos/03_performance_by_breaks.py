@@ -9,7 +9,7 @@ populated by the funds whose style rotated.
 """
 
 from fundshift.marketdata import align, compute_returns
-from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates
+from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, search_breaks
 from fundshift.synth import parse_sim_spec, run_simulation
 from fundshift.tables import render_table
 
@@ -58,10 +58,10 @@ sim = run_simulation(spec)
 config = AnalysisConfig()
 bench_returns = compute_returns(sim.benchmarks[0])
 
-records = []
-for nav in sim.funds:
-    sample = align(compute_returns(nav), bench_returns, sim.factors)
-    records.append(analyze_fund(sample, config))
+# Equal-length funds share one break search; each then runs on alone.
+samples = [align(compute_returns(nav), bench_returns, sim.factors) for nav in sim.funds]
+searched, skipped = search_breaks(samples, config)
+records = [analyze_fund(fund, config) for fund in searched]
 
 aggregates = build_aggregates(records)
 print("break histogram (totals cover funds with >= 1 break):")

@@ -21,14 +21,20 @@ observation, and a cumulative sum of the rows from i gives the Gram
 matrix and cross moments of every window (i, j) at once. The DP sweeps
 the start rows backwards and solves only the windows that can still win
 (:func:`optimal_partitions`); its partitions, totals and ties equal
-those of the full table bit for bit. The row kernel,
-:meth:`SsrTable.solve`, solves a row with singular windows by pseudo-inverse.
+those of the full table bit for bit. It sweeps a group of tables of
+equal n, h and k in lockstep, so equal-length funds share each row's
+numpy calls, and every fund keeps the bits of a sweep alone. The
+kernel, :func:`solve_windows`, solves one batch for the whole group and
+falls back to each fund's own batch, by pseudo-inverse where a fund's
+windows are singular. :meth:`SsrTable.ssr`, which the filter reads,
+solves through it too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +63,11 @@ _SSR_FLOOR_REL = 1e-12
 #: ssr(i', j), i' > i, by up to 1.9e-15 of y'y on 600-day exact fits (tested
 #: to 1e-14) and 4.1e-15 at 5000 days (Gram condition number 6e4).
 _PRUNE_SLACK_REL = 1e-12
+
+#: Most windows one batched solve of a group holds; a larger batch, which
+#: the first rows a flat fund sweeps can ask for, is solved fund by fund.
+#: Each window costs about 300 bytes while its batch is solved.
+_BATCH_WINDOWS = 1024
 
 
 class BreakDetectionError(ValueError):
@@ -121,34 +132,56 @@ class SsrTable:
         """Ends a partition can use after a segment from i: i+h-1 ... n-h-1, then n-1."""
         return np.append(np.arange(i + self.h - 1, self.n - self.h), self.n - 1)
 
-    def solve(self, sums: np.ndarray, i: int, ends: np.ndarray) -> np.ndarray:
-        """SSR of the windows (i, j), j in ``ends``, from ``sums`` = cumsum of values[i:].
-
-        The batch leads with the row's first window, (i, ends(i)[0]), added
-        unless ``ends`` starts with it. Every window from i holds the first,
-        so none is singular unless the first is. A singular row raises and
-        is solved by pseudo-inverse, which still gives the least SSR of a
-        consistent Gram system. A window's bits thus depend on (i, j) alone.
-        """
-        k = self.k
-        first = i + self.h - 1 if i + self.h - 1 < self.n - self.h else self.n - 1
-        led = ends[0] == first  # as the search's first batch does; saves a copy
-        cells = sums[(ends if led else np.concatenate(([first], ends))) - i]
-        grams = cells[:, _gram_index(k)]
-        rhs = cells[:, -k - 1 : -1]
-        try:
-            beta = np.linalg.solve(grams, rhs[:, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            beta = (np.linalg.pinv(grams) @ rhs[:, :, None])[..., 0]
-        ssr = np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0)
-        return ssr if led else ssr[1:]
-
     def ssr(self, i: int, j: int) -> float:
         """SSR of the fit on observations i..j inclusive, with the search's bits."""
         if not (i == 0 or self.h <= i <= self.n - self.h) or j not in self.ends(i):
             raise BreakDetectionError(f"SsrTable: window ({i}, {j}) inadmissible for h={self.h}")
-        sums = np.cumsum(self.values[i : j + 1], axis=0)
-        return float(self.solve(sums, i, np.array([j]))[0])
+        sums = np.cumsum(self.values[i : j + 1], axis=0)[None]
+        ends = np.unique([self.ends(i)[0], j])  # led by the row's first window
+        return float(solve_windows(sums, i, np.zeros(ends.size, dtype=np.intp), ends)[-1])
+
+
+def _ssr(cells: np.ndarray, solve) -> np.ndarray:
+    """SSR of each window from its moment sums, its normal equations solved by ``solve``."""
+    k = (math.isqrt(8 * cells.shape[-1] + 1) - 3) // 2
+    rhs = cells[:, -k - 1 : -1]
+    beta = solve(cells[:, _gram_index(k)], rhs[:, :, None])[..., 0]
+    return np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0)
+
+
+def _pinv_solve(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return np.linalg.pinv(grams) @ rhs
+
+
+def solve_windows(sums: np.ndarray, i: int, fund: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """SSR of the windows (i, ends[b]) of fund fund[b], one batch for all funds.
+
+    ``sums[f]`` is the cumulative sum of fund f's moment rows from row i.
+    Each fund's windows are contiguous, ascending and led by its first
+    window at i, (i, i+h-1) or (i, n-1). Every later window holds the
+    first, so none is singular unless the first is. LAPACK factors each
+    matrix of a batch on its own, so the batch's make-up cannot move a
+    window's bits. If any matrix is singular, or the batch holds more than
+    ``_BATCH_WINDOWS`` windows, each fund's windows are solved on their
+    own, and a fund whose batch is singular gets the pseudo-inverse,
+    which still gives the least SSR of a consistent Gram system. A
+    window's bits thus depend on (i, j) alone.
+    """
+    at = ends - i
+    if at.size <= _BATCH_WINDOWS:
+        try:
+            return _ssr(sums[fund, at], np.linalg.solve)
+        except np.linalg.LinAlgError:
+            pass
+    ssr = np.empty(at.size)
+    cuts = [0, *(np.flatnonzero(np.diff(fund)) + 1).tolist(), at.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        cells = sums[fund[lo], at[lo:hi]]
+        try:
+            ssr[lo:hi] = _ssr(cells, np.linalg.solve)
+        except np.linalg.LinAlgError:
+            ssr[lo:hi] = _ssr(cells, _pinv_solve)
+    return ssr
 
 
 def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
@@ -207,8 +240,10 @@ class Partition:
         return tuple((a + 1, b) for a, b in zip(bounds, bounds[1:]))
 
 
-def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
-    """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks.
+def optimal_partitions(
+    tables: Sequence[SsrTable], max_m: int
+) -> tuple[tuple[Partition, ...], ...]:
+    """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks, per table.
 
     Suffix DP: best[r][i] is the least total SSR of i..n-1 in r+1
     segments of length >= h, filled by one descending sweep over the
@@ -220,55 +255,82 @@ def optimal_partitions(table: SsrTable, max_m: int) -> tuple[Partition, ...]:
     can neither win nor tie. Breaks let the bounds prune most ends; a flat
     fund without one solves a fifth to a third. The first minimum over
     ascending ends makes each break vector the earliest global minimizer.
+
+    The tables share n, h and k, and the sweep advances them in lockstep:
+    each row fills one buffer of cumulative sums and solves one batch per
+    pass for the whole group, while every table keeps its own bounds, DP
+    rows and pruning. Each table's windows, partitions and totals
+    therefore carry the bits of a sweep over that table alone.
     """
     if max_m < 0:
         raise BreakDetectionError(f"break count m={max_m} negative")
-    n, h = table.n, table.h
+    if not tables:
+        raise BreakDetectionError("optimal_partitions: no table to search")
+    n, h, k = tables[0].n, tables[0].h, tables[0].k
+    if any((t.n, t.h, t.k) != (n, h, k) for t in tables):
+        raise BreakDetectionError("optimal_partitions: tables differ in n, h or k")
     if n < (max_m + 1) * h:
         raise BreakDetectionError(f"m={max_m} infeasible: n={n} < (m+1)h={(max_m + 1) * h}")
 
-    best = np.full((max_m + 1, n), np.inf)
-    choice = np.zeros((max_m + 1, n), dtype=np.intp)
-    bound = np.zeros(n)  # bound[j] <= ssr(i, j): the last solved ssr(i', j), i' > i, or 0
+    funds = len(tables)
+    sums = np.empty((funds, *tables[0].values.shape))
+    best = np.full((funds, max_m + 1, n), np.inf)
+    choice = np.zeros((funds, max_m + 1, n), dtype=np.int32)
+    bound = np.zeros((funds, n))  # bound[f, j] <= ssr(i, j): the last solved ssr(i', j), i' > i, or 0
+    each = np.arange(funds)[:, None]
     for i in [*range(n - h, h - 1, -1), 0]:
-        sums = np.cumsum(table.values[i:], axis=0)
-        ends = table.ends(i)
+        for table, row in zip(tables, sums):
+            np.cumsum(table.values[i:], axis=0, out=row[: n - i])
+        ends = tables[0].ends(i)
         inner = slice(i + h - 1, n - h)
         levels = min(max_m, (n - i) // h - 1)
-        follow = best[:levels, i + h : n - h + 1]  # best[r-1, j+1] per interior end j
-        lower = bound[inner] + follow
-        ssr = np.full(ends.size, np.inf)
-        first = {0, ends.size - 1}
-        if lower.shape[1] > 1:
-            first.update((lower[:, 1:].argmin(axis=1) + 1).tolist())
-        first = sorted(first)
-        ssr[first] = table.solve(sums, i, ends[first])
+        follow = best[:, :levels, i + h : n - h + 1]  # best[f, r-1, j+1] per interior end j
+        pick = np.zeros((funds, ends.size), dtype=bool)
+        pick[:, 0] = pick[:, -1] = True
+        if ends.size > 2:  # each level's bound-argmin over the ends after the first
+            lower = bound[:, None, i + h : n - h] + follow[:, :, 1:]
+            pick[each, lower.argmin(axis=2) + 1] = True
+            del lower
+        ssr = np.full((funds, ends.size), np.inf)
+        f, e = np.divmod(np.flatnonzero(pick), ends.size)
+        ssr[f, e] = solve_windows(sums, i, f, ends[e])
         if levels:
-            upper = np.min(ssr[:-1] + follow, axis=1) + _PRUNE_SLACK_REL * sums[-1, -1]
-            rest = np.flatnonzero((lower <= upper[:, None]).any(axis=0) & np.isinf(ssr[:-1]))
-            if rest.size:
-                ssr[rest] = table.solve(sums, i, ends[rest])
-        best[0, i] = ssr[-1]
+            upper = np.min(ssr[:, None, :-1] + follow, axis=2)
+            upper += _PRUNE_SLACK_REL * sums[:, n - i - 1, -1:]
+            # The bounds are summed again rather than kept, as a group's
+            # memory peaks during its solves.
+            lower = bound[:, None, inner] + follow
+            rest = (lower <= upper[:, :, None]).any(axis=1) & np.isinf(ssr[:, :-1])
+            del lower
+            if rest.any():
+                rest[:, 0] = rest.any(axis=1)  # solved already; leads the fund's batch
+                f, e = np.divmod(np.flatnonzero(rest), ends.size - 1)
+                solved = solve_windows(sums, i, f, ends[e])
+                ssr[f[e > 0], e[e > 0]] = solved[e > 0]
+        best[:, 0, i] = ssr[:, -1]
         if levels:
-            cand = ssr[:-1] + follow
-            at = cand.argmin(axis=1)
-            best[1 : levels + 1, i] = cand[np.arange(levels), at]
-            choice[1 : levels + 1, i] = i + h - 1 + at
-        np.copyto(bound[inner], ssr[:-1], where=np.isfinite(ssr[:-1]))
+            cand = ssr[:, None, :-1] + follow
+            best[:, 1 : levels + 1, i] = cand.min(axis=2)
+            choice[:, 1 : levels + 1, i] = i + h - 1 + cand.argmin(axis=2)
+        np.copyto(bound[:, inner], ssr[:, :-1], where=np.isfinite(ssr[:, :-1]))
 
-    partitions = []
-    for m in range(max_m + 1):
-        path = [-1]  # each break is the choice at the row after the last one
-        for r in range(m, 0, -1):
-            path.append(int(choice[r, path[-1] + 1]))
-        partitions.append(Partition(m=m, break_indices=tuple(path[1:]),
-                                    total_ssr=float(best[m, 0]), n=n, h=h))
-    return tuple(partitions)
+    return tuple(
+        tuple(_backtrack(best[f], choice[f], m, n, h) for m in range(max_m + 1))
+        for f in range(funds)
+    )
+
+
+def _backtrack(best: np.ndarray, choice: np.ndarray, m: int, n: int, h: int) -> Partition:
+    """The m-break partition the DP rows ``best`` and ``choice`` of one table hold."""
+    path = [-1]  # each break is the choice at the row after the last one
+    for r in range(m, 0, -1):
+        path.append(int(choice[r, path[-1] + 1]))
+    return Partition(m=m, break_indices=tuple(path[1:]), total_ssr=float(best[m, 0]), n=n, h=h)
 
 
 def optimal_partition(table: SsrTable, m: int) -> Partition:
     """Globally SSR-minimal partition with exactly m breaks: the sweep stopped at m."""
-    return optimal_partitions(table, m)[m]
+    return optimal_partitions([table], m)[0][m]
 
 
 @dataclass(frozen=True)
@@ -308,30 +370,37 @@ def _bic(ssr: float, n: int, k: int, m: int, floor: float) -> float:
 
 
 def select_break_count(
-    sample: AlignedSample, table: SsrTable, max_breaks: int | None = None
-) -> BreakSet:
-    """Fit 0..max_breaks breaks and keep the BIC-minimal count.
+    samples: Sequence[AlignedSample], tables: Sequence[SsrTable], max_breaks: int | None = None
+) -> tuple[BreakSet, ...]:
+    """Fit 0..max_breaks breaks per fund and keep each fund's BIC-minimal count.
 
     BIC(m) = ln(SSR_m / n) + p(m) ln(n) / n with p(m) = (m+1) k + m.
-    ``table`` is the sample's :func:`build_ssr_table`, and its h bounds
-    the count: at most n // h - 1 breaks fit, which is also the default
-    ``max_breaks``. Ties go to the smaller m.
+    ``tables`` holds each sample's :func:`build_ssr_table`; they share n
+    and h, and one :func:`optimal_partitions` sweep serves them all. The
+    tables' h bounds the count: at most n // h - 1 breaks fit, which is
+    also the default ``max_breaks``. Ties go to the smaller m.
     """
-    n, most = table.n, table.n // table.h - 1
-    if n != sample.n:
-        raise BreakDetectionError(f"select_break_count: table of n={n}, sample of n={sample.n}")
-    k = table.k
+    if len(samples) != len(tables) or not tables:
+        raise BreakDetectionError("select_break_count: needs one table per sample, at least one")
+    n, most, k = tables[0].n, tables[0].n // tables[0].h - 1, tables[0].k
+    for sample in samples:
+        if sample.n != n:
+            raise BreakDetectionError(
+                f"select_break_count: table of n={n}, sample of n={sample.n}"
+            )
 
-    y = excess_over_benchmark(sample)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    floor = max(tss * _SSR_FLOOR_REL, np.finfo(float).tiny)
-
-    partitions = optimal_partitions(table, most if max_breaks is None else min(max_breaks, most))
-    scores = tuple(
-        (part.m, _bic(part.total_ssr, n, k, part.m, floor)) for part in partitions
-    )
-    chosen_m = min(scores, key=lambda mv: mv[1])[0]
-    return BreakSet(partition=partitions[chosen_m], criterion_values=scores)
+    sweeps = optimal_partitions(tables, most if max_breaks is None else min(max_breaks, most))
+    selected = []
+    for sample, partitions in zip(samples, sweeps):
+        y = excess_over_benchmark(sample)
+        tss = float(np.sum((y - y.mean()) ** 2))
+        floor = max(tss * _SSR_FLOOR_REL, np.finfo(float).tiny)
+        scores = tuple(
+            (part.m, _bic(part.total_ssr, n, k, part.m, floor)) for part in partitions
+        )
+        chosen_m = min(scores, key=lambda mv: mv[1])[0]
+        selected.append(BreakSet(partition=partitions[chosen_m], criterion_values=scores))
+    return tuple(selected)
 
 
 def filter_short_regimes(bs: BreakSet, min_regime: int, table: SsrTable) -> BreakSet:

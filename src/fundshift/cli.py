@@ -49,7 +49,7 @@ from .marketdata import (
 from .tables import REPORT_TABLES, render_table
 
 if TYPE_CHECKING:
-    from .pipeline import AnalysisConfig, ConfigError, analyze_fund, build_report
+    from .pipeline import AnalysisConfig, ConfigError, analyze_fund, build_report, search_breaks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +60,7 @@ log = logging.getLogger("fundshift")
 
 #: The pipeline names ``cmd_analyze`` calls. They are attributes of this
 #: module, loaded on first use, so a caller can wrap them before a run.
-_STACK = ("AnalysisConfig", "ConfigError", "analyze_fund", "build_report")
+_STACK = ("AnalysisConfig", "ConfigError", "analyze_fund", "build_report", "search_breaks")
 
 
 def _load_stack() -> None:
@@ -209,7 +209,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (OSError, MarketDataError) as exc:
             bench_errors[bench_id] = str(exc)
 
-    records = []
+    samples = []
     skipped: list[tuple[str, str]] = []
     for path in fund_paths:
         fund_id = path.stem
@@ -222,13 +222,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             continue
         try:
             nav = parse_nav_csv(_read_text(path), fund_id)
-            sample = align(compute_returns(nav), bench_returns[bench_id], factors)
-            record = analyze_fund(sample, config)
+            samples.append(align(compute_returns(nav), bench_returns[bench_id], factors))
         except (ValueError, OSError) as exc:
             log.warning("skipping %s: %s", fund_id, exc)
             skipped.append((fund_id, str(exc)))
+
+    # Equal-length funds share one break search; each fund then runs on alone.
+    searched, failed = search_breaks(samples, config)
+    for fund_id, reason in failed:
+        log.warning("skipping %s: %s", fund_id, reason)
+    skipped += failed
+    records = []
+    for fund in searched:
+        try:
+            record = analyze_fund(fund, config)
+        except ValueError as exc:
+            log.warning("skipping %s: %s", fund.fund_id, exc)
+            skipped.append((fund.fund_id, str(exc)))
             continue
-        log.info("analyzed %s: %d break(s)", fund_id, record.break_set.chosen_m)
+        log.info("analyzed %s: %d break(s)", fund.fund_id, record.break_set.chosen_m)
         records.append(record)
 
     if not records:
@@ -301,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--carhart", action="store_true",
                       help="add a four-factor diagnostic fit per fund")
     p_an.add_argument("--jobs", type=int, default=1,
-                      help="kept for compatibility, must be >= 1; funds run one at a time")
+                      help="kept for compatibility, must be >= 1; changes nothing: all "
+                      "funds run in one process, and equal-length funds share one "
+                      "break search")
     p_an.set_defaults(func=cmd_analyze)
 
     p_rep = sub.add_parser("report", help="render an aggregate table from a report file")

@@ -1,10 +1,13 @@
 """Per-fund analysis pipeline and report assembly.
 
-``analyze_fund`` chains the layers for one aligned sample: break
-detection on the benchmark-adjusted regression, short-regime filtering,
-per-regime style classification, break grading, full-sample metrics and
-a pre/post comparison per break. ``build_report`` folds the per-fund records
-into the machine-readable report document with its aggregate tables.
+A cohort runs in two stages. ``search_breaks`` fits each aligned
+sample's full-sample regressions, then runs break detection on the
+benchmark-adjusted regression and short-regime filtering, searching
+funds of equal length together. ``analyze_fund`` takes one searched fund
+on through per-regime style classification, break grading, full-sample
+metrics and a pre/post comparison per break. ``build_report`` folds the
+per-fund records into the machine-readable report document with its
+aggregate tables.
 
 The report dict is fully deterministic: funds sorted by fund_id, keys
 sorted at serialization time, no timestamps, non-finite floats mapped
@@ -14,6 +17,7 @@ to JSON null.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .breaks import (
@@ -115,21 +119,89 @@ class FundRecord:
         return self.sample.fund_id
 
 
-def analyze_fund(sample: AlignedSample, config: AnalysisConfig) -> FundRecord:
-    """Run the full per-fund pipeline on one aligned sample."""
-    # The full-sample fits reject a rank-deficient design before the
-    # break search would grind through it window by window.
-    ff3_full = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
-    agt_full = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
-    table = build_ssr_table(sample, config.trim)
-    bs = select_break_count(sample, table, max_breaks=config.max_breaks)
-    bs = filter_short_regimes(bs, config.min_regime_obs, table=table)
+#: Most fund-days one break search holds. Equal-length funds are searched
+#: together in groups of at most this size: 4 funds of 1,000 days, while a
+#: 5,000-day fund is searched alone. At its peak a group's search holds
+#: about 0.35 MB per 1,000 fund-days, which adds to the peak RSS of a run.
+GROUP_FUND_DAYS = 4000
 
+
+@dataclass(frozen=True)
+class SearchedFund:
+    """One fund after the break search: its full-sample fits and its break set."""
+
+    sample: AlignedSample
+    ff3_full: RegressionResult
+    agt_full: RegressionResult
+    break_set: BreakSet  # filtered for short regimes, not yet graded
+
+    @property
+    def fund_id(self) -> str:
+        return self.sample.fund_id
+
+
+def search_breaks(
+    samples: Sequence[AlignedSample], config: AnalysisConfig
+) -> tuple[list[SearchedFund], list[tuple[str, str]]]:
+    """Fit each fund's full sample, then search the breaks of equal-length funds together.
+
+    The full-sample fits are the rank check: they reject a rank-deficient
+    design before the break search would grind through it window by
+    window. The other funds are grouped by length, in input order, at
+    most ``GROUP_FUND_DAYS`` fund-days to a group, and each group's SSR
+    tables are built, searched in one sweep, filtered and dropped before
+    the next group starts. A fund's result does not depend on its group.
+    Returns the searched funds, and ``(fund_id, reason)`` per fund skipped.
+    """
+    skipped: list[tuple[str, str]] = []
+    by_length: dict[int, list[tuple]] = {}
+    for sample in samples:
+        try:
+            ff3 = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
+            agt = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
+        except ValueError as exc:
+            skipped.append((sample.fund_id, str(exc)))
+            continue
+        by_length.setdefault(sample.n, []).append((sample, ff3, agt))
+
+    searched: list[SearchedFund] = []
+    for n, fitted in by_length.items():
+        size = max(1, GROUP_FUND_DAYS // n)
+        for lo in range(0, len(fitted), size):
+            _search_group(fitted[lo : lo + size], config, searched, skipped)
+    return searched, skipped
+
+
+def _search_group(group: list[tuple], config: AnalysisConfig, searched: list, skipped: list) -> None:
+    """Search one group of fitted funds; on an error, search each fund alone."""
+    samples = [sample for sample, _, _ in group]
+    try:
+        tables = [build_ssr_table(sample, config.trim) for sample in samples]
+        break_sets = select_break_count(samples, tables, max_breaks=config.max_breaks)
+        filtered = [
+            filter_short_regimes(bs, config.min_regime_obs, table=table)
+            for bs, table in zip(break_sets, tables)
+        ]
+    except ValueError as exc:
+        if len(group) == 1:
+            skipped.append((samples[0].fund_id, str(exc)))
+        else:
+            for fund in group:
+                _search_group([fund], config, searched, skipped)
+        return
+    searched.extend(
+        SearchedFund(sample, ff3, agt, bs) for (sample, ff3, agt), bs in zip(group, filtered)
+    )
+
+
+def analyze_fund(fund: SearchedFund, config: AnalysisConfig) -> FundRecord:
+    """Run the rest of the per-fund pipeline on one fund's searched break set."""
+    sample, bs = fund.sample, fund.break_set
     styles = regime_styles(sample, bs, sig_level=config.sig_level, hac=config.hac)
     shifts = grade_breaks(styles)
     bs = apply_style_flags(bs, shifts)
 
-    metrics = annualized_metrics(sample, ff3_full, agt_full, n_breaks=bs.chosen_m)
+    metrics = annualized_metrics(sample, fund.ff3_full, fund.agt_full, n_breaks=bs.chosen_m)
     comparisons = pre_post_compare(sample, styles)
 
     carhart_fit = None

@@ -71,10 +71,17 @@ def _render_breaks(agg: dict, fmt: str) -> str:
 def _render_transitions(agg: dict, fmt: str) -> str:
     t = agg["transitions"]
     labels, counts = t["labels"], t["counts"]
+    if len(counts) != len(labels) or any(len(row) != len(labels) for row in counts):
+        raise ValueError(f"transitions: counts is not {len(labels)} x {len(labels)}")
+    row_totals = [sum(row) for row in counts]
+    if t["grand_total"] != sum(row_totals):
+        raise ValueError(
+            f"transitions: grand_total {t['grand_total']!r} is not the sum of the counts"
+        )
     header = ["style_t"] + labels + ["Total"]
     rows = []
-    for i, label in enumerate(labels):
-        rows.append([label] + [str(c) for c in counts[i]] + [str(sum(counts[i]))])
+    for label, row, total in zip(labels, counts, row_totals):
+        rows.append([label] + [str(c) for c in row] + [str(total)])
     col_totals = [sum(row[j] for row in counts) for j in range(len(labels))]
     rows.append(["Total"] + [str(c) for c in col_totals] + [str(t["grand_total"])])
     return _render(header, rows, fmt)
@@ -118,8 +125,9 @@ def render_table(aggregates: dict, table: str, fmt: str) -> str:
     """Render one aggregate table as ``csv`` or ``md`` (Markdown) text.
 
     ``aggregates`` is the dict ``pipeline.build_aggregates`` returns, before or
-    after a JSON round trip; missing or misshapen data, a non-string cell among
-    them, raises LookupError, TypeError or AttributeError (exit 2 in
-    ``fundshift report``). Empty cells are undefined values.
+    after a JSON round trip; missing or misshapen data, a non-string cell or a
+    transitions matrix whose shape or total disagrees with its labels among
+    them, raises LookupError, TypeError, AttributeError or ValueError (exit 2
+    in ``fundshift report``). Empty cells are undefined values.
     """
     return _TABLE_RENDERERS[table](aggregates, fmt)

@@ -311,7 +311,7 @@ def test_one_sweep_yields_every_break_count(y):
     # Level m read off a sweep to m=5 must be the partition a sweep
     # stopped at m returns, and the exhaustive optimum where enumerable.
     table = ssr_table_from_arrays(y, np.ones((90, 1)), h=15)
-    sweep = optimal_partitions(table, 5)
+    (sweep,) = optimal_partitions([table], 5)
     assert [part.m for part in sweep] == [0, 1, 2, 3, 4, 5]
     for m, part in enumerate(sweep):
         alone = optimal_partition(table, m)
@@ -390,17 +390,17 @@ SEARCH_INSTANCES = {
 }
 
 
-def solved_cells(monkeypatch) -> dict[tuple[int, int], float]:
-    """Record every window the search's row kernel solves, with its SSR."""
+def solved_cells(monkeypatch) -> dict[tuple[int, int, int], float]:
+    """Record every window the search's kernel solves: (fund, i, j) to its SSR."""
     cells = {}
-    kernel = SsrTable.solve
+    kernel = breaks.solve_windows
 
-    def recording(table, sums, i, ends):
-        ssr = kernel(table, sums, i, ends)
-        cells.update(zip(((i, int(j)) for j in ends), ssr.tolist()))
+    def recording(sums, i, fund, ends):
+        ssr = kernel(sums, i, fund, ends)
+        cells.update(zip(((int(f), i, int(j)) for f, j in zip(fund, ends)), ssr.tolist()))
         return ssr
 
-    monkeypatch.setattr(SsrTable, "solve", recording)
+    monkeypatch.setattr(breaks, "solve_windows", recording)
     return cells
 
 
@@ -412,21 +412,34 @@ def row_kernel_ssr(table: SsrTable) -> np.ndarray:
     ssr = np.full((table.n, table.n), np.nan)
     for i in [0, *range(table.h, table.n - table.h + 1)]:
         ends = table.ends(i)
-        ssr[i, ends] = table.solve(np.cumsum(table.values[i:], axis=0), i, ends)
+        sums = np.cumsum(table.values[i:], axis=0)[None]
+        ssr[i, ends] = breaks.solve_windows(sums, i, np.zeros(ends.size, dtype=np.intp), ends)
     return ssr
 
 
-def search_differs_from_reference(y, X, h, cells) -> bool:
-    """Run the search and the unpruned reference DP to the most breaks that fit."""
+def group_differs_from_reference(instances, cells) -> bool:
+    """Search equal-shape instances in one group; compare each to the unpruned reference DP.
+
+    Runs to the most breaks that fit, and checks every solved cell too.
+    """
     cells.clear()
-    most = len(y) // h - 1
-    got = optimal_partitions(ssr_table_from_arrays(y, X, h), most)
-    packed = packed_ssr_table(y, X, h)
-    want = reference_partitions(packed, most)
-    assert all(value == packed.ssr(i, j) for (i, j), value in cells.items())
-    return [(p.break_indices, p.total_ssr.hex()) for p in got] != [
-        (p.break_indices, p.total_ssr.hex()) for p in want
-    ]
+    (y, X, h), n = instances[0], len(instances[0][0])
+    most = n // h - 1
+    got = optimal_partitions([ssr_table_from_arrays(y, X, h) for y, X, h in instances], most)
+    differs = False
+    for f, ((y, X, h), parts) in enumerate(zip(instances, got, strict=True)):
+        packed = packed_ssr_table(y, X, h)
+        mine = {(i, j): v for (g, i, j), v in cells.items() if g == f}
+        assert mine and all(value == packed.ssr(i, j) for (i, j), value in mine.items())
+        differs |= [(p.break_indices, p.total_ssr.hex()) for p in parts] != [
+            (p.break_indices, p.total_ssr.hex()) for p in reference_partitions(packed, most)
+        ]
+    return differs
+
+
+def search_differs_from_reference(y, X, h, cells) -> bool:
+    """Run the search on one instance and compare it to the unpruned reference DP."""
+    return group_differs_from_reference([(y, X, h)], cells)
 
 
 @pytest.mark.parametrize("family", SEARCH_INSTANCES)
@@ -437,6 +450,42 @@ def test_pruned_search_equals_the_full_table_bit_for_bit(monkeypatch, family):
     for case, (y, X, h) in enumerate(SEARCH_INSTANCES[family]()):
         assert not search_differs_from_reference(y, X, h, cells), f"{family} {case}"
         assert cells, f"{family} {case}"
+
+
+def test_group_search_equals_the_full_table_bit_for_bit(monkeypatch):
+    # Funds searched in lockstep keep the bits of a search alone. The
+    # group mixes exact fits, noisy funds, an all-zero fund and a fund
+    # whose hml is zero on rows 0..399: its rows that start there hold a
+    # singular window, so the group batch raises and is solved again fund
+    # by fund, the singular fund by pseudo-inverse.
+    cells = solved_cells(monkeypatch)
+    kernel, pinv = breaks.solve_windows, breaks._pinv_solve
+    batch_funds, pinv_windows = [], []
+
+    def counting(sums, i, fund, ends):
+        batch_funds.append(np.unique(fund).size)
+        return kernel(sums, i, fund, ends)
+
+    def counting_pinv(grams, rhs):
+        pinv_windows.append(len(grams))
+        return pinv(grams, rhs)
+
+    y, X, h = exact_fit_instance(0)
+    rng = np.random.default_rng(4)
+    singular = X.copy()
+    singular[:400, 3] = 0.0
+    group = [
+        exact_fit_instance(1),
+        (singular @ np.array([1e-4, 0.9, 0.3, -0.2]) + rng.normal(0, 0.002, 600), singular, h),
+        (y + rng.normal(0, 0.004, 600), X, h),
+        (np.zeros(600), X, h),
+        exact_fit_instance(2),
+    ]
+    monkeypatch.setattr(breaks, "solve_windows", counting)
+    monkeypatch.setattr(breaks, "_pinv_solve", counting_pinv)
+    assert not group_differs_from_reference(group, cells)
+    assert max(batch_funds) == len(group)
+    assert pinv_windows  # the singular fund's rows took the fallback
 
 
 def test_pruning_without_slack_breaks_exactness(monkeypatch):
@@ -476,7 +525,7 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     sample = make_sample(3000, 12, path, noise=0.006)
     table = build_ssr_table(sample)
     cells = solved_cells(monkeypatch)
-    bs = select_break_count(sample, table)
+    (bs,) = select_break_count([sample], [table])
     reachable = int(packed_layout(3000, table.h)[1][-1])
     assert (table.h, reachable) == (450, 1_367_929)
     assert bs.chosen_m == 3
@@ -485,7 +534,7 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
 
 def test_select_break_count_single_regime_zero_noise():
     sample = make_sample(400, 11, [(400, 0.5)])
-    bs = select_break_count(sample, build_ssr_table(sample))
+    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
     assert bs.chosen_m == 0
     assert bs.regime_windows == ((0, 399),)
     # n=400, h=60: (m+1)*60 <= 400 holds for every m up to the default cap of 5.
@@ -494,22 +543,23 @@ def test_select_break_count_single_regime_zero_noise():
 
 def test_select_break_count_planted_rotation_with_noise():
     sample = make_sample(1000, 12, [(500, 0.8), (500, -0.8)], noise=0.01)
-    bs = select_break_count(sample, build_ssr_table(sample))
+    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
     assert bs.chosen_m == 1
     assert abs(bs.break_indices[0] - 499) <= 20
 
 
 @pytest.mark.parametrize("t_df", [None, 3], ids=["gauss", "t3"])
 def test_select_break_count_no_false_breaks_without_a_break(t_df):
-    for seed in range(30):
-        sample = make_sample(600, seed, [(600, 0.5)], noise=0.006, t_df=t_df)
-        assert select_break_count(sample, build_ssr_table(sample)).chosen_m == 0, f"seed {seed}"
+    # The 30 seeds share one search, as equal-length funds do in a cohort.
+    samples = [make_sample(600, seed, [(600, 0.5)], noise=0.006, t_df=t_df) for seed in range(30)]
+    found = select_break_count(samples, [build_ssr_table(sample) for sample in samples])
+    assert [seed for seed, bs in enumerate(found) if bs.chosen_m] == []
 
 
 def test_select_break_count_recovers_break_under_heavy_tailed_noise():
     for seed in range(20):
         sample = make_sample(600, seed, [(300, 0.8), (300, -0.8)], noise=0.006, t_df=3)
-        bs = select_break_count(sample, build_ssr_table(sample))
+        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
         assert bs.chosen_m == 1, f"seed {seed}"
         assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
 
@@ -553,7 +603,8 @@ def no_break_runs(noise):
     for seed in range(20):
         eps = noise(np.random.default_rng([seed, 1]), 600)
         sample = with_noise(make_sample(600, seed, [(600, 0.5)]), eps)
-        yield eps, select_break_count(sample, build_ssr_table(sample))
+        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+        yield eps, bs
 
 
 @pytest.mark.parametrize("noise", [
@@ -591,7 +642,7 @@ def test_select_break_count_recovers_break_under_clustered_noise():
     for seed in range(20):
         eps = garch_noise(np.random.default_rng([seed, 1]), 600, 0.10, 0.85, 0.006)
         sample = with_noise(make_sample(600, seed, [(300, 0.8), (300, -0.8)]), eps)
-        bs = select_break_count(sample, build_ssr_table(sample))
+        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
         assert bs.chosen_m == 1, f"seed {seed}"
         assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
 
@@ -615,8 +666,8 @@ def test_time_reversal_mirrors_the_breaks(path):
     for seed in range(10):
         sample = make_sample(600, seed, path, noise=0.006)
         mirror = reversed_in_time(sample)
-        forward = select_break_count(sample, build_ssr_table(sample))
-        backward = select_break_count(mirror, build_ssr_table(mirror))
+        (forward,) = select_break_count([sample], [build_ssr_table(sample)])
+        (backward,) = select_break_count([mirror], [build_ssr_table(mirror)])
         n = sample.n
         assert forward.break_indices == tuple(
             sorted(n - 2 - b for b in backward.break_indices)
@@ -637,7 +688,7 @@ def test_doubling_y_quadruples_every_ssr_exactly(case):
     assert np.array_equal(row_kernel_ssr(twice)[reach], 4.0 * row_kernel_ssr(once)[reach])
     packed_once, packed_twice = packed_ssr_table(y, X, 90), packed_ssr_table(2.0 * y, X, 90)
     assert np.array_equal(packed_twice.values, 4.0 * packed_once.values)
-    for a, b in zip(optimal_partitions(once, 5), optimal_partitions(twice, 5), strict=True):
+    for a, b in zip(*optimal_partitions([once, twice], 5), strict=True):
         assert b.break_indices == a.break_indices
         assert b.total_ssr == 4.0 * a.total_ssr
 
@@ -647,24 +698,26 @@ def test_select_break_count_respects_max_breaks():
     path = [(130, 0.8), (130, -0.8), (130, 0.8), (130, -0.8), (130, 0.8)]
     sample = make_sample(650, 13, path, noise=0.005)
     table = build_ssr_table(sample, trim=0.05)
-    bs = select_break_count(sample, table, max_breaks=2)
+    (bs,) = select_break_count([sample], [table], max_breaks=2)
     assert bs.chosen_m <= 2
     assert max(m for m, _ in bs.criterion_values) <= 2
     with pytest.raises(BreakDetectionError, match="negative"):
-        select_break_count(sample, table, max_breaks=-1)
+        select_break_count([sample], [table], max_breaks=-1)
 
 
 def test_select_break_count_deterministic():
     sample = make_sample(500, 14, [(250, 0.6), (250, -0.6)], noise=0.006)
-    first = select_break_count(sample, build_ssr_table(sample))
-    assert first == select_break_count(sample, build_ssr_table(sample))
+    (first,) = select_break_count([sample], [build_ssr_table(sample)])
+    assert (first,) == select_break_count([sample], [build_ssr_table(sample)])
 
 
 def test_select_break_count_rejects_mismatched_table():
     sample = make_sample(400, 15, [(400, 0.5)])
     other = build_ssr_table(make_sample(300, 16, [(300, 0.5)]))
     with pytest.raises(BreakDetectionError, match="table of n=300, sample of n=400"):
-        select_break_count(sample, other)
+        select_break_count([sample], [other])
+    with pytest.raises(BreakDetectionError, match="one table per sample"):
+        select_break_count([sample, sample], [build_ssr_table(sample)])
 
 
 def _short_middle_regime_bs(min_regime: int | None = None):
@@ -672,7 +725,7 @@ def _short_middle_regime_bs(min_regime: int | None = None):
     # enough that the 30-observation middle regime is admissible.
     sample = make_sample(1230, 17, [(600, 0.8), (30, -0.8), (600, 0.4)])
     table = build_ssr_table(sample, trim=0.02)
-    bs = select_break_count(sample, table)
+    (bs,) = select_break_count([sample], [table])
     return bs, table
 
 
@@ -701,7 +754,7 @@ def test_filter_short_regimes_idempotent():
 def test_filter_short_regimes_keeps_long_regimes():
     sample = make_sample(1200, 18, [(600, 0.8), (600, -0.8)])
     table = build_ssr_table(sample)
-    bs = select_break_count(sample, table)
+    (bs,) = select_break_count([sample], [table])
     assert bs.chosen_m == 1
     filtered = filter_short_regimes(bs, 500, table=table)
     assert filtered.break_indices == bs.break_indices

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fundshift import cli, pipeline
 from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.breaks import MIN_TRIM
 from fundshift.pipeline import AnalysisConfig
@@ -669,6 +670,51 @@ def test_analyze_fund_entry_is_the_same_alone_or_in_a_cohort(tmp_path):
         assert json.dumps(entry, sort_keys=True) == json.dumps(fund, sort_keys=True)
 
 
+def test_fund_entry_does_not_depend_on_its_search_group(tmp_path, monkeypatch):
+    # Equal-length funds share one break search, in groups of at most
+    # GROUP_FUND_DAYS fund-days, here two 300-day funds. A fund's entry is
+    # byte-identical analysed alone, in a full group, in a cohort of mixed
+    # lengths, and with the NAV files handed to the search in reverse.
+    out = simulate(tmp_path, three_fund_spec())
+    lines = (out / "nav" / "F3.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (out / "nav" / "F4.csv").write_text(lines[0] + "".join(lines[41:]), encoding="utf-8")
+    with open(out / "benchmark_map.csv", "a", encoding="utf-8") as fh:
+        fh.write("F4,B1\n")
+    monkeypatch.setattr(pipeline, "GROUP_FUND_DAYS", 2 * 300)
+    groups = []
+    select, search = pipeline.select_break_count, pipeline.search_breaks
+
+    def recording(samples, tables, max_breaks=None):
+        groups.append([sample.fund_id for sample in samples])
+        return select(samples, tables, max_breaks)
+
+    monkeypatch.setattr(pipeline, "select_break_count", recording)
+
+    def entries(fund_ids: str, reverse: bool = False) -> dict[str, str]:
+        run = tmp_path / (fund_ids + ("-reversed" if reverse else ""))
+        shutil.copytree(out, run)
+        for nav in (run / "nav").iterdir():
+            if nav.stem not in fund_ids.split("-"):
+                nav.unlink()
+        groups.clear()
+        with monkeypatch.context() as m:
+            if reverse:
+                m.setattr(cli, "search_breaks", lambda samples, config: search(samples[::-1], config))
+            assert analyze(run, run / "report.json") == EXIT_OK
+        funds = json.loads((run / "report.json").read_text(encoding="utf-8"))["funds"]
+        return {fund["fund_id"]: json.dumps(fund, sort_keys=True) for fund in funds}
+
+    mixed = entries("F1-F2-F3-F4")
+    assert groups == [["F1", "F2"], ["F3"], ["F4"]]
+    assert entries("F1-F2-F3-F4", reverse=True) == mixed
+    assert groups == [["F4"], ["F3", "F2"], ["F1"]]
+    assert entries("F2-F3") == {key: mixed[key] for key in ("F2", "F3")}
+    assert groups == [["F2", "F3"]]
+    for fund_id in mixed:
+        assert entries(fund_id) == {fund_id: mixed[fund_id]}
+    assert [fund["n_obs"] for fund in map(json.loads, mixed.values())] == [300, 300, 300, 260]
+
+
 def test_report_self_consistency(tmp_path):
     # The stored aggregates must be recomputable from the per-fund
     # records alone.
@@ -853,6 +899,29 @@ def test_report_non_string_cell_exits_2_in_either_format(tmp_path, capsys, fmt, 
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "invalid report file: table cell 1 is not a string" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize(
+    "transitions, reason",
+    [
+        ({"labels": ["A"], "counts": [[0, 5]], "grand_total": 5}, "counts is not 1 x 1"),
+        ({"labels": ["A"], "counts": [[5]], "grand_total": 99},
+         "grand_total 99 is not the sum of the counts"),
+    ],
+    ids=["row-wider-than-labels", "grand-total-off"],
+)
+def test_report_transitions_shape_and_total_must_match_exit_2(tmp_path, capsys, fmt,
+                                                               transitions, reason):
+    # A ragged row would print more cells than the header names, and a
+    # grand total off the counts would print a wrong Total cell.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregates": {"transitions": transitions}}), encoding="utf-8")
+    code = main(["report", "--in", str(path), "--table", "transitions", "--format", fmt])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"invalid report file: transitions: {reason}" in captured.err
     assert captured.out == ""
 
 

@@ -24,7 +24,13 @@ from fundshift.perf import (
     group_by_break_count,
     pre_post_compare,
 )
-from fundshift.pipeline import AnalysisConfig, analyze_fund, build_aggregates, fund_record_dict
+from fundshift.pipeline import (
+    AnalysisConfig,
+    analyze_fund,
+    build_aggregates,
+    fund_record_dict,
+    search_breaks,
+)
 from fundshift import perf
 from fundshift.regress import (
     FactorLoading,
@@ -321,7 +327,9 @@ def test_report_delta_is_post_minus_pre():
     sample = make_styled_sample(
         10, [(500, 0.0002, 0.5, -0.4), (500, 0.0004, 0.5, -0.4)]
     )
-    rec = analyze_fund(sample, AnalysisConfig())
+    config = AnalysisConfig()
+    (fund,), _ = search_breaks([sample], config)
+    rec = analyze_fund(fund, config)
     (cmp,) = fund_record_dict(rec)["comparisons"]
     for name in METRIC_FIELDS:
         assert cmp["delta"][name] == cmp["post"][name] - cmp["pre"][name], name
@@ -337,7 +345,7 @@ def test_report_delta_is_post_minus_pre():
 
 
 def _graded(sample):
-    bs = select_break_count(sample, build_ssr_table(sample))
+    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(styles)
     return bs, styles, shifts
@@ -421,7 +429,9 @@ def test_pre_post_fits_each_compared_regime_once(monkeypatch, lengths, trim, fit
         return fit_benchmark_adjusted(regime, **kwargs)
 
     monkeypatch.setattr(perf, "fit_benchmark_adjusted", counted)
-    rec = analyze_fund(sample, AnalysisConfig(trim=trim))
+    config = AnalysisConfig(trim=trim)
+    (fund,), _ = search_breaks([sample], config)
+    rec = analyze_fund(fund, config)
     planted = np.cumsum(lengths)[:-1] - 1
     assert np.abs(np.array(rec.break_set.break_indices) - planted).max() <= 5
     styles, comparisons = rec.styles, rec.comparisons

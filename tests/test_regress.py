@@ -127,16 +127,24 @@ def test_ols_rejects_rank_deficient_design():
 
 
 def test_analyze_fund_rejects_rank_deficient_design_before_ssr_table(monkeypatch):
-    # The full-sample fit names the defect at once, so the O(n^2) SSR
-    # table never grinds through the singular windows.
-    def no_table(*args):
-        raise AssertionError("SSR table built for a rank-deficient design")
+    # The search stage's full-sample fit names the defect at once, so the
+    # O(n^2) SSR table never grinds through the singular windows, and the
+    # fund's equal-length neighbour is still searched.
+    built, build = [], pipeline.build_ssr_table
 
-    monkeypatch.setattr(pipeline, "build_ssr_table", no_table)
+    def only_full_rank(sample, trim):
+        assert sample.hml.any(), "SSR table built for a rank-deficient design"
+        built.append(sample.fund_id)
+        return build(sample, trim)
+
+    monkeypatch.setattr(pipeline, "build_ssr_table", only_full_rank)
     sample = make_sample(1000, 21, betas=(1.0, 0.3, 0.0), noise=0.002)
-    sample = dataclasses.replace(sample, hml=np.zeros(1000))
-    with pytest.raises(RegressionError, match="^ff3: design matrix is rank deficient$"):
-        pipeline.analyze_fund(sample, pipeline.AnalysisConfig())
+    deficient = dataclasses.replace(sample, hml=np.zeros(1000))
+    searched, skipped = pipeline.search_breaks(
+        [deficient, dataclasses.replace(sample, fund_id="F2")], pipeline.AnalysisConfig()
+    )
+    assert skipped == [("F1", "ff3: design matrix is rank deficient")]
+    assert [fund.fund_id for fund in searched] == built == ["F2"]
 
 
 def test_ols_rejects_too_few_observations():

@@ -45,7 +45,7 @@ print(f"\naligned sample: n={sample.n}, minimum regime length h={table.h}, "
       f"SSR table of {table.values.nbytes / 1e3:.0f} kB moments")
 
 # The search takes a group of equal-length funds; this one is a group of one.
-(bs,) = select_break_count([sample], [table])
+(bs,) = select_break_count([table])
 print("\nBIC by break count (chosen m minimizes):")
 for m, bic in bs.criterion_values:
     marker = "  <- chosen" if m == bs.chosen_m else ""

@@ -11,6 +11,8 @@ Conventions:
   break date is the date at index b,
 * h = max(ceil(trim * n), k + 1) where k is the regressor count; the
   SSR table fixes it, and break-count selection reads it from there,
+* the BIC's SSR floor is 1e-12 of y's total sum of squares; the SSR
+  table fixes it from its own y, and selection reads it from there too,
 * breaks are pure structural changes: any coefficient of the
   benchmark-adjusted regression may move at a break. Whether a break
   touched the style loadings is flagged afterwards (``is_style_break``)
@@ -111,12 +113,13 @@ class SsrTable:
     Row t of ``values`` holds observation t's moments: the k(k+1)/2
     distinct products x_a x_b, then x y, then y^2. A window a partition
     can use is at least h long, starts at 0 or at i >= h, and ends at
-    n-1 or at j <= n-h-1.
+    n-1 or at j <= n-h-1. ``floor`` is the least SSR the BIC reads.
     """
 
     n: int
     h: int
     values: np.ndarray
+    floor: float
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.n, (self.k + 1) * (self.k + 2) // 2):
@@ -197,7 +200,8 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
         raise BreakDetectionError(f"ssr table: n={n} below 2h={2 * h}")
     rows, cols = np.triu_indices(k)
     moments = np.column_stack([X[:, rows] * X[:, cols], X * y[:, None], y * y])
-    return SsrTable(n=n, h=h, values=moments)
+    floor = max(float(np.sum((y - y.mean()) ** 2)) * _SSR_FLOOR_REL, np.finfo(float).tiny)
+    return SsrTable(n=n, h=h, values=moments, floor=floor)
 
 
 def build_ssr_table(sample: AlignedSample, trim: float = DEFAULT_TRIM) -> SsrTable:
@@ -278,10 +282,11 @@ def optimal_partitions(
     choice = np.zeros((funds, max_m + 1, n), dtype=np.int32)
     bound = np.zeros((funds, n))  # bound[f, j] <= ssr(i, j): the last solved ssr(i', j), i' > i, or 0
     each = np.arange(funds)[:, None]
+    all_ends = tables[0].ends(0)  # row i's ends are its suffix from min(i, n-2h+1)
     for i in [*range(n - h, h - 1, -1), 0]:
         for table, row in zip(tables, sums):
             np.cumsum(table.values[i:], axis=0, out=row[: n - i])
-        ends = tables[0].ends(i)
+        ends = all_ends[min(i, n - 2 * h + 1) :]
         inner = slice(i + h - 1, n - h)
         levels = min(max_m, (n - i) // h - 1)
         follow = best[:, :levels, i + h : n - h + 1]  # best[f, r-1, j+1] per interior end j
@@ -370,33 +375,24 @@ def _bic(ssr: float, n: int, k: int, m: int, floor: float) -> float:
 
 
 def select_break_count(
-    samples: Sequence[AlignedSample], tables: Sequence[SsrTable], max_breaks: int | None = None
+    tables: Sequence[SsrTable], max_breaks: int | None = None
 ) -> tuple[BreakSet, ...]:
-    """Fit 0..max_breaks breaks per fund and keep each fund's BIC-minimal count.
+    """Fit 0..max_breaks breaks per table and keep each table's BIC-minimal count.
 
-    BIC(m) = ln(SSR_m / n) + p(m) ln(n) / n with p(m) = (m+1) k + m.
-    ``tables`` holds each sample's :func:`build_ssr_table`; they share n
-    and h, and one :func:`optimal_partitions` sweep serves them all. The
-    tables' h bounds the count: at most n // h - 1 breaks fit, which is
-    also the default ``max_breaks``. Ties go to the smaller m.
+    BIC(m) = ln(max(SSR_m, floor) / n) + p(m) ln(n) / n with p(m) = (m+1) k + m,
+    where floor is the table's own. The tables share n and h, and one
+    :func:`optimal_partitions` sweep serves them all. The tables' h bounds
+    the count: at most n // h - 1 breaks fit, which is also the default
+    ``max_breaks``. Ties go to the smaller m.
     """
-    if len(samples) != len(tables) or not tables:
-        raise BreakDetectionError("select_break_count: needs one table per sample, at least one")
+    if not tables:
+        raise BreakDetectionError("select_break_count: no table to search")
     n, most, k = tables[0].n, tables[0].n // tables[0].h - 1, tables[0].k
-    for sample in samples:
-        if sample.n != n:
-            raise BreakDetectionError(
-                f"select_break_count: table of n={n}, sample of n={sample.n}"
-            )
-
     sweeps = optimal_partitions(tables, most if max_breaks is None else min(max_breaks, most))
     selected = []
-    for sample, partitions in zip(samples, sweeps):
-        y = excess_over_benchmark(sample)
-        tss = float(np.sum((y - y.mean()) ** 2))
-        floor = max(tss * _SSR_FLOOR_REL, np.finfo(float).tiny)
+    for table, partitions in zip(tables, sweeps):
         scores = tuple(
-            (part.m, _bic(part.total_ssr, n, k, part.m, floor)) for part in partitions
+            (part.m, _bic(part.total_ssr, n, k, part.m, table.floor)) for part in partitions
         )
         chosen_m = min(scores, key=lambda mv: mv[1])[0]
         selected.append(BreakSet(partition=partitions[chosen_m], criterion_values=scores))

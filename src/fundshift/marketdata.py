@@ -201,9 +201,17 @@ def _read_rows(
 
     The rows are read lazily and each must be as wide as the header.
     Columns missing from the first (narrowest) allowed header are named
-    in the header error.
+    in the header error. A row csv cannot read, such as one with a cell
+    over its process-wide field limit, raises MarketDataError.
     """
-    reader = csv.reader(io.StringIO(text))
+
+    def records() -> Iterator[list[str]]:
+        try:
+            yield from csv.reader(io.StringIO(text))
+        except csv.Error as exc:
+            raise MarketDataError(f"{context}: {exc}") from None
+
+    reader = records()
     try:
         header = [h.strip().lower() for h in next(reader)]
     except StopIteration:

@@ -11,9 +11,10 @@ A = :data:`TRADING_DAYS_PER_YEAR` = 252 periods a year:
 * alphas p.a. (%)        = daily regression alpha * A * 100
 
 Undefined ratios (zero stdev, zero market beta, empty groups) are NaN,
-never silently 0. Aggregation mirrors the reporting layout: per-fund
-rows grouped by break count with equal-weighted means, plus top and
-bottom deciles by excess return.
+never silently 0. Aggregation mirrors the reporting layout: one
+bucketing of the funds by break count gives both the break histogram
+and the equal-weighted means per count, plus top and bottom deciles by
+excess return.
 """
 
 from __future__ import annotations
@@ -123,44 +124,31 @@ def _group_row(group: str, members: list[FundMetrics]) -> dict:
     return row
 
 
-def group_by_break_count(metrics: list[FundMetrics], max_m: int | None = None) -> dict:
-    """Bucket funds by break count and average each bucket.
+def break_count_tables(metrics: list[FundMetrics], max_m: int = 0) -> tuple[dict, dict]:
+    """The break histogram and the performance-by-breaks table of one bucketing.
 
-    Returns ``{"rows": [...]}``, one row keyed by :data:`tables.GROUP_COLUMNS`
-    per bucket m = 0..max_m (default: largest observed count), empty or
-    not, then the row over all funds with at least one break. Empty
-    input yields no rows.
+    Buckets run over m = 0..max(max_m, largest observed count), empty or
+    not. The histogram's totals count only funds that broke and
+    their breaks. The performance table holds one row keyed by
+    :data:`tables.GROUP_COLUMNS` per bucket, then the row over all funds
+    with a break; empty input yields no rows.
     """
-    if not metrics:
-        return {"rows": []}
-    top = max(m.n_breaks for m in metrics)
-    if max_m is not None:
-        top = max(top, max_m)
-    rows = []
-    for m in range(top + 1):
-        rows.append(_group_row(str(m), [x for x in metrics if x.n_breaks == m]))
-    rows.append(_group_row(WITH_BREAKS_GROUP, [x for x in metrics if x.n_breaks >= 1]))
-    return {"rows": rows}
-
-
-def break_histogram(metrics: list[FundMetrics], max_m: int | None = None) -> dict:
-    """Tally funds by break count, totaling over the m >= 1 rows.
-
-    The zero-break bucket is listed for completeness but excluded from
-    the totals, which count only funds that broke and their breaks.
-    """
-    top = max((m.n_breaks for m in metrics), default=0)
-    if max_m is not None:
-        top = max(top, max_m)
-    rows = []
-    for m in range(top + 1):
-        funds = sum(1 for x in metrics if x.n_breaks == m)
-        rows.append({"n_breaks": m, "funds": funds, "breaks": m * funds})
-    return {
-        "rows": rows,
-        "total_funds_with_breaks": sum(r["funds"] for r in rows if r["n_breaks"] >= 1),
-        "total_breaks": sum(r["breaks"] for r in rows),
+    top = max([max_m, *(x.n_breaks for x in metrics)])
+    buckets: list[list[FundMetrics]] = [[] for _ in range(top + 1)]
+    for x in metrics:
+        buckets[x.n_breaks].append(x)
+    counts = [{"n_breaks": m, "funds": len(b), "breaks": m * len(b)} for m, b in enumerate(buckets)]
+    histogram = {
+        "rows": counts,
+        "total_funds_with_breaks": len(metrics) - len(buckets[0]),
+        "total_breaks": sum(r["breaks"] for r in counts),
     }
+    rows = []
+    if metrics:
+        rows = [_group_row(str(m), b) for m, b in enumerate(buckets)]
+        # Input order, not bucket order: the means' bits depend on it.
+        rows.append(_group_row(WITH_BREAKS_GROUP, [x for x in metrics if x.n_breaks >= 1]))
+    return histogram, {"rows": rows}
 
 
 def pre_post_compare(

@@ -35,9 +35,8 @@ from .perf import (
     TRADING_DAYS_PER_YEAR,
     FundMetrics,
     annualized_metrics,
-    break_histogram,
+    break_count_tables,
     decile_analysis,
-    group_by_break_count,
     pre_post_compare,
 )
 from .regress import (
@@ -177,7 +176,7 @@ def _search_group(group: list[tuple], config: AnalysisConfig, searched: list, sk
     samples = [sample for sample, _, _ in group]
     try:
         tables = [build_ssr_table(sample, config.trim) for sample in samples]
-        break_sets = select_break_count(samples, tables, max_breaks=config.max_breaks)
+        break_sets = select_break_count(tables, max_breaks=config.max_breaks)
         filtered = [
             filter_short_regimes(bs, config.min_regime_obs, table=table)
             for bs, table in zip(break_sets, tables)
@@ -339,12 +338,13 @@ def build_aggregates(records: list[FundRecord]) -> dict:
     deciles = None
     if len(metrics) >= 10:
         deciles = decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records})
+    histogram, performance = break_count_tables(metrics, max_m=max_m)
     return {
-        "break_histogram": break_histogram(metrics, max_m=max_m),
+        "break_histogram": histogram,
         "transitions": accumulate_transitions(
             [[style.box for style in rec.styles] for rec in records]
         ),
-        "performance_by_breaks": group_by_break_count(metrics, max_m=max_m),
+        "performance_by_breaks": performance,
         "deciles": deciles,
     }
 

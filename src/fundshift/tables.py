@@ -33,11 +33,6 @@ def write_csv(rows) -> str:
 
 
 def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
-    # Both formats take text cells only, so they accept the same reports.
-    for row in (header, *rows):
-        for cell in row:
-            if not isinstance(cell, str):
-                raise TypeError(f"table cell {cell!r} is not a string")
     # Cells may hold fund ids, which are file-name stems and can contain
     # the format's own separators.
     if fmt == "csv":
@@ -50,47 +45,57 @@ def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    # Empty buckets average to NaN; the report stores them as null.
-    if isinstance(value, float):
-        return repr(value) if math.isfinite(value) else ""
-    return "" if value is None else str(value)
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"table cell {value!r} is not a string")
+    return value
+
+
+def _count(value) -> str:
+    if type(value) is not int or value < 0:
+        raise TypeError(f"table cell {value!r} is not a count")
+    return str(value)
+
+
+def _metric(value) -> str:
+    """A metric: a float, empty where undefined (NaN before the JSON round trip, null after)."""
+    if value is None:
+        return ""
+    if not isinstance(value, float):
+        raise TypeError(f"table cell {value!r} is not a metric")
+    return repr(value) if math.isfinite(value) else ""
 
 
 def _render_breaks(agg: dict, fmt: str) -> str:
     hist = agg["break_histogram"]
-    rows = [
-        [str(r["n_breaks"]), str(r["funds"]), str(r["breaks"])] for r in hist["rows"]
-    ]
-    rows.append(
-        ["total", str(hist["total_funds_with_breaks"]), str(hist["total_breaks"])]
-    )
+    rows = [[_count(r["n_breaks"]), _count(r["funds"]), _count(r["breaks"])] for r in hist["rows"]]
+    rows.append(["total", _count(hist["total_funds_with_breaks"]), _count(hist["total_breaks"])])
     return _render(["n_breaks", "funds", "breaks"], rows, fmt)
 
 
 def _render_transitions(agg: dict, fmt: str) -> str:
     t = agg["transitions"]
-    labels, counts = t["labels"], t["counts"]
+    labels, counts = [_label(x) for x in t["labels"]], t["counts"]
     if len(counts) != len(labels) or any(len(row) != len(labels) for row in counts):
         raise ValueError(f"transitions: counts is not {len(labels)} x {len(labels)}")
+    cells = [[_count(c) for c in row] for row in counts]
     row_totals = [sum(row) for row in counts]
     if t["grand_total"] != sum(row_totals):
         raise ValueError(
             f"transitions: grand_total {t['grand_total']!r} is not the sum of the counts"
         )
     header = ["style_t"] + labels + ["Total"]
-    rows = []
-    for label, row, total in zip(labels, counts, row_totals):
-        rows.append([label] + [str(c) for c in row] + [str(total)])
+    rows = [[label] + row + [str(total)] for label, row, total in zip(labels, cells, row_totals)]
     col_totals = [sum(row[j] for row in counts) for j in range(len(labels))]
-    rows.append(["Total"] + [str(c) for c in col_totals] + [str(t["grand_total"])])
+    rows.append(["Total"] + [str(c) for c in col_totals] + [_count(t["grand_total"])])
     return _render(header, rows, fmt)
 
 
 def _render_performance(agg: dict, fmt: str) -> str:
     rows = []
     for r in agg["performance_by_breaks"]["rows"]:
-        rows.append([_cell(r[name]) for name in GROUP_COLUMNS])
+        group, funds, breaks, *metrics = (r[name] for name in GROUP_COLUMNS)
+        rows.append([_label(group), _count(funds), _count(breaks), *map(_metric, metrics)])
     return _render(list(GROUP_COLUMNS), rows, fmt)
 
 
@@ -99,14 +104,13 @@ def _render_deciles(agg: dict, fmt: str) -> str:
     if d is None:
         return "no decile analysis (fewer than 10 funds)\n"
     rows = []
-    for i, fund_id in enumerate(d["top_fund_ids"], start=1):
-        rows.append(["top_funds", str(i), fund_id])
-    for i, fund_id in enumerate(d["bottom_fund_ids"], start=1):
-        rows.append(["bottom_funds", str(i), fund_id])
+    for side in ("top", "bottom"):
+        for i, fund_id in enumerate(d[f"{side}_fund_ids"], start=1):
+            rows.append([f"{side}_funds", str(i), _label(fund_id)])
     for section in ("top_intensity", "bottom_intensity",
                     "top_destinations", "bottom_destinations"):
         for key, count in d[section].items():
-            rows.append([section, key, str(count)])
+            rows.append([section, _label(key), _count(count)])
     return _render(["section", "key", "value"], rows, fmt)
 
 
@@ -125,9 +129,12 @@ def render_table(aggregates: dict, table: str, fmt: str) -> str:
     """Render one aggregate table as ``csv`` or ``md`` (Markdown) text.
 
     ``aggregates`` is the dict ``pipeline.build_aggregates`` returns, before or
-    after a JSON round trip; missing or misshapen data, a non-string cell or a
-    transitions matrix whose shape or total disagrees with its labels among
-    them, raises LookupError, TypeError, AttributeError or ValueError (exit 2
-    in ``fundshift report``). Empty cells are undefined values.
+    after a JSON round trip. Each cell is read by its column's kind, so both
+    formats accept the same reports: a label or id is a string, a count an
+    int >= 0 and not a bool, a metric a float or null. Missing or misshapen
+    data, a cell of another kind or a transitions matrix whose shape or total
+    disagrees with its labels among them, raises LookupError, TypeError,
+    AttributeError or ValueError (exit 2 in ``fundshift report``) before
+    anything prints. Empty cells are undefined metrics.
     """
     return _TABLE_RENDERERS[table](aggregates, fmt)

@@ -139,7 +139,7 @@ def test_criterion_3_planted_break_recovery():
     located = 0
     for seed in range(100):
         sample = rotation_sample(seed)
-        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+        (bs,) = select_break_count([build_ssr_table(sample)])
         if bs.chosen_m == 1:
             detected += 1
             if abs(bs.break_indices[0] - 499) <= 20:

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     dense_ssr_table,
     exhaustive_best_partition,
+    make_styled_sample,
     packed_layout,
     packed_ssr_table,
     reachable_cells,
@@ -261,6 +262,27 @@ def test_ssr_table_inadmissible_cell_raises():
     table = build_ssr_table(sample, trim=0.1)
     with pytest.raises(BreakDetectionError, match="inadmissible"):
         table.ssr(0, 5)
+
+
+@pytest.mark.parametrize("n, h", [(10, 5), (11, 5), (12, 5), (40, 7), (90, 15), (121, 19)])
+def test_every_start_row_ends_are_a_suffix_of_row_0s(n, h):
+    # The sweep builds row 0's ends once and reads row i's from it,
+    # n = 2h and n = 2h + 1 among the shapes.
+    table = ssr_table_from_arrays(np.zeros(n), np.ones((n, 1)), h)
+    first = table.ends(0)
+    for i in [*range(n - h, h - 1, -1), 0]:
+        assert np.array_equal(first[min(i, n - 2 * h + 1) :], table.ends(i)), i
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.006], ids=["exact_fit", "noisy"])
+def test_ssr_table_floor_is_the_bic_floor_of_its_own_y(noise):
+    # Select used to compute this floor per sample; the table now holds it.
+    sample = make_styled_sample(21, [(300, 0.0, 0.6, 0.3), (300, 0.0, -0.6, 0.0)], noise=noise)
+    y = excess_over_benchmark(sample)
+    floor = max(float(np.sum((y - y.mean()) ** 2)) * breaks._SSR_FLOOR_REL, np.finfo(float).tiny)
+    assert build_ssr_table(sample).floor.hex() == floor.hex()
+    zero = ssr_table_from_arrays(np.zeros(sample.n), design_matrix(sample), 90)
+    assert zero.floor == np.finfo(float).tiny
 
 
 def test_optimal_partition_zero_breaks_degenerate():
@@ -525,7 +547,7 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     sample = make_sample(3000, 12, path, noise=0.006)
     table = build_ssr_table(sample)
     cells = solved_cells(monkeypatch)
-    (bs,) = select_break_count([sample], [table])
+    (bs,) = select_break_count([table])
     reachable = int(packed_layout(3000, table.h)[1][-1])
     assert (table.h, reachable) == (450, 1_367_929)
     assert bs.chosen_m == 3
@@ -534,7 +556,7 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
 
 def test_select_break_count_single_regime_zero_noise():
     sample = make_sample(400, 11, [(400, 0.5)])
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 0
     assert bs.regime_windows == ((0, 399),)
     # n=400, h=60: (m+1)*60 <= 400 holds for every m up to the default cap of 5.
@@ -543,7 +565,7 @@ def test_select_break_count_single_regime_zero_noise():
 
 def test_select_break_count_planted_rotation_with_noise():
     sample = make_sample(1000, 12, [(500, 0.8), (500, -0.8)], noise=0.01)
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 1
     assert abs(bs.break_indices[0] - 499) <= 20
 
@@ -552,14 +574,14 @@ def test_select_break_count_planted_rotation_with_noise():
 def test_select_break_count_no_false_breaks_without_a_break(t_df):
     # The 30 seeds share one search, as equal-length funds do in a cohort.
     samples = [make_sample(600, seed, [(600, 0.5)], noise=0.006, t_df=t_df) for seed in range(30)]
-    found = select_break_count(samples, [build_ssr_table(sample) for sample in samples])
+    found = select_break_count([build_ssr_table(sample) for sample in samples])
     assert [seed for seed, bs in enumerate(found) if bs.chosen_m] == []
 
 
 def test_select_break_count_recovers_break_under_heavy_tailed_noise():
     for seed in range(20):
         sample = make_sample(600, seed, [(300, 0.8), (300, -0.8)], noise=0.006, t_df=3)
-        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+        (bs,) = select_break_count([build_ssr_table(sample)])
         assert bs.chosen_m == 1, f"seed {seed}"
         assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
 
@@ -603,7 +625,7 @@ def no_break_runs(noise):
     for seed in range(20):
         eps = noise(np.random.default_rng([seed, 1]), 600)
         sample = with_noise(make_sample(600, seed, [(600, 0.5)]), eps)
-        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+        (bs,) = select_break_count([build_ssr_table(sample)])
         yield eps, bs
 
 
@@ -642,7 +664,7 @@ def test_select_break_count_recovers_break_under_clustered_noise():
     for seed in range(20):
         eps = garch_noise(np.random.default_rng([seed, 1]), 600, 0.10, 0.85, 0.006)
         sample = with_noise(make_sample(600, seed, [(300, 0.8), (300, -0.8)]), eps)
-        (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+        (bs,) = select_break_count([build_ssr_table(sample)])
         assert bs.chosen_m == 1, f"seed {seed}"
         assert abs(bs.break_indices[0] - 299) <= 20, f"seed {seed}"
 
@@ -666,8 +688,8 @@ def test_time_reversal_mirrors_the_breaks(path):
     for seed in range(10):
         sample = make_sample(600, seed, path, noise=0.006)
         mirror = reversed_in_time(sample)
-        (forward,) = select_break_count([sample], [build_ssr_table(sample)])
-        (backward,) = select_break_count([mirror], [build_ssr_table(mirror)])
+        (forward,) = select_break_count([build_ssr_table(sample)])
+        (backward,) = select_break_count([build_ssr_table(mirror)])
         n = sample.n
         assert forward.break_indices == tuple(
             sorted(n - 2 - b for b in backward.break_indices)
@@ -698,26 +720,25 @@ def test_select_break_count_respects_max_breaks():
     path = [(130, 0.8), (130, -0.8), (130, 0.8), (130, -0.8), (130, 0.8)]
     sample = make_sample(650, 13, path, noise=0.005)
     table = build_ssr_table(sample, trim=0.05)
-    (bs,) = select_break_count([sample], [table], max_breaks=2)
+    (bs,) = select_break_count([table], max_breaks=2)
     assert bs.chosen_m <= 2
     assert max(m for m, _ in bs.criterion_values) <= 2
     with pytest.raises(BreakDetectionError, match="negative"):
-        select_break_count([sample], [table], max_breaks=-1)
+        select_break_count([table], max_breaks=-1)
 
 
 def test_select_break_count_deterministic():
     sample = make_sample(500, 14, [(250, 0.6), (250, -0.6)], noise=0.006)
-    (first,) = select_break_count([sample], [build_ssr_table(sample)])
-    assert (first,) == select_break_count([sample], [build_ssr_table(sample)])
+    (first,) = select_break_count([build_ssr_table(sample)])
+    assert (first,) == select_break_count([build_ssr_table(sample)])
 
 
 def test_select_break_count_rejects_mismatched_table():
-    sample = make_sample(400, 15, [(400, 0.5)])
+    table = build_ssr_table(make_sample(400, 15, [(400, 0.5)]))
     other = build_ssr_table(make_sample(300, 16, [(300, 0.5)]))
-    with pytest.raises(BreakDetectionError, match="table of n=300, sample of n=400"):
-        select_break_count([sample], [other])
-    with pytest.raises(BreakDetectionError, match="one table per sample"):
-        select_break_count([sample, sample], [build_ssr_table(sample)])
+    for group in ([table, other], [other, table]):
+        with pytest.raises(BreakDetectionError, match="tables differ in n, h or k"):
+            select_break_count(group)
 
 
 def _short_middle_regime_bs(min_regime: int | None = None):
@@ -725,7 +746,7 @@ def _short_middle_regime_bs(min_regime: int | None = None):
     # enough that the 30-observation middle regime is admissible.
     sample = make_sample(1230, 17, [(600, 0.8), (30, -0.8), (600, 0.4)])
     table = build_ssr_table(sample, trim=0.02)
-    (bs,) = select_break_count([sample], [table])
+    (bs,) = select_break_count([table])
     return bs, table
 
 
@@ -754,7 +775,7 @@ def test_filter_short_regimes_idempotent():
 def test_filter_short_regimes_keeps_long_regimes():
     sample = make_sample(1200, 18, [(600, 0.8), (600, -0.8)])
     table = build_ssr_table(sample)
-    (bs,) = select_break_count([sample], [table])
+    (bs,) = select_break_count([table])
     assert bs.chosen_m == 1
     filtered = filter_short_regimes(bs, 500, table=table)
     assert filtered.break_indices == bs.break_indices

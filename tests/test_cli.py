@@ -519,6 +519,37 @@ def test_analyze_skips_fund_with_non_finite_nav(tmp_path):
     ]
 
 
+def widen_cell(path: Path) -> None:
+    """Make the second cell of row 3 140,000 characters, above csv's field limit."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3].split(",")[0] + "," + "1" * 140_000
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_analyze_skips_fund_with_nav_cell_over_the_csv_field_limit(tmp_path):
+    out = simulate(tmp_path, three_fund_spec())
+    widen_cell(out / "nav" / "F2.csv")
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [f["fund_id"] for f in report["funds"]] == ["F1", "F3"]
+    assert report["skipped"] == [
+        {"fund_id": "F2", "reason": "NAV file F2: field larger than field limit (131072)"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, context", [("factors.csv", "factor file"), ("benchmark_map.csv", "benchmark map")]
+)
+def test_analyze_input_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys, name, context):
+    out = simulate(tmp_path, three_fund_spec())
+    widen_cell(out / name)
+    assert analyze(out, tmp_path / "r.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"bad input file: {context}: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_rejects_benchmark_id_outside_bench_dir(tmp_path, capsys):
     out = simulate(tmp_path, rotation_spec())
     outside = tmp_path / "outside"
@@ -681,13 +712,21 @@ def test_fund_entry_does_not_depend_on_its_search_group(tmp_path, monkeypatch):
     with open(out / "benchmark_map.csv", "a", encoding="utf-8") as fh:
         fh.write("F4,B1\n")
     monkeypatch.setattr(pipeline, "GROUP_FUND_DAYS", 2 * 300)
-    groups = []
-    select, search = pipeline.select_break_count, pipeline.search_breaks
+    groups, fund_of = [], {}
+    build, select, search = (
+        pipeline.build_ssr_table, pipeline.select_break_count, pipeline.search_breaks
+    )
 
-    def recording(samples, tables, max_breaks=None):
-        groups.append([sample.fund_id for sample in samples])
-        return select(samples, tables, max_breaks)
+    def building(sample, trim):
+        table = build(sample, trim)
+        fund_of[id(table)] = sample.fund_id
+        return table
 
+    def recording(tables, max_breaks=None):
+        groups.append([fund_of[id(table)] for table in tables])
+        return select(tables, max_breaks)
+
+    monkeypatch.setattr(pipeline, "build_ssr_table", building)
     monkeypatch.setattr(pipeline, "select_break_count", recording)
 
     def entries(fund_ids: str, reverse: bool = False) -> dict[str, str]:
@@ -899,6 +938,45 @@ def test_report_non_string_cell_exits_2_in_either_format(tmp_path, capsys, fmt, 
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "invalid report file: table cell 1 is not a string" in captured.err
+    assert captured.out == ""
+
+
+def _performance_row(**cells) -> dict:
+    row = {"group": "1", "funds": 1, "breaks": 1, **dict.fromkeys(GROUP_COLUMNS[3:], 0.5)}
+    return {"performance_by_breaks": {"rows": [{**row, **cells}]}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize(
+    "table, aggregates, reason",
+    [
+        ("transitions", {"transitions": {"labels": ["A", "B"], "counts": [[True, 1.5], [0, -3]],
+                                         "grand_total": -0.5}}, "True is not a count"),
+        ("performance", _performance_row(funds=[1, 2]), "[1, 2] is not a count"),
+        ("performance", _performance_row(group={"m": 1}), "{'m': 1} is not a string"),
+        ("performance", _performance_row(sharpe_pa="0.5"), "'0.5' is not a metric"),
+        ("breaks", {"break_histogram": {"rows": [{"n_breaks": 0, "funds": 24, "breaks": 0}],
+                                        "total_funds_with_breaks": 24, "total_breaks": None}},
+         "None is not a count"),
+        ("deciles", {"deciles": {
+            "top_fund_ids": ["F1"], "bottom_fund_ids": ["F2"], "top_intensity": {"Mild": 2.5},
+            "bottom_intensity": {}, "top_destinations": {}, "bottom_destinations": {}}},
+         "2.5 is not a count"),
+    ],
+    ids=["transitions-bool-and-float-counts", "performance-list-funds", "performance-dict-group",
+         "performance-string-metric", "breaks-null-total", "deciles-float-count"],
+)
+def test_report_cell_of_the_wrong_kind_exits_2_in_either_format(tmp_path, capsys, fmt, table,
+                                                                 aggregates, reason):
+    # Each cell is read by its column's kind: a count is an int >= 0 and not
+    # a bool, a metric a float or null, a label or id a string.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregates": aggregates}), encoding="utf-8")
+    code = main(["report", "--in", str(path), "--table", table, "--format", fmt])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"invalid report file: table cell {reason}" in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

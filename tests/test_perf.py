@@ -19,9 +19,8 @@ from fundshift.perf import (
     FundMetrics,
     PerfError,
     annualized_metrics,
-    break_histogram,
+    break_count_tables,
     decile_analysis,
-    group_by_break_count,
     pre_post_compare,
 )
 from fundshift.pipeline import (
@@ -200,11 +199,11 @@ def group_row(report: dict, group: str) -> dict:
 
 
 def test_group_by_break_count_empty():
-    assert group_by_break_count([])["rows"] == []
+    assert break_count_tables([])[1]["rows"] == []
 
 
 def test_group_means_are_equal_weighted():
-    report = group_by_break_count(
+    _, report = break_count_tables(
         [make_metrics("A", 4.0, 2), make_metrics("B", 6.0, 2)]
     )
     assert group_row(report, "2")["excess_return_pa"] == pytest.approx(5.0)
@@ -222,13 +221,12 @@ def test_group_fixture_reproduces_break_count_totals():
         for _ in range(count):
             metrics.append(make_metrics(f"F{k:03d}", 5.0, m))
             k += 1
-    report = group_by_break_count(metrics)
+    hist, report = break_count_tables(metrics)
     assert [group_row(report, str(m))["breaks"] for m in range(1, 6)] == [34, 62, 96, 136, 145]
     with_breaks = group_row(report, WITH_BREAKS_GROUP)
     assert with_breaks["funds"] == 160
     assert with_breaks["breaks"] == 473
 
-    hist = break_histogram(metrics)
     assert hist["total_funds_with_breaks"] == 160
     assert hist["total_breaks"] == 473
     assert hist["rows"][0]["funds"] == 40  # listed but outside the totals
@@ -240,25 +238,25 @@ def test_group_conservation():
         make_metrics(f"F{i}", float(rng.normal(5, 2)), int(rng.integers(0, 4)))
         for i in range(50)
     ]
-    report = group_by_break_count(metrics)
+    _, report = break_count_tables(metrics)
     bucket_rows = [r for r in report["rows"] if r["group"] != WITH_BREAKS_GROUP]
     assert sum(r["funds"] for r in bucket_rows) == 50
     assert sum(r["breaks"] for r in bucket_rows) == sum(m.n_breaks for m in metrics)
 
 
 def test_empty_bucket_row_is_nan_not_zero():
-    report = group_by_break_count([make_metrics("A", 4.0, 2)], max_m=3)
+    _, report = break_count_tables([make_metrics("A", 4.0, 2)], max_m=3)
     assert group_row(report, "1")["funds"] == 0
     assert math.isnan(group_row(report, "1")["excess_return_pa"])
     assert group_row(report, "3")["funds"] == 0
 
 
 def test_break_histogram_max_m_extension_and_empty():
-    hist = break_histogram([make_metrics("A", 4.0, 1)], max_m=3)
+    hist, _ = break_count_tables([make_metrics("A", 4.0, 1)], max_m=3)
     assert [r["n_breaks"] for r in hist["rows"]] == [0, 1, 2, 3]
     assert hist["total_funds_with_breaks"] == 1
     assert hist["total_breaks"] == 1
-    empty = break_histogram([])
+    empty, _ = break_count_tables([])
     assert len(empty["rows"]) == 1
     assert empty["total_breaks"] == 0
 
@@ -345,7 +343,7 @@ def test_report_delta_is_post_minus_pre():
 
 
 def _graded(sample):
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(styles)
     return bs, styles, shifts

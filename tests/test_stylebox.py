@@ -241,7 +241,7 @@ def test_fund_shift_intensity_takes_max_severity():
 
 def test_regime_styles_single_regime():
     sample = make_styled_sample(21, [(400, 0.0, 0.8, 0.5)])
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 0
     styles = regime_styles(sample, bs)
     assert len(styles) == 1
@@ -253,7 +253,7 @@ def test_regime_styles_planted_two_regime_fund():
     sample = make_styled_sample(
         22, [(500, 0.0, 0.8, 0.5), (500, 0.0, -0.8, -0.5)]
     )
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Value", "Large Growth"]
@@ -273,7 +273,7 @@ def test_grade_breaks_planted_rotation():
     sample = make_styled_sample(
         24, [(500, 0.0, 0.8, 0.5), (500, 0.0, -0.8, -0.5)]
     )
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(styles)
     assert len(shifts) == 1
@@ -291,7 +291,7 @@ def test_grade_breaks_planted_rotation():
 
 def test_grade_breaks_planted_drift():
     sample = make_styled_sample(25, [(500, 0.0, 0.6, 0.0), (500, 0.0, 0.0, 0.0)])
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Blend", "Mid Blend"]
@@ -303,7 +303,7 @@ def test_grade_breaks_planted_drift():
 
 def test_grade_breaks_planted_strengthen_stays_on_diagonal():
     sample = make_styled_sample(26, [(500, 0.0, 0.3, -0.4), (500, 0.0, 0.7, -0.4)])
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     assert [s.box.label for s in styles] == ["Small Growth", "Small Growth"]
@@ -320,7 +320,7 @@ def test_alpha_only_break_grades_unchanged():
     sample = make_styled_sample(
         27, [(500, 0.0, 0.5, -0.4), (500, 0.003, 0.5, -0.4)]
     )
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     assert bs.chosen_m == 1
     styles = regime_styles(sample, bs)
     (shift,) = grade_breaks(styles)

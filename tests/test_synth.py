@@ -256,7 +256,7 @@ def test_pipeline_reproduces_planted_truth_exactly():
     sample = align(
         compute_returns(out.funds[0]), compute_returns(out.benchmarks[0]), out.factors
     )
-    (bs,) = select_break_count([sample], [build_ssr_table(sample)])
+    (bs,) = select_break_count([build_ssr_table(sample)])
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(styles)
     assert bs.chosen_m == len(truth.break_indices)

@@ -195,50 +195,46 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot list NAV directory: {exc}", EXIT_IO)
 
-    # Parse each referenced benchmark once, shared across funds.
-    bench_dir = Path(args.bench_nav)
-    bench_returns: dict[str, ReturnSeries] = {}
-    bench_errors: dict[str, str] = {}
-    needed = sorted(
-        {bmap.benchmark_for(p.stem) for p in fund_paths} - {None}
-    )
-    for bench_id in needed:
-        try:
-            nav = parse_nav_csv(_read_text(bench_dir / f"{bench_id}.csv"), bench_id)
-            bench_returns[bench_id] = compute_returns(nav)
-        except (OSError, MarketDataError) as exc:
-            bench_errors[bench_id] = str(exc)
-
     samples = []
     skipped: list[tuple[str, str]] = []
+
+    def skip(fund_id: str, reason: str) -> None:
+        log.warning("skipping %s: %s", fund_id, reason)
+        skipped.append((fund_id, reason))
+
+    # Each benchmark is read when a fund first needs it; its returns, or
+    # the reason it is unusable, serve every other fund that uses it.
+    bench_dir = Path(args.bench_nav)
+    benchmarks: dict[str, ReturnSeries | str] = {}
     for path in fund_paths:
         fund_id = path.stem
         bench_id = bmap.benchmark_for(fund_id)
-        if bench_id is None:
-            skipped.append((fund_id, "no benchmark"))
-            continue
-        if bench_id in bench_errors:
-            skipped.append((fund_id, f"benchmark {bench_id}: {bench_errors[bench_id]}"))
+        if bench_id is not None and bench_id not in benchmarks:
+            try:
+                nav = parse_nav_csv(_read_text(bench_dir / f"{bench_id}.csv"), bench_id)
+                benchmarks[bench_id] = compute_returns(nav)
+            except (OSError, MarketDataError) as exc:
+                benchmarks[bench_id] = f"benchmark {bench_id}: {exc}"
+        bench = benchmarks.get(bench_id, "no benchmark")
+        if isinstance(bench, str):
+            skip(fund_id, bench)
             continue
         try:
             nav = parse_nav_csv(_read_text(path), fund_id)
-            samples.append(align(compute_returns(nav), bench_returns[bench_id], factors))
+            samples.append(align(compute_returns(nav), bench, factors))
         except (ValueError, OSError) as exc:
-            log.warning("skipping %s: %s", fund_id, exc)
-            skipped.append((fund_id, str(exc)))
+            skip(fund_id, str(exc))
 
     # Equal-length funds share one break search; each fund then runs on alone.
     searched, failed = search_breaks(samples, config)
     for fund_id, reason in failed:
-        log.warning("skipping %s: %s", fund_id, reason)
-    skipped += failed
+        skip(fund_id, reason)
     records = []
     for fund in searched:
         try:
             record = analyze_fund(fund, config)
         except ValueError as exc:
-            log.warning("skipping %s: %s", fund.fund_id, exc)
-            skipped.append((fund.fund_id, str(exc)))
+            skip(fund.fund_id, str(exc))
             continue
         log.info("analyzed %s: %d break(s)", fund.fund_id, record.break_set.chosen_m)
         records.append(record)

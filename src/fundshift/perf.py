@@ -12,9 +12,10 @@ A = :data:`TRADING_DAYS_PER_YEAR` = 252 periods a year:
 
 Undefined ratios (zero stdev, zero market beta, empty groups) are NaN,
 never silently 0. Aggregation mirrors the reporting layout: one
-bucketing of the funds by break count gives both the break histogram
-and the equal-weighted means per count, plus top and bottom deciles by
-excess return.
+bucketing of the funds by break count gives both the break histogram,
+whose arithmetic ``tables.break_histogram`` states, and the
+equal-weighted means per count, plus top and bottom deciles by excess
+return for cohorts of at least 10 funds.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def break_count_tables(metrics: list[FundMetrics], max_m: int = 0) -> tuple[dict
     """The break histogram and the performance-by-breaks table of one bucketing.
 
     Buckets run over m = 0..max(max_m, largest observed count), empty or
-    not. The histogram's totals count only funds that broke and
-    their breaks. The performance table holds one row keyed by
+    not. The histogram is :func:`tables.break_histogram` of the bucket
+    sizes. The performance table holds one row keyed by
     :data:`tables.GROUP_COLUMNS` per bucket, then the row over all funds
     with a break; empty input yields no rows.
     """
@@ -137,18 +138,12 @@ def break_count_tables(metrics: list[FundMetrics], max_m: int = 0) -> tuple[dict
     buckets: list[list[FundMetrics]] = [[] for _ in range(top + 1)]
     for x in metrics:
         buckets[x.n_breaks].append(x)
-    counts = [{"n_breaks": m, "funds": len(b), "breaks": m * len(b)} for m, b in enumerate(buckets)]
-    histogram = {
-        "rows": counts,
-        "total_funds_with_breaks": len(metrics) - len(buckets[0]),
-        "total_breaks": sum(r["breaks"] for r in counts),
-    }
     rows = []
     if metrics:
         rows = [_group_row(str(m), b) for m, b in enumerate(buckets)]
         # Input order, not bucket order: the means' bits depend on it.
         rows.append(_group_row(WITH_BREAKS_GROUP, [x for x in metrics if x.n_breaks >= 1]))
-    return histogram, {"rows": rows}
+    return tables.break_histogram([len(b) for b in buckets]), {"rows": rows}
 
 
 def pre_post_compare(
@@ -193,17 +188,16 @@ def _histogram(shifts: list[BreakShift], labels: tuple[str, ...], key) -> dict[s
 def decile_analysis(
     metrics: list[FundMetrics],
     shifts_by_fund: dict[str, tuple[BreakShift, ...]],
-) -> dict:
-    """Composition of the best and worst deciles by excess return.
+) -> dict | None:
+    """Composition of the best and worst deciles by excess return, None below 10 funds.
 
     Decile size is ceil(N/10); ranking ties break by fund_id. Each
     histogram counts every label in canonical order, pooling every
     graded break of the decile's funds.
     """
-    n = len(metrics)
-    if n < 10:
-        raise PerfError(f"decile analysis needs at least 10 funds, got {n}")
-    size = math.ceil(n / 10)
+    if len(metrics) < 10:
+        return None
+    size = math.ceil(len(metrics) / 10)
     desc = sorted(metrics, key=lambda m: (-m.excess_return_pa, m.fund_id))
     asc = sorted(metrics, key=lambda m: (m.excess_return_pa, m.fund_id))
     top_ids = [m.fund_id for m in desc[:size]]

@@ -335,9 +335,6 @@ def build_aggregates(records: list[FundRecord]) -> dict:
     """
     metrics = [rec.metrics for rec in records]
     max_m = max((len(rec.break_set.criterion_values) - 1 for rec in records), default=0)
-    deciles = None
-    if len(metrics) >= 10:
-        deciles = decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records})
     histogram, performance = break_count_tables(metrics, max_m=max_m)
     return {
         "break_histogram": histogram,
@@ -345,7 +342,7 @@ def build_aggregates(records: list[FundRecord]) -> dict:
             [[style.box for style in rec.styles] for rec in records]
         ),
         "performance_by_breaks": performance,
-        "deciles": deciles,
+        "deciles": decile_analysis(metrics, {rec.fund_id: rec.shifts for rec in records}),
     }
 
 

@@ -29,7 +29,7 @@ DEFAULT_SIG_LEVEL = 0.05
 
 #: Coefficient names, in design-matrix column order.
 FF3_NAMES = ("alpha", "mkt_rf", "smb", "hml")
-CARHART_NAMES = ("alpha", "mkt_rf", "smb", "hml", "mom")
+CARHART_NAMES = (*FF3_NAMES, "mom")
 
 
 class RegressionError(ValueError):
@@ -66,16 +66,9 @@ class RegressionResult:
         raise KeyError(name)
 
 
-def design_matrix(sample: AlignedSample, carhart: bool = False) -> np.ndarray:
-    """Column-stack [1, mkt_rf, smb, hml(, mom)] for the aligned window."""
-    cols = [np.ones(sample.n), sample.mkt_rf, sample.smb, sample.hml]
-    if carhart:
-        if not sample.has_mom:
-            raise RegressionError(
-                f"{sample.fund_id}: momentum design requested but factor panel has no mom column"
-            )
-        cols.append(sample.mom)
-    return np.column_stack(cols)
+def design_matrix(sample: AlignedSample) -> np.ndarray:
+    """Column-stack [1, mkt_rf, smb, hml] for the aligned window."""
+    return np.column_stack([np.ones(sample.n), sample.mkt_rf, sample.smb, sample.hml])
 
 
 def excess_over_cash(sample: AlignedSample) -> np.ndarray:
@@ -122,9 +115,9 @@ def ols(
 ) -> RegressionResult:
     """QR-based OLS with t-tests on every coefficient.
 
-    Requires n > k. With ``hac`` set, standard errors use the Newey-West
-    estimator at the conventional bandwidth; point estimates and SSR are
-    unchanged.
+    Requires n > k and a finite y'y. With ``hac`` set, standard errors use
+    the Newey-West estimator at the conventional bandwidth; point
+    estimates and SSR are unchanged.
     """
     n, k = X.shape
     if len(names) != k:
@@ -133,6 +126,10 @@ def ols(
         raise RegressionError(f"{model}: need more than {k} observations, got {n}")
     if not 0.0 < sig_level < 1.0:
         raise RegressionError(f"invalid significance level {sig_level!r}")
+    with np.errstate(over="ignore"):  # an overflow raises below, with the model named
+        yy = float(y @ y)
+    if not np.isfinite(yy):
+        raise RegressionError(f"{model}: the dependent variable's sum of squares overflows")
 
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
@@ -147,7 +144,7 @@ def ols(
     # dust in ssr; dividing dust coefficients by dust standard errors
     # would randomize significance. Treat it as certainty instead:
     # clearly nonzero coefficients get t = +/-inf, dust-sized ones t = 0.
-    exact = ssr <= _EXACT_FIT_REL * float(y @ y)
+    exact = ssr <= _EXACT_FIT_REL * yy
     if exact:
         se = np.zeros(k)
         coef_tol = _EXACT_COEF_REL * float(np.max(np.abs(beta)))
@@ -202,8 +199,12 @@ def fit_carhart(
     sig_level: float = DEFAULT_SIG_LEVEL,
     hac: bool = False,
 ) -> RegressionResult:
-    """Four-factor fit (market, size, value, momentum) over cash."""
-    X = design_matrix(sample, carhart=True)
+    """Four-factor fit over cash: the three-factor design plus momentum."""
+    if not sample.has_mom:
+        raise RegressionError(
+            f"{sample.fund_id}: momentum design requested but factor panel has no mom column"
+        )
+    X = np.column_stack([design_matrix(sample), sample.mom])
     return ols(excess_over_cash(sample), X, CARHART_NAMES, "carhart", sig_level=sig_level, hac=hac)
 
 

@@ -3,8 +3,8 @@
 Each regime's three-factor fit maps to one of nine size/value boxes:
 the size axis reads the SMB loading (significantly positive = Small,
 significantly negative = Large, insignificant = Mid), the value axis
-reads HML the same way (Value / Growth / Blend). Breaks are graded by
-how the loadings moved:
+reads HML the same way (Value / Growth / Blend), through one
+sign-and-significance rule. Breaks are graded by how the loadings moved:
 
 * Rotation: a loading stays significant but flips sign (worst),
 * Drift: a loading crosses between significant and insignificant,
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from . import tables
 from .breaks import BreakSet
 from .marketdata import AlignedSample
 from .regress import DEFAULT_SIG_LEVEL, FactorLoading, RegressionResult, fit_ff3, subsample
@@ -113,22 +114,19 @@ def factor_state(loading: FactorLoading) -> FactorState:
     return FactorState(beta=loading.coef, significant=loading.significant)
 
 
+def _tilt(state: FactorState) -> int:
+    """+1 for a significantly positive loading, -1 for a significantly negative one, else 0."""
+    return (state.beta > 0.0) - (state.beta < 0.0) if state.significant else 0
+
+
 def classify_size(state: FactorState) -> SizeClass:
     """SMB loading to size class: positive tilts small, negative large."""
-    if state.significant and state.beta > 0.0:
-        return SizeClass.SMALL
-    if state.significant and state.beta < 0.0:
-        return SizeClass.LARGE
-    return SizeClass.MID
+    return {1: SizeClass.SMALL, 0: SizeClass.MID, -1: SizeClass.LARGE}[_tilt(state)]
 
 
 def classify_value(state: FactorState) -> ValueClass:
     """HML loading to value class: positive tilts value, negative growth."""
-    if state.significant and state.beta > 0.0:
-        return ValueClass.VALUE
-    if state.significant and state.beta < 0.0:
-        return ValueClass.GROWTH
-    return ValueClass.BLEND
+    return {1: ValueClass.VALUE, 0: ValueClass.BLEND, -1: ValueClass.GROWTH}[_tilt(state)]
 
 
 def style_of(fit: RegressionResult) -> StyleBox:
@@ -250,16 +248,13 @@ def apply_style_flags(bs: BreakSet, shifts: tuple[BreakShift, ...]) -> BreakSet:
 def accumulate_transitions(per_fund_styles: list[list[StyleBox]]) -> dict:
     """Count every adjacent regime pair, per fund, in chronological order.
 
-    ``counts[i][j]`` tallies box index i followed by box index j. The
-    grand total therefore equals the number of breaks across all funds;
-    breaks whose shift graded Unchanged land on the diagonal.
+    ``counts[i][j]`` tallies box index i followed by box index j, and
+    :func:`tables.transitions` adds the grand total, which therefore
+    equals the number of breaks across all funds; breaks whose shift
+    graded Unchanged land on the diagonal.
     """
     cells = [[0] * 9 for _ in range(9)]
     for styles in per_fund_styles:
         for s_t, s_next in zip(styles, styles[1:]):
             cells[s_t.index][s_next.index] += 1
-    return {
-        "labels": list(STYLE_BOX_LABELS),
-        "counts": cells,
-        "grand_total": sum(sum(row) for row in cells),
-    }
+    return tables.transitions(list(STYLE_BOX_LABELS), cells)

@@ -1,8 +1,9 @@
-"""The report's aggregate tables as CSV or Markdown text.
+"""The report's aggregate tables: the count tables' arithmetic, and CSV or Markdown text.
 
-``render_table`` prints one of the tables ``pipeline.build_aggregates``
-puts in a report, from the report's JSON. This module imports only the
-standard library, so ``fundshift report`` loads neither numpy nor scipy.
+``break_histogram`` and ``transitions`` build the count tables of a report,
+and ``render_table`` prints any table from the report's JSON, checking the
+count tables against those builders. This module imports only the standard
+library, so ``fundshift report`` loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -32,17 +33,25 @@ def write_csv(rows) -> str:
     return buf.getvalue()
 
 
+def break_histogram(funds: list[int]) -> dict:
+    """The histogram of ``funds[m]`` funds with m breaks; its totals cover m >= 1."""
+    rows = [{"n_breaks": m, "funds": count, "breaks": m * count} for m, count in enumerate(funds)]
+    return {"rows": rows, "total_funds_with_breaks": sum(funds[1:]),
+            "total_breaks": sum(r["breaks"] for r in rows)}
+
+
+def transitions(labels: list[str], counts: list[list[int]]) -> dict:
+    """The matrix ``counts[i][j]`` of label i followed by label j, with its grand total."""
+    return {"labels": labels, "counts": counts, "grand_total": sum(map(sum, counts))}
+
+
 def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
     # Cells may hold fund ids, which are file-name stems and can contain
-    # the format's own separators.
+    # the format's own separators; header cells may hold report labels.
     if fmt == "csv":
         return write_csv([header, *rows])
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in rows]
-    return "\n".join(lines) + "\n"
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(c.replace("|", "\\|") for c in row) + " |\n" for row in lines)
 
 
 def _label(value) -> str:
@@ -70,6 +79,8 @@ def _render_breaks(agg: dict, fmt: str) -> str:
     hist = agg["break_histogram"]
     rows = [[_count(r["n_breaks"]), _count(r["funds"]), _count(r["breaks"])] for r in hist["rows"]]
     rows.append(["total", _count(hist["total_funds_with_breaks"]), _count(hist["total_breaks"])])
+    if hist != break_histogram([r["funds"] for r in hist["rows"]]):
+        raise ValueError("break_histogram: n_breaks, breaks or totals disagree with its funds")
     return _render(["n_breaks", "funds", "breaks"], rows, fmt)
 
 
@@ -79,16 +90,13 @@ def _render_transitions(agg: dict, fmt: str) -> str:
     if len(counts) != len(labels) or any(len(row) != len(labels) for row in counts):
         raise ValueError(f"transitions: counts is not {len(labels)} x {len(labels)}")
     cells = [[_count(c) for c in row] for row in counts]
-    row_totals = [sum(row) for row in counts]
-    if t["grand_total"] != sum(row_totals):
+    if t["grand_total"] != transitions(labels, counts)["grand_total"]:
         raise ValueError(
             f"transitions: grand_total {t['grand_total']!r} is not the sum of the counts"
         )
-    header = ["style_t"] + labels + ["Total"]
-    rows = [[label] + row + [str(total)] for label, row, total in zip(labels, cells, row_totals)]
-    col_totals = [sum(row[j] for row in counts) for j in range(len(labels))]
-    rows.append(["Total"] + [str(c) for c in col_totals] + [_count(t["grand_total"])])
-    return _render(header, rows, fmt)
+    rows = [[label, *row, str(sum(c))] for label, row, c in zip(labels, cells, counts)]
+    rows.append(["Total", *(str(sum(col)) for col in zip(*counts)), _count(t["grand_total"])])
+    return _render(["style_t", *labels, "Total"], rows, fmt)
 
 
 def _render_performance(agg: dict, fmt: str) -> str:
@@ -132,9 +140,10 @@ def render_table(aggregates: dict, table: str, fmt: str) -> str:
     after a JSON round trip. Each cell is read by its column's kind, so both
     formats accept the same reports: a label or id is a string, a count an
     int >= 0 and not a bool, a metric a float or null. Missing or misshapen
-    data, a cell of another kind or a transitions matrix whose shape or total
-    disagrees with its labels among them, raises LookupError, TypeError,
-    AttributeError or ValueError (exit 2 in ``fundshift report``) before
-    anything prints. Empty cells are undefined metrics.
+    data, a cell of another kind, a transitions matrix whose shape or total
+    disagrees with its labels, or a break histogram other than ``break_histogram``
+    of its funds column among them, raises LookupError, TypeError, AttributeError
+    or ValueError (exit 2 in ``fundshift report``) before anything prints.
+    Empty cells are undefined metrics.
     """
     return _TABLE_RENDERERS[table](aggregates, fmt)

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import logging
+import re
 import shutil
 import sys
 from dataclasses import fields
@@ -16,7 +18,7 @@ from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.breaks import MIN_TRIM
 from fundshift.pipeline import AnalysisConfig
 from fundshift.stylebox import STYLE_BOX_LABELS
-from fundshift.tables import GROUP_COLUMNS
+from fundshift.tables import GROUP_COLUMNS, render_table
 
 
 def rotation_spec(seed: int = 9) -> dict:
@@ -672,6 +674,69 @@ def test_analyze_non_utf8_benchmark_nav_skips_dependents(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_analyze_logs_each_skipped_fund_once_and_reads_a_shared_benchmark_once(
+    tmp_path, caplog, monkeypatch
+):
+    spec = three_fund_spec()
+    spec["benchmarks"].append({"benchmark_id": "B2", "beta_mkt": 0.9})
+    spec["funds"][1]["benchmark_id"] = spec["funds"][2]["benchmark_id"] = "B2"
+    out = simulate(tmp_path, spec)
+    append_non_utf8(out / "bench_nav" / "B2.csv")
+    shutil.copy(out / "nav" / "F1.csv", out / "nav" / "F9.csv")  # no benchmark
+    reads = []
+    read_text = cli._read_text
+    monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path.name) or read_text(path))
+    caplog.set_level(logging.WARNING, logger="fundshift")
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    skipped = json.loads(report_path.read_text(encoding="utf-8"))["skipped"]
+    reasons = {entry["fund_id"]: entry["reason"] for entry in skipped}
+    assert sorted(reasons) == ["F2", "F3", "F9"]
+    assert reasons["F9"] == "no benchmark"
+    assert reasons["F2"] == reasons["F3"]
+    assert reasons["F2"].startswith("benchmark B2: B2.csv: not UTF-8 text")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert sorted(warnings) == [f"skipping {fund}: {reasons[fund]}" for fund in sorted(reasons)]
+    assert reads.count("B2.csv") == 1
+
+
+def overflowing_nav(path: Path, steps: int, jump: float) -> None:
+    """Let a NAV fall ``steps`` times by x1e-10, jump to ``jump``, then move as before."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    dates = [line.split(",")[0] for line in lines[1:]]
+    navs = [float(line.split(",")[1]) for line in lines[1:]]
+    new = [navs[0] * 1e-10**i for i in range(steps + 1)]
+    new += [jump * v / navs[steps + 1] for v in navs[steps + 1 :]]
+    rows = [f"{d},{v!r}" for d, v in zip(dates, new)]
+    path.write_text("\n".join([lines[0], *rows]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "steps, jump", [(30, 1e300), (10, 1e100)], ids=["infinite-return", "square-overflows"]
+)
+def test_analyze_skips_a_fund_whose_returns_overflow(tmp_path, caplog, steps, jump):
+    # An infinite return, or a finite one whose square overflows, left
+    # every BIC and metric of the fund NaN (null in the report); the
+    # full-sample fit now skips the fund with its reason.
+    spec = rotation_spec()
+    spec["funds"].append({**spec["funds"][0], "fund_id": "F2"})
+    out = simulate(tmp_path, spec)
+    alone = tmp_path / "alone"
+    shutil.copytree(out, alone)
+    (alone / "nav" / "F2.csv").unlink()
+    assert analyze(alone, alone / "report.json") == EXIT_OK
+    overflowing_nav(out / "nav" / "F2.csv", steps, jump)
+    caplog.set_level(logging.WARNING, logger="fundshift")
+    assert analyze(out, tmp_path / "report.json") == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    reason = "ff3: the dependent variable's sum of squares overflows"
+    assert report["skipped"] == [{"fund_id": "F2", "reason": reason}]
+    assert [r.getMessage() for r in caplog.records] == [f"skipping F2: {reason}"]
+    (entry,) = report["funds"]
+    (alone_entry,) = json.loads((alone / "report.json").read_text(encoding="utf-8"))["funds"]
+    assert json.dumps(entry, sort_keys=True) == json.dumps(alone_entry, sort_keys=True)
+
+
 def test_analyze_is_deterministic_and_jobs_invariant(tmp_path):
     out = simulate(tmp_path, three_fund_spec())
     r1, r2, r4 = (tmp_path / n for n in ("r1.json", "r2.json", "r4.json"))
@@ -1001,6 +1066,51 @@ def test_report_transitions_shape_and_total_must_match_exit_2(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert f"invalid report file: transitions: {reason}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize(
+    "rows, funds_with_breaks, breaks",
+    [
+        ([{"n_breaks": 0, "funds": 3, "breaks": 0}, {"n_breaks": 1, "funds": 2, "breaks": 3}],
+         2, 3),
+        ([{"n_breaks": 0, "funds": 3, "breaks": 0}, {"n_breaks": 1, "funds": 2, "breaks": 2}],
+         7, 2),
+        ([{"n_breaks": 0, "funds": 3, "breaks": 0}, {"n_breaks": 2, "funds": 1, "breaks": 2}],
+         1, 2),
+        ([{"n_breaks": 0, "funds": 1, "breaks": 5}], 7, 0),
+    ],
+    ids=["row-breaks-off", "totals-off", "n-breaks-out-of-sequence", "row-and-totals-off"],
+)
+def test_report_breaks_arithmetic_must_hold_exit_2(tmp_path, capsys, fmt, rows,
+                                                   funds_with_breaks, breaks):
+    # Each row's breaks are n_breaks x funds, n_breaks counts up from 0,
+    # and the totals cover the rows with at least one break.
+    histogram = {"rows": rows, "total_funds_with_breaks": funds_with_breaks,
+                 "total_breaks": breaks}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregates": {"break_histogram": histogram}}),
+                    encoding="utf-8")
+    code = main(["report", "--in", str(path), "--table", "breaks", "--format", fmt])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "invalid report file: break_histogram: n_breaks, breaks or totals disagree" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_report_markdown_header_escapes_a_pipe_in_a_label(tmp_path, capsys):
+    aggregates = {"transitions": {"labels": ["A|B"], "counts": [[0]], "grand_total": 0}}
+    expected = "| style_t | A\\|B | Total |\n| --- | --- | --- |\n" \
+        "| A\\|B | 0 | 0 |\n| Total | 0 | 0 |\n"
+    assert render_table(aggregates, "transitions", "md") == expected
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregates": aggregates}), encoding="utf-8")
+    code = main(["report", "--in", str(path), "--table", "transitions", "--format", "md"])
+    assert code == EXIT_OK
+    header = capsys.readouterr().out.splitlines()[0]
+    cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", header)[1:-1]]
+    assert cells == ["style_t", "A\\|B", "Total"]
 
 
 def test_report_unknown_table_is_usage_error(tmp_path):

@@ -16,6 +16,8 @@ from oracles import weekdays
 from fundshift import pipeline
 from fundshift.marketdata import AlignedSample
 from fundshift.regress import (
+    CARHART_NAMES,
+    FF3_NAMES,
     RegressionError,
     fit_benchmark_adjusted,
     fit_carhart,
@@ -241,8 +243,27 @@ def test_fit_carhart_planted_momentum():
 
 def test_fit_carhart_requires_mom_column():
     sample = make_sample(300, 6, with_mom=False)
-    with pytest.raises(RegressionError, match="mom"):
+    message = "F1: momentum design requested but factor panel has no mom column"
+    with pytest.raises(RegressionError, match=f"^{message}$"):
         fit_carhart(sample)
+
+
+def test_fit_carhart_design_is_the_ff3_design_plus_mom():
+    sample = make_sample(300, 6, betas=(1.0, 0.3, -0.2), noise=0.002, with_mom=True,
+                         beta_mom=0.2)
+    X = np.column_stack([np.ones(300), sample.mkt_rf, sample.smb, sample.hml, sample.mom])
+    y = sample.r_fund - sample.rf
+    assert fit_carhart(sample) == ols(y, X, CARHART_NAMES, "carhart")
+    assert CARHART_NAMES == (*FF3_NAMES, "mom")
+
+
+@pytest.mark.parametrize("last", [np.inf, 1e198], ids=["infinite", "square-overflows"])
+def test_ols_rejects_a_sum_of_squares_that_overflows(last):
+    # With y'y not finite, the SSR and every BIC built on it are NaN or inf.
+    X = np.column_stack([np.ones(30), np.arange(30.0)])
+    y = np.r_[np.linspace(-0.01, 0.01, 29), last]
+    with pytest.raises(RegressionError, match="^test: .*sum of squares overflows$"):
+        ols(y, X, ("a", "b"), "test")
 
 
 def test_carhart_never_increases_ssr():

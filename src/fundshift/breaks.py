@@ -20,16 +20,19 @@ Conventions:
 
 The SSR table is lazy: it holds one row of regression moments per
 observation, and a cumulative sum of the rows from i gives the Gram
-matrix and cross moments of every window (i, j) at once. The DP sweeps
-the start rows backwards and solves only the windows that can still win
-(:func:`optimal_partitions`); its partitions, totals and ties equal
-those of the full table bit for bit. It sweeps a group of tables of
-equal n, h and k in lockstep, so equal-length funds share each row's
-numpy calls, and every fund keeps the bits of a sweep alone. The
-kernel, :func:`solve_windows`, solves one batch for the whole group and
-falls back to each fund's own batch, by pseudo-inverse where a fund's
-windows are singular. :meth:`SsrTable.ssr`, which the filter reads,
-solves through it too.
+matrix and cross moments of every window (i, j) at once. A row holds
+the k(k+1)/2 distinct products x_a x_b, a zero pad column where the
+count would be odd, then x y, then y^2; the sums run over its
+complex128 view (:func:`_lanes`), two columns per step, each with its
+bits. The DP sweeps the start rows backwards and solves only the
+windows that can still win (:func:`optimal_partitions`); its
+partitions, totals and ties equal those of the full table bit for bit.
+It sweeps a group of tables of equal n, h and k in lockstep, so
+equal-length funds share each row's numpy calls, and every fund keeps
+the bits of a sweep alone. The kernel, :func:`solve_windows`, solves
+one batch for the whole group and falls back to each fund's own batch,
+by pseudo-inverse where a fund's windows are singular.
+:meth:`SsrTable.ssr`, which the filter reads, solves through it too.
 """
 
 from __future__ import annotations
@@ -106,14 +109,32 @@ def _gram_index(k: int) -> np.ndarray:
     return at
 
 
+def _row_width(k: int) -> int:
+    """Columns of a moment row: its (k+1)(k+2)/2 moments, rounded up to even."""
+    moments = (k + 1) * (k + 2) // 2
+    return moments + moments % 2
+
+
+def _lanes(rows: np.ndarray) -> np.ndarray:
+    """Moment rows (float64, C order, even width) as complex128 pair lanes.
+
+    A complex add is one IEEE add per float64 column, so
+    ``np.cumsum(_lanes(rows), axis=0)`` holds the bits of
+    ``np.cumsum(rows, axis=0)`` in half the accumulate steps.
+    """
+    return rows.view(np.complex128)
+
+
 @dataclass(frozen=True)
 class SsrTable:
     """Segment regressions of y on X, solved window by window on demand.
 
     Row t of ``values`` holds observation t's moments: the k(k+1)/2
-    distinct products x_a x_b, then x y, then y^2. A window a partition
-    can use is at least h long, starts at 0 or at i >= h, and ends at
-    n-1 or at j <= n-h-1. ``floor`` is the least SSR the BIC reads.
+    distinct products x_a x_b, one zero column where the row would
+    otherwise hold an odd count, then x y, then y^2: float64 in C order,
+    whole pair lanes for :func:`_lanes`. A window a partition can use is
+    at least h long, starts at 0 or at i >= h, and ends at n-1 or at
+    j <= n-h-1. ``floor`` is the least SSR the BIC reads.
     """
 
     n: int
@@ -122,13 +143,14 @@ class SsrTable:
     floor: float
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.n, (self.k + 1) * (self.k + 2) // 2):
-            raise BreakDetectionError("SsrTable: values shape mismatch")
-        self.values.flags.writeable = False
+        v = self.values
+        if v.shape != (self.n, _row_width(self.k)) or v.dtype != np.float64 or not v.flags.c_contiguous:
+            raise BreakDetectionError("SsrTable: values must be (n, even width) float64 in C order")
+        v.flags.writeable = False
 
     @property
     def k(self) -> int:
-        """Regressor count: a moment row holds (k+1)(k+2)/2 values."""
+        """Regressor count: a moment row holds (k+1)(k+2)/2 moments and the pad."""
         return (math.isqrt(8 * self.values.shape[-1] + 1) - 3) // 2
 
     def ends(self, i: int) -> np.ndarray:
@@ -139,7 +161,7 @@ class SsrTable:
         """SSR of the fit on observations i..j inclusive, with the search's bits."""
         if not (i == 0 or self.h <= i <= self.n - self.h) or j not in self.ends(i):
             raise BreakDetectionError(f"SsrTable: window ({i}, {j}) inadmissible for h={self.h}")
-        sums = np.cumsum(self.values[i : j + 1], axis=0)[None]
+        sums = np.cumsum(_lanes(self.values[i : j + 1]), axis=0).view(np.float64)[None]
         ends = np.unique([self.ends(i)[0], j])  # led by the row's first window
         return float(solve_windows(sums, i, np.zeros(ends.size, dtype=np.intp), ends)[-1])
 
@@ -199,7 +221,8 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
     if n < 2 * h:
         raise BreakDetectionError(f"ssr table: n={n} below 2h={2 * h}")
     rows, cols = np.triu_indices(k)
-    moments = np.column_stack([X[:, rows] * X[:, cols], X * y[:, None], y * y])
+    pad = np.zeros((n, _row_width(k) - rows.size - k - 1))
+    moments = np.column_stack([X[:, rows] * X[:, cols], pad, X * y[:, None], y * y])
     floor = max(float(np.sum((y - y.mean()) ** 2)) * _SSR_FLOOR_REL, np.finfo(float).tiny)
     return SsrTable(n=n, h=h, values=moments, floor=floor)
 
@@ -257,8 +280,9 @@ def optimal_partitions(
     each level's bound-argmin, which gives an exact cost per level, then
     every end whose bound comes within the slack of that cost; the rest
     can neither win nor tie. Breaks let the bounds prune most ends; a flat
-    fund without one solves a fifth to a third. The first minimum over
-    ascending ends makes each break vector the earliest global minimizer.
+    fund without one solves a fifth to a third. Each level keeps the first
+    minimum over ascending ends: each break vector is a global minimizer,
+    the earliest unless rounding ties an earlier vector's total with it.
 
     The tables share n, h and k, and the sweep advances them in lockstep:
     each row fills one buffer of cumulative sums and solves one batch per
@@ -278,14 +302,15 @@ def optimal_partitions(
 
     funds = len(tables)
     sums = np.empty((funds, *tables[0].values.shape))
+    sum_lanes, row_lanes = _lanes(sums), [_lanes(t.values) for t in tables]
     best = np.full((funds, max_m + 1, n), np.inf)
     choice = np.zeros((funds, max_m + 1, n), dtype=np.int32)
     bound = np.zeros((funds, n))  # bound[f, j] <= ssr(i, j): the last solved ssr(i', j), i' > i, or 0
     each = np.arange(funds)[:, None]
     all_ends = tables[0].ends(0)  # row i's ends are its suffix from min(i, n-2h+1)
     for i in [*range(n - h, h - 1, -1), 0]:
-        for table, row in zip(tables, sums):
-            np.cumsum(table.values[i:], axis=0, out=row[: n - i])
+        for lanes, row in zip(row_lanes, sum_lanes):
+            np.cumsum(lanes[i:], axis=0, out=row[: n - i])
         ends = all_ends[min(i, n - 2 * h + 1) :]
         inner = slice(i + h - 1, n - h)
         levels = min(max_m, (n - i) // h - 1)

@@ -20,6 +20,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
+# regress.ols imports scipy on its first fit, so that simulating loads
+# none. analyze imports it here, before any input is read: imported
+# after the inputs, it raised peak RSS by 0.8 MB on a 3 x 5000-day cohort.
+import scipy.special  # noqa: F401
+
 from .breaks import (
     DEFAULT_TRIM,
     BreakDetectionError,

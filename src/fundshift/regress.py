@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .marketdata import AlignedSample
 
@@ -119,6 +118,8 @@ def ols(
     the Newey-West estimator at the conventional bandwidth; point
     estimates and SSR are unchanged.
     """
+    from scipy import special  # here, so that simulating loads no scipy
+
     n, k = X.shape
     if len(names) != k:
         raise RegressionError("names/columns mismatch")

@@ -206,12 +206,58 @@ def test_packed_layout_size_at_long_history():
 
 
 def test_ssr_table_holds_one_moment_row_per_observation():
-    # The lazy table at n=5000, k=4: 15 moments per row, 0.6 MB.
+    # The lazy table at n=5000, k=4: 15 moments and one zero pad column
+    # per row, 0.64 MB.
     sample = make_sample(5000, 6, [(5000, 0.2)])
     table = build_ssr_table(sample)
     assert (table.n, table.h, table.k) == (5000, 750, 4)
-    assert table.values.shape == (5000, 15)
-    assert table.values.nbytes == 600_000
+    assert table.values.shape == (5000, 16)
+    assert table.values.nbytes == 640_000
+    assert not table.values[:, 10].any()  # after the 10 Gram products
+
+
+@pytest.mark.parametrize("k, width", [(1, 4), (2, 6), (3, 10), (4, 16), (5, 22)])
+def test_moment_row_is_whole_pair_lanes(k, width):
+    # The pad sits between the Gram products and x y, so x y and y^2
+    # keep their places at the end of the row.
+    rng = np.random.default_rng(k)
+    X, y = rng.normal(size=(30, k)), rng.normal(size=30)
+    table = ssr_table_from_arrays(y, X, 10)
+    grams = k * (k + 1) // 2
+    assert table.values.shape == (30, width) and table.k == k
+    assert np.array_equal(table.values[:, -1], y * y)
+    assert np.array_equal(table.values[:, -k - 1 : -1], X * y[:, None])
+    assert not table.values[:, grams : width - k - 1].any()
+
+
+def test_ssr_table_rejects_values_that_are_not_pair_lanes():
+    good = ssr_table_from_arrays(np.arange(30.0), np.ones((30, 4)), 10).values
+    for values in (
+        good[:, 1:].copy(),  # odd width: 15 columns, the unpadded k = 4 row
+        good.astype(np.float32),
+        np.asfortranarray(good),
+    ):
+        with pytest.raises(BreakDetectionError, match="SsrTable"):
+            SsrTable(n=30, h=10, values=values, floor=1e-300)
+
+
+SPECIALS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("width", [4, 16, 6, 10])
+def test_lane_accumulate_keeps_every_columns_bits(width):
+    # Each lane's add is one IEEE add per column: infinities, NaNs,
+    # signed zeros, subnormals and overflow near 1e300 come out as the
+    # float64 accumulate gives them.
+    rng = np.random.default_rng(width)
+    rows = rng.normal(size=(200, width)) * 10.0 ** rng.integers(-310, 300, (200, width))
+    special = rng.random((200, width)) < 0.2
+    rows[special] = rng.choice(SPECIALS, special.sum())
+    with np.errstate(all="ignore"):
+        want = np.cumsum(rows, axis=0)
+        got = np.cumsum(breaks._lanes(rows), axis=0).view(np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got).any() and np.isinf(got).any()
 
 
 def singular_window_instance():

@@ -113,6 +113,18 @@ def test_report_command_loads_no_analysis_stack(sim_dir, tmp_path):
     assert sorted(ANALYSIS_STACK & loaded) == []
 
 
+def test_simulate_command_loads_no_scipy(sim_dir, tmp_path):
+    # synth reaches regress through stylebox and breaks, but fits nothing.
+    argv = ["simulate", "--spec", str(sim_dir.parent / "spec.json"), "--out", str(tmp_path)]
+    loaded = modules_after(
+        "import fundshift.synth, fundshift.cli\n"
+        f"assert fundshift.cli.main({argv!r}) == 0"
+    )
+    assert {"fundshift.synth", "fundshift.regress", "numpy"} <= loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+    assert (tmp_path / "truth.json").is_file()
+
+
 def test_analyze_command_loads_the_analysis_stack(sim_dir, tmp_path):
     argv = analyze_argv(sim_dir, tmp_path / "report.json")
     loaded = modules_after(f"import fundshift.cli\nassert fundshift.cli.main({argv!r}) == 0")

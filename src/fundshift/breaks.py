@@ -27,17 +27,21 @@ complex128 view (:func:`_lanes`), two columns per step, each with its
 bits. The DP sweeps the start rows backwards and solves only the
 windows that can still win (:func:`optimal_partitions`); its
 partitions, totals and ties equal those of the full table bit for bit.
-It sweeps a group of tables of equal n, h and k in lockstep, so
-equal-length funds share each row's numpy calls, and every fund keeps
-the bits of a sweep alone. The kernel, :func:`solve_windows`, solves
-one batch for the whole group and falls back to each fund's own batch,
-by pseudo-inverse where a fund's windows are singular.
+A row's windows are chosen before its cumulative sum, from lower bounds
+solved on rows above it and an upper bound carried down from the row
+above, so the sweep runs eight row chains per fund, and every fund of a
+group of tables of equal n, h and k, in lockstep: one kernel batch
+serves a whole step, and every fund keeps the bits of a sweep alone at
+any chain count. The kernel, :func:`solve_windows`, solves the gathered
+windows of any funds and start rows in one batch and falls back to each
+(fund, start) run, by pseudo-inverse where a run is singular.
 :meth:`SsrTable.ssr`, which the filter reads, solves through it too.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -69,10 +73,18 @@ _SSR_FLOOR_REL = 1e-12
 #: to 1e-14) and 4.1e-15 at 5000 days (Gram condition number 6e4).
 _PRUNE_SLACK_REL = 1e-12
 
-#: Most windows one batched solve of a group holds; a larger batch, which
-#: the first rows a flat fund sweeps can ask for, is solved fund by fund.
-#: Each window costs about 300 bytes while its batch is solved.
+#: Most windows one batched solve holds; the search flushes its gathered
+#: windows before a batch would grow past it. A longer run of one row and
+#: fund, which the first rows a flat fund sweeps can ask for, is solved
+#: alone. Each window costs about 300 bytes while its batch is solved.
 _BATCH_WINDOWS = 1024
+
+#: Row chains the search advances per fund in lockstep, at most h.
+_CHAINS = 8
+
+#: Largest Gram condition number at which the search trusts a fit of rows
+#: it skipped as a lower bound on their SSR (:func:`_own_fit_ssr`).
+_GAP_COND = 1e6
 
 
 class BreakDetectionError(ValueError):
@@ -115,6 +127,11 @@ def _row_width(k: int) -> int:
     return moments + moments % 2
 
 
+def _regressors(width: int) -> int:
+    """Regressor count k of a moment row ``width`` columns wide (see :func:`_row_width`)."""
+    return (math.isqrt(8 * width + 1) - 3) // 2
+
+
 def _lanes(rows: np.ndarray) -> np.ndarray:
     """Moment rows (float64, C order, even width) as complex128 pair lanes.
 
@@ -151,7 +168,7 @@ class SsrTable:
     @property
     def k(self) -> int:
         """Regressor count: a moment row holds (k+1)(k+2)/2 moments and the pad."""
-        return (math.isqrt(8 * self.values.shape[-1] + 1) - 3) // 2
+        return _regressors(self.values.shape[-1])
 
     def ends(self, i: int) -> np.ndarray:
         """Ends a partition can use after a segment from i: i+h-1 ... n-h-1, then n-1."""
@@ -161,52 +178,58 @@ class SsrTable:
         """SSR of the fit on observations i..j inclusive, with the search's bits."""
         if not (i == 0 or self.h <= i <= self.n - self.h) or j not in self.ends(i):
             raise BreakDetectionError(f"SsrTable: window ({i}, {j}) inadmissible for h={self.h}")
-        sums = np.cumsum(_lanes(self.values[i : j + 1]), axis=0).view(np.float64)[None]
+        sums = np.cumsum(_lanes(self.values[i : j + 1]), axis=0).view(np.float64)
         ends = np.unique([self.ends(i)[0], j])  # led by the row's first window
-        return float(solve_windows(sums, i, np.zeros(ends.size, dtype=np.intp), ends)[-1])
+        ssr, _ = solve_windows(sums[ends - i], np.zeros_like(ends), np.full_like(ends, i), ends)
+        return float(ssr[-1])
 
 
-def _ssr(cells: np.ndarray, solve) -> np.ndarray:
-    """SSR of each window from its moment sums, its normal equations solved by ``solve``."""
-    k = (math.isqrt(8 * cells.shape[-1] + 1) - 3) // 2
+def _fit(cells: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray]:
+    """SSR and coefficients of each window from its moment sums, solved by ``solve``."""
+    k = _regressors(cells.shape[-1])
     rhs = cells[:, -k - 1 : -1]
     beta = solve(cells[:, _gram_index(k)], rhs[:, :, None])[..., 0]
-    return np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0)
+    return np.maximum(cells[:, -1] - np.einsum("bk,bk->b", beta, rhs), 0.0), beta
 
 
 def _pinv_solve(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(grams) @ rhs
 
 
-def solve_windows(sums: np.ndarray, i: int, fund: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """SSR of the windows (i, ends[b]) of fund fund[b], one batch for all funds.
+def solve_windows(
+    cells: np.ndarray, fund: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SSR and coefficients of the windows (start[b], end[b]) of fund fund[b].
 
-    ``sums[f]`` is the cumulative sum of fund f's moment rows from row i.
-    Each fund's windows are contiguous, ascending and led by its first
-    window at i, (i, i+h-1) or (i, n-1). Every later window holds the
-    first, so none is singular unless the first is. LAPACK factors each
-    matrix of a batch on its own, so the batch's make-up cannot move a
-    window's bits. If any matrix is singular, or the batch holds more than
-    ``_BATCH_WINDOWS`` windows, each fund's windows are solved on their
-    own, and a fund whose batch is singular gets the pseudo-inverse,
-    which still gives the least SSR of a consistent Gram system. A
-    window's bits thus depend on (i, j) alone.
+    ``cells[b]`` holds window b's moment sums, summed from its start row.
+    The windows of one fund and start form a contiguous run, ascending
+    and led by the row's first window, (i, i+h-1) or (i, n-1). Every
+    later window holds the first, so none is singular unless the first
+    is. LAPACK factors each matrix of a batch on its own, so the batch's
+    make-up cannot move a window's bits. If any matrix is singular, or
+    the batch holds more than ``_BATCH_WINDOWS`` windows, each run is
+    solved on its own, in slices of at most that many windows, each led
+    by the run's first window, and a run that is singular gets the
+    pseudo-inverse, which still gives the least SSR of a consistent Gram
+    system. A window's bits thus depend on (i, j) alone.
     """
-    at = ends - i
-    if at.size <= _BATCH_WINDOWS:
+    if end.size <= _BATCH_WINDOWS:
         try:
-            return _ssr(sums[fund, at], np.linalg.solve)
+            return _fit(cells, np.linalg.solve)
         except np.linalg.LinAlgError:
             pass
-    ssr = np.empty(at.size)
-    cuts = [0, *(np.flatnonzero(np.diff(fund)) + 1).tolist(), at.size]
-    for lo, hi in zip(cuts, cuts[1:]):
-        cells = sums[fund[lo], at[lo:hi]]
-        try:
-            ssr[lo:hi] = _ssr(cells, np.linalg.solve)
-        except np.linalg.LinAlgError:
-            ssr[lo:hi] = _ssr(cells, _pinv_solve)
-    return ssr
+    ssr, beta = np.empty(end.size), np.empty((end.size, _regressors(cells.shape[-1])))
+    runs = np.flatnonzero((np.diff(fund) != 0) | (np.diff(start) != 0)) + 1
+    for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), end.size]):
+        for a in range(lo, hi, _BATCH_WINDOWS):
+            b = min(a + _BATCH_WINDOWS, hi)
+            part = cells[lo:b] if a == lo else cells[np.r_[lo, a:b]]
+            try:
+                fit = _fit(part, np.linalg.solve)
+            except np.linalg.LinAlgError:
+                fit = _fit(part, _pinv_solve)
+            ssr[a:b], beta[a:b] = fit[0][-(b - a) :], fit[1][-(b - a) :]
+    return ssr, beta
 
 
 def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
@@ -222,7 +245,10 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
         raise BreakDetectionError(f"ssr table: n={n} below 2h={2 * h}")
     rows, cols = np.triu_indices(k)
     pad = np.zeros((n, _row_width(k) - rows.size - k - 1))
-    moments = np.column_stack([X[:, rows] * X[:, cols], pad, X * y[:, None], y * y])
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        moments = np.column_stack([X[:, rows] * X[:, cols], pad, X * y[:, None], y * y])
+    if not np.isfinite(moments).all():
+        raise BreakDetectionError("ssr table: y, X and their products must be finite")
     floor = max(float(np.sum((y - y.mean()) ** 2)) * _SSR_FLOOR_REL, np.finfo(float).tiny)
     return SsrTable(n=n, h=h, values=moments, floor=floor)
 
@@ -267,6 +293,211 @@ class Partition:
         return tuple((a + 1, b) for a, b in zip(bounds, bounds[1:]))
 
 
+def _chain_blocks(n: int, h: int, chains: int):
+    """The sweep's schedule: (row above, each chain's rows) per block, row 0 last.
+
+    The start rows n-h ... h, descending, split into blocks of ``chains``
+    segments of S = (h-1) // (chains-1) rows; the last block takes
+    segments of its ceiling share. Chain c runs segment c and step s runs
+    row s of every chain, so the rows of one step lie within
+    S (chains-1) < h of each other: a row's followers, the rows from i+h
+    on, all ran at earlier steps. Row 0 runs alone, after row h.
+    """
+    span = (h - 1) // (chains - 1) if chains > 1 else n
+    for top in range(n - h, h - 1, -chains * span):
+        size = min(chains * span, top - h + 1)
+        seg = -(-size // chains)
+        rows = np.arange(top, top - size, -1)
+        yield top + 1, [rows[lo : lo + seg] for lo in range(0, size, seg)]
+    yield h, [np.zeros(1, dtype=np.intp)]
+
+
+@functools.cache
+def _pair_terms(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each Gram column's pair (a, b), a <= b, and its count in sum_ab beta_a beta_b x_a x_b."""
+    rows, cols = np.triu_indices(k)
+    return rows, cols, np.where(rows == cols, 1.0, 2.0)
+
+
+def _residual_weights(beta: np.ndarray) -> np.ndarray:
+    """Weights w with (summed moment rows) @ w = the rows' sum of (y - x beta)^2."""
+    k = beta.shape[-1]
+    rows, cols, count = _pair_terms(k)
+    w = np.zeros((*beta.shape[:-1], _row_width(k)))
+    w[..., : rows.size] = beta[..., rows] * beta[..., cols] * count
+    w[..., -k - 1 : -1] = -2.0 * beta
+    w[..., -1] = 1.0
+    return w
+
+
+def _own_fit_ssr(moments: np.ndarray) -> np.ndarray:
+    """A lower bound on the SSR of each row set, from its summed moment rows: 0 or its own fit's.
+
+    LU with partial pivoting is backward stable, so where the Gram
+    matrix's condition number is below ``_GAP_COND`` the residual sum
+    under the solved coefficients exceeds the least SSR by about
+    (eps * cond)^2 of the fitted sum of squares, far inside the prune
+    slack. Elsewhere, singular and non-finite sets among them, the bound
+    is 0.
+    """
+    k = _regressors(moments.shape[-1])
+    grams = moments[..., _gram_index(k)]
+    ssr = np.zeros(moments.shape[:-1])
+    sound = np.isfinite(moments).all(axis=-1)
+    sound[sound] = np.linalg.cond(grams[sound]) < _GAP_COND
+    if sound.any():
+        beta = np.linalg.solve(grams[sound], moments[sound][:, -k - 1 : -1, None])[..., 0]
+        fitted = np.einsum("bw,bw->b", moments[sound], _residual_weights(beta))
+        ssr[sound] = np.maximum(fitted, 0.0)
+    return ssr
+
+
+def _level_bounds(
+    carried: np.ndarray, weights: np.ndarray, values: Sequence[np.ndarray], rows: np.ndarray
+) -> np.ndarray:
+    """Each lane's cost bound per level at its row, before the prune slack.
+
+    ``carried[a, f, r]`` bounds level r+1's cost from row rows[a]+1 of
+    fund f through its first window; row rows[a]'s squared residual
+    under the coefficients ``weights[a, f, r]`` encodes extends that
+    window to the row.
+    """
+    moments = np.stack([v[rows] for v in values], axis=1)
+    return carried + np.einsum("afw,afrw->afr", moments, weights)
+
+
+class _Sweep:
+    """One lockstep sweep: every fund's DP rows and each lane's bounds.
+
+    A lane is one (chain, fund) pair. ``bound[c, f, j-h+1]`` bounds
+    ssr(i, j) from below for the lane's next row i: an SSR solved on a
+    row above it, raised by the own-fit SSR of rows the lane skipped.
+    ``carried[c, f, r]`` bounds level r+1's cost at the row above the
+    lane's next one: its best at the lane's last row plus the residuals
+    of any rows skipped since, under the coefficients of that best's
+    first window, whose residual weights ``weights[c, f, r]`` holds.
+    """
+
+    def __init__(self, tables: Sequence[SsrTable], max_m: int, chains: int) -> None:
+        n, h, funds = tables[0].n, tables[0].h, len(tables)
+        self.n, self.h = n, h
+        self.values = [t.values for t in tables]
+        self.row_lanes = [_lanes(v) for v in self.values]
+        self.sums = np.empty_like(self.values[0])  # one fund's cumulative sums from one row
+        self.sum_lanes = _lanes(self.sums)
+        self.batch = np.empty((_BATCH_WINDOWS, self.sums.shape[1]))  # gathered window sums
+        self.yy = np.array([np.cumsum(v[::-1, -1])[::-1] for v in self.values])  # rows i..n-1
+        self.all_ends = tables[0].ends(0)  # row i's ends are its suffix from min(i, n-2h+1)
+        self.max_m = max_m
+        self.best = np.full((funds, max_m + 1, n), np.inf)
+        self.choice = np.zeros((funds, max_m + 1, n), dtype=np.int32)
+        self.bound = np.zeros((chains, funds, n - 2 * h + 1))  # interior ends h-1 .. n-h-1
+        self.carried = np.full((chains, funds, max_m), np.inf)
+        self.weights = _residual_weights(np.zeros((chains, funds, max_m, tables[0].k)))
+
+    def restart(self, above: int, firsts: Sequence[int], src: int) -> None:
+        """Start chain c at row firsts[c] from lane src, which ran row ``above``.
+
+        Every chain takes src's state. Chain c adds to its cost bounds the
+        residuals of rows firsts[c]+1 .. above-1 under src's coefficients,
+        and to the lower bound of every end from above-1 on the own-fit
+        SSR of rows firsts[c] .. above-1: a window holding those rows and
+        a window from ``above`` costs at least the two fitted apart.
+        """
+        for state in (self.bound, self.carried, self.weights):
+            state[:] = state[src].copy()
+        firsts = np.asarray(firsts)
+        lo = int(firsts.min())
+        skipped = np.empty((firsts.size, len(self.values), self.sums.shape[1]))
+        for f, v in enumerate(self.values):
+            tails = np.zeros((above - lo + 1, v.shape[1]))  # tails[t-lo]: rows t .. above-1
+            np.cumsum(v[lo:above][::-1], axis=0, out=tails[-2::-1])
+            self.carried[: firsts.size, f] += tails[firsts + 1 - lo] @ self.weights[src, f].T
+            skipped[:, f] = tails[firsts - lo]
+        self.bound[: firsts.size, :, above - self.h :] += _own_fit_ssr(skipped)[:, :, None]
+
+    def advance(self, rows: np.ndarray) -> None:
+        """Run row rows[a] on lane a of every fund: pick, solve and fill its DP row."""
+        n, h = self.n, self.h
+        lanes, low = rows.size, int(rows[-1])
+        grid = self.all_ends[min(low, n - 2 * h + 1) :]  # every lane's ends are a suffix of it
+        first = np.minimum(rows, n - 2 * h + 1) - min(low, n - 2 * h + 1)
+        levels = min(self.max_m, (n - low) // h - 1)
+        follow = self.best[:, :levels, low + h : n - h + 1]  # best[f, r-1, j+1] per interior end j
+        pick = np.zeros((lanes, len(self.values), grid.size), dtype=bool)
+        if levels:
+            bound = self.bound[:lanes, :, low : n - 2 * h + 1]
+            carried, weights = self.carried[:lanes, :, :levels], self.weights[:lanes, :, :levels]
+            upper = _level_bounds(carried, weights, self.values, rows)
+            upper += _PRUNE_SLACK_REL * self.yy[:, rows].T[:, :, None]
+            upper = np.fmin(upper, np.finfo(float).max)  # a level new to a lane: every feasible end
+            lower = np.empty(bound.shape)
+            for r in range(levels):
+                e = n - (r + 2) * h - low + 1  # ends after which r+1 segments still fit
+                np.add(bound[:, :, :e], follow[:, r, :e], out=lower[:, :, :e])
+                pick[:, :, :e] |= lower[:, :, :e] <= upper[:, :, r, None]
+            del lower
+            pick &= np.arange(grid.size) >= first[:, None, None]
+        pick[np.arange(lanes), :, first] = True
+        pick[:, :, -1] = True
+
+        # The picked windows in (lane, fund, end) order: one run per (lane,
+        # fund), its sums gathered while the one buffer holds the lane's row.
+        at = np.flatnonzero(pick) % grid.size
+        sizes = pick.sum(axis=2).ravel()
+        tops = np.cumsum(sizes)
+        rel = grid[at] - np.repeat(np.repeat(rows, len(self.values)), sizes)
+        step = (rows, grid, follow, at, sizes, tops)
+        r0, w0 = 0, 0  # the pending batch's first run and first window
+        for run, (i, f) in enumerate(itertools.product(rows.tolist(), range(len(self.values)))):
+            lo, hi = tops[run] - sizes[run], tops[run]
+            if hi - w0 > _BATCH_WINDOWS and run > r0:
+                self._fill(step, r0, run, self.batch[: lo - w0])
+                r0, w0 = run, lo
+            np.cumsum(self.row_lanes[f][i:], axis=0, out=self.sum_lanes[: n - i])
+            if hi - w0 > _BATCH_WINDOWS:  # a run longer than a batch is solved alone
+                self._fill(step, run, run + 1, self.sums[rel[lo:hi]])
+                r0, w0 = run + 1, hi
+            else:
+                gathered = self.batch[lo - w0 : hi - w0]
+                np.take(self.sums, rel[lo:hi], axis=0, out=gathered, mode="clip")
+        if r0 < sizes.size:
+            self._fill(step, r0, sizes.size, self.batch[: tops[-1] - w0])
+
+    def _fill(self, step: tuple, r0: int, r1: int, cells: np.ndarray) -> None:
+        """Solve runs r0 .. r1-1 of a step and fill their DP rows, bounds and carried costs.
+
+        ``step`` holds the step's rows, end grid and follow rows, and each
+        picked window's end, with the window count of each run and its
+        running total. A run holds every window its row solves, ascending,
+        so its DP row is final at once: each level keeps its first least
+        candidate.
+        """
+        rows, grid, follow, at, sizes, tops = step
+        lane, fund = np.divmod(np.arange(r0, r1), len(self.values))
+        start = rows[lane]
+        w0 = tops[r0] - sizes[r0]
+        at = at[w0 : tops[r1 - 1]]
+        run = np.repeat(np.arange(r1 - r0), sizes[r0:r1])
+        ssr, beta = solve_windows(cells, fund[run], start[run], grid[at])
+        heads = tops[r0:r1] - sizes[r0:r1] - w0
+        self.best[fund, 0, start] = ssr[tops[r0:r1] - 1 - w0]  # each run ends at n-1
+        inner = at < grid.size - 1
+        self.bound[lane[run[inner]], fund[run[inner]], grid[at[inner]] - self.h + 1] = ssr[inner]
+        levels = follow.shape[1]
+        if levels:  # cand[b, r]: window b's cost as the first segment of level r+1
+            cand = np.full((ssr.size, levels), np.inf)
+            cand[inner] = follow[fund[run[inner]], :, at[inner]]
+            cand += ssr[:, None]
+            least = np.minimum.reduceat(cand, heads)
+            index = np.where(cand == least[run], np.arange(ssr.size)[:, None], ssr.size)
+            win = np.minimum.reduceat(index, heads)  # each run's first least window
+            self.best[fund, 1 : levels + 1, start] = least
+            self.choice[fund, 1 : levels + 1, start] = grid[at[win]]
+            self.carried[lane, fund, :levels] = least
+            self.weights[lane, fund, :levels] = _residual_weights(beta[win])
+
+
 def optimal_partitions(
     tables: Sequence[SsrTable], max_m: int
 ) -> tuple[tuple[Partition, ...], ...]:
@@ -274,21 +505,26 @@ def optimal_partitions(
 
     Suffix DP: best[r][i] is the least total SSR of i..n-1 in r+1
     segments of length >= h, filled by one descending sweep over the
-    start rows in O(n * max_m) memory. Removing an observation never
-    raises a least-squares SSR, so windows solved on later rows bound
-    those of row i from below. Row i solves its first end, its last and
-    each level's bound-argmin, which gives an exact cost per level, then
-    every end whose bound comes within the slack of that cost; the rest
-    can neither win nor tie. Breaks let the bounds prune most ends; a flat
-    fund without one solves a fifth to a third. Each level keeps the first
-    minimum over ascending ends: each break vector is a global minimizer,
-    the earliest unless rounding ties an earlier vector's total with it.
+    start rows in O(n * max_m) memory per fund. Removing an observation
+    never raises a least-squares SSR, so windows solved on later rows
+    bound those of row i from below. From above, each level's cost at row
+    i is at most its best at a later row i' plus the squared residuals of
+    rows i .. i'-1 under the coefficients of that best's first window.
+    Row i solves its first end, its last, and every end whose lower bound
+    comes within the slack of some level's upper bound; the rest can
+    neither win nor tie. All of this is known before the row's cumulative
+    sum, so one kernel batch serves a whole step. Breaks let the bounds
+    prune most ends; a flat fund without one solves a fifth to a third.
+    Each level keeps the first minimum over ascending ends: each break
+    vector is a global minimizer, the earliest unless rounding ties an
+    earlier vector's total with it.
 
-    The tables share n, h and k, and the sweep advances them in lockstep:
-    each row fills one buffer of cumulative sums and solves one batch per
-    pass for the whole group, while every table keeps its own bounds, DP
-    rows and pruning. Each table's windows, partitions and totals
-    therefore carry the bits of a sweep over that table alone.
+    The sweep runs min(_CHAINS, h) row chains per fund in lockstep
+    (:func:`_chain_blocks`), and the tables share n, h and k, so a step
+    advances every (chain, fund) lane at once through one buffer of
+    cumulative sums. Each lane keeps its own bounds, taken only from rows
+    above its own. Each table's windows, partitions and totals therefore
+    carry the bits of a sweep over that table alone, at any chain count.
     """
     if max_m < 0:
         raise BreakDetectionError(f"break count m={max_m} negative")
@@ -300,53 +536,17 @@ def optimal_partitions(
     if n < (max_m + 1) * h:
         raise BreakDetectionError(f"m={max_m} infeasible: n={n} < (m+1)h={(max_m + 1) * h}")
 
-    funds = len(tables)
-    sums = np.empty((funds, *tables[0].values.shape))
-    sum_lanes, row_lanes = _lanes(sums), [_lanes(t.values) for t in tables]
-    best = np.full((funds, max_m + 1, n), np.inf)
-    choice = np.zeros((funds, max_m + 1, n), dtype=np.int32)
-    bound = np.zeros((funds, n))  # bound[f, j] <= ssr(i, j): the last solved ssr(i', j), i' > i, or 0
-    each = np.arange(funds)[:, None]
-    all_ends = tables[0].ends(0)  # row i's ends are its suffix from min(i, n-2h+1)
-    for i in [*range(n - h, h - 1, -1), 0]:
-        for lanes, row in zip(row_lanes, sum_lanes):
-            np.cumsum(lanes[i:], axis=0, out=row[: n - i])
-        ends = all_ends[min(i, n - 2 * h + 1) :]
-        inner = slice(i + h - 1, n - h)
-        levels = min(max_m, (n - i) // h - 1)
-        follow = best[:, :levels, i + h : n - h + 1]  # best[f, r-1, j+1] per interior end j
-        pick = np.zeros((funds, ends.size), dtype=bool)
-        pick[:, 0] = pick[:, -1] = True
-        if ends.size > 2:  # each level's bound-argmin over the ends after the first
-            lower = bound[:, None, i + h : n - h] + follow[:, :, 1:]
-            pick[each, lower.argmin(axis=2) + 1] = True
-            del lower
-        ssr = np.full((funds, ends.size), np.inf)
-        f, e = np.divmod(np.flatnonzero(pick), ends.size)
-        ssr[f, e] = solve_windows(sums, i, f, ends[e])
-        if levels:
-            upper = np.min(ssr[:, None, :-1] + follow, axis=2)
-            upper += _PRUNE_SLACK_REL * sums[:, n - i - 1, -1:]
-            # The bounds are summed again rather than kept, as a group's
-            # memory peaks during its solves.
-            lower = bound[:, None, inner] + follow
-            rest = (lower <= upper[:, :, None]).any(axis=1) & np.isinf(ssr[:, :-1])
-            del lower
-            if rest.any():
-                rest[:, 0] = rest.any(axis=1)  # solved already; leads the fund's batch
-                f, e = np.divmod(np.flatnonzero(rest), ends.size - 1)
-                solved = solve_windows(sums, i, f, ends[e])
-                ssr[f[e > 0], e[e > 0]] = solved[e > 0]
-        best[:, 0, i] = ssr[:, -1]
-        if levels:
-            cand = ssr[:, None, :-1] + follow
-            best[:, 1 : levels + 1, i] = cand.min(axis=2)
-            choice[:, 1 : levels + 1, i] = i + h - 1 + cand.argmin(axis=2)
-        np.copyto(bound[:, inner], ssr[:, :-1], where=np.isfinite(ssr[:, :-1]))
-
+    chains = min(_CHAINS, h)
+    sweep = _Sweep(tables, max_m, chains)
+    for block, (above, rows) in enumerate(_chain_blocks(n, h, chains)):
+        if block:
+            sweep.restart(above, [int(r[0]) for r in rows], src)
+        for step in range(rows[0].size):
+            sweep.advance(np.array([r[step] for r in rows if step < r.size]))
+        src = len(rows) - 1  # the lane of the block's lowest row: the next block's row above
     return tuple(
-        tuple(_backtrack(best[f], choice[f], m, n, h) for m in range(max_m + 1))
-        for f in range(funds)
+        tuple(_backtrack(sweep.best[f], sweep.choice[f], m, n, h) for m in range(max_m + 1))
+        for f in range(len(tables))
     )
 
 

@@ -283,14 +283,14 @@ def packed_ssr_table(y: np.ndarray, X: np.ndarray, h: int) -> PackedSsrTable:
     return PackedSsrTable(n=n, h=h, values=values)
 
 
-def reference_partitions(table: PackedSsrTable, max_m: int) -> tuple[Partition, ...]:
-    """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks, unpruned.
+def reference_dp(table: PackedSsrTable, max_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unpruned suffix DP over every cell of the packed table: (best, choice).
 
-    Suffix dynamic program over every cell of the packed table: B[r][i]
-    is the least total SSR over segmentations of i..n-1 into r+1
-    segments of length >= h. Scanning candidate first breaks in
-    ascending order and keeping the first minimum makes each break
-    vector lexicographically earliest among all global minimizers.
+    B[r][i] is the least total SSR over segmentations of i..n-1 into r+1
+    segments of length >= h, and choice[r][i] the end of the first
+    segment it keeps. Scanning candidate first breaks in ascending order
+    and keeping the first minimum makes each break vector
+    lexicographically earliest among all global minimizers.
     """
     n, h = table.n, table.h
     starts, offsets = packed_layout(n, h)
@@ -305,7 +305,13 @@ def reference_partitions(table: PackedSsrTable, max_m: int) -> tuple[Partition, 
             j = int(np.argmin(cand))
             best[r, i] = cand[j]
             choice[r, i] = lo + j
+    return best, choice
 
+
+def reference_partitions(table: PackedSsrTable, max_m: int) -> tuple[Partition, ...]:
+    """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks, from :func:`reference_dp`."""
+    n, h = table.n, table.h
+    best, choice = reference_dp(table, max_m)
     partitions = []
     for m in range(max_m + 1):
         breaks: list[int] = []

@@ -1,14 +1,24 @@
-"""Generated inputs for the file readers and the break search.
+"""Generated inputs for the file readers, ``analyze`` and the break search.
 
 Each reader must turn any text into its value or a ``MarketDataError``,
-and each writer's output must read back as the value written. A group
-of small funds searched in lockstep must give each fund the partitions
-of the unpruned reference bit for bit, and the least totals of the
-exhaustive enumeration. The examples are generated with a fixed seed
-and no example database, so a run sees the same inputs every time.
+and each writer's output must read back as the value written.
+``analyze``, run in process on a valid input tree with one file
+mutated, must exit with one of its stable codes and print no traceback.
+A group of small funds searched in lockstep must give each fund the
+partitions of the unpruned reference bit for bit, and the least totals
+of the exhaustive enumeration. The examples are generated with a fixed
+seed and no example database, so a run sees the same inputs every time.
 """
 
+import io
+import json
+import logging
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import exhaustive_best_partition, packed_ssr_table, reference_partitions
 
+from fundshift import breaks
 from fundshift.breaks import optimal_partitions, ssr_table_from_arrays
+from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.marketdata import (
     BenchmarkMap,
     FactorPanel,
@@ -129,7 +141,8 @@ def search_groups(draw):
 
     The regressors are an intercept, then Gaussian or small-integer
     columns; integer columns give windows whose Gram is singular and
-    funds whose partitions tie.
+    funds whose partitions tie. The search runs 1-12 row chains, which
+    caps at h.
     """
     k = draw(st.integers(1, 3))
     h = draw(st.integers(k + 1, 10))
@@ -148,7 +161,7 @@ def search_groups(draw):
         if kind == "noise":
             y += rng.normal(0, 0.01, n)
         funds.append((np.zeros(n) if kind == "zero" else y, X))
-    return h, funds
+    return h, funds, draw(st.integers(1, 12))
 
 
 def folded_total(table, breaks: tuple[int, ...]) -> float:
@@ -166,14 +179,106 @@ def test_group_search_equals_the_reference_and_the_enumeration(group):
     # The search's vector is a global minimizer, but not always the
     # earliest one: where rounding makes a later vector's total tie with
     # an earlier one's, enumeration keeps the earlier vector.
-    h, funds = group
+    h, funds, chains = group
     n = funds[0][1].shape[0]
     most = n // h - 1
-    searched = optimal_partitions([ssr_table_from_arrays(y, X, h) for y, X in funds], most)
+    with mock.patch.object(breaks, "_CHAINS", chains):
+        searched = optimal_partitions([ssr_table_from_arrays(y, X, h) for y, X in funds], most)
     for (y, X), parts in zip(funds, searched, strict=True):
         packed = packed_ssr_table(y, X, h)
         got = [(p.break_indices, p.total_ssr.hex()) for p in parts]
         assert got == [(p.break_indices, p.total_ssr.hex()) for p in reference_partitions(packed, most)]
-        for breaks, total in got[1:4]:
-            enumerated, enumerated_total = exhaustive_best_partition(packed, len(breaks))
-            assert total == enumerated_total.hex() == folded_total(packed, breaks).hex()
+        for vector, total in got[1:4]:
+            enumerated, enumerated_total = exhaustive_best_partition(packed, len(vector))
+            assert total == enumerated_total.hex() == folded_total(packed, vector).hex()
+
+
+#: Three 240-day funds on one benchmark, two of them with a planted break.
+MUTATION_SPEC = {
+    "seed": 5,
+    "t": 240,
+    "benchmarks": [{"benchmark_id": "B1", "beta_mkt": 1.0}],
+    "funds": [
+        {"fund_id": fund_id, "benchmark_id": "B1", "regimes": [
+            {"length": 120, "beta_mkt": 1.0, "beta_smb": first, "noise_sigma": 0.002},
+            {"length": 120, "beta_mkt": 1.0, "beta_smb": second, "noise_sigma": 0.002},
+        ]}
+        for fund_id, first, second in (("F1", 0.8, -0.8), ("F2", 0.5, 0.5), ("F3", 0.0, 0.6))
+    ],
+}
+
+MUTATIONS = ["truncate", "duplicate_row", "swap_columns", "insert_bytes", "overlong_field"]
+
+
+@pytest.fixture(scope="module")
+def input_tree(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("mutations")
+    (root / "spec.json").write_text(json.dumps(MUTATION_SPEC), encoding="utf-8")
+    assert main(["simulate", "--spec", str(root / "spec.json"), "--out", str(root / "tree")]) == 0
+    return root / "tree"
+
+
+def mutate(data: bytes, kind: str, draw) -> bytes:
+    """``data`` with one mutation of ``kind``, its place and bytes drawn by ``draw``."""
+    lines = data.split(b"\n")
+    line = draw(st.integers(0, len(lines) - 2))  # the text ends in a newline
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "duplicate_row":
+        return b"\n".join(lines[: line + 1] + lines[line:])
+    if kind == "insert_bytes":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    fields = [row.split(b",") for row in lines]
+    width = len(fields[0])
+    if kind == "swap_columns":
+        a, b = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+        for row in fields:
+            if len(row) == width:
+                row[a], row[b] = row[b], row[a]
+    else:  # overlong_field: longer than the csv module's 131,072-character field limit
+        fields[line][draw(st.integers(0, width - 1))] = b"7" * 140_000
+    return b"\n".join(b",".join(row) for row in fields)
+
+
+@pytest.mark.parametrize(
+    "name", ["nav/F2.csv", "factors.csv", "benchmark_map.csv", "bench_nav/B1.csv"]
+)
+def test_analyze_survives_a_mutated_input_file(input_tree, name):
+    # A mutated fund NAV file may only cost that fund; any other file may
+    # also stop the run with a stable exit code. Nothing escapes.
+    original = (input_tree / name).read_bytes()
+    funds = sorted(path.stem for path in (input_tree / "nav").iterdir())
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(st.sampled_from(MUTATIONS), st.data())
+    def check(kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "tree"
+            shutil.copytree(input_tree, tree)
+            (tree / name).write_bytes(mutate(original, kind, data.draw))
+            records = []
+            handler = logging.Handler()
+            handler.emit = records.append
+            logging.getLogger("fundshift").addHandler(handler)
+            printed = io.StringIO()
+            try:
+                with redirect_stdout(printed), redirect_stderr(printed):
+                    code = main([
+                        "analyze", "--nav", str(tree / "nav"), "--factors",
+                        str(tree / "factors.csv"), "--bench-map", str(tree / "benchmark_map.csv"),
+                        "--bench-nav", str(tree / "bench_nav"), "--out", str(tree / "report.json"),
+                    ])
+            finally:
+                logging.getLogger("fundshift").removeHandler(handler)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_EMPTY), kind
+            assert "Traceback" not in printed.getvalue(), kind
+            assert not any(record.exc_info for record in records), kind
+            if name.startswith("nav/"):
+                assert code == EXIT_OK, kind
+                report = json.loads((tree / "report.json").read_text(encoding="utf-8"))
+                analyzed = {fund["fund_id"] for fund in report["funds"]}
+                assert analyzed >= set(funds) - {Path(name).stem}, kind
+                assert {s["fund_id"] for s in report["skipped"]} <= {Path(name).stem}, kind
+
+    check()

@@ -261,6 +261,51 @@ def test_lane_accumulate_keeps_every_columns_bits(width):
     assert np.isnan(got).any() and np.isinf(got).any()
 
 
+def adversarial_moment_rows(n: int, k: int) -> np.ndarray:
+    """Moment rows whose column sums depend on the order of the adds.
+
+    Rows cycle through 1e16, 1.0, -1e16 and 1.0 in size, so pairwise and
+    sequential sums differ. A tenth of the entries are -0.0, column 0 is
+    -0.0 on the last 50 rows, and the y columns are zero: x y of either
+    sign, y^2 +0.0.
+    """
+    rng = np.random.default_rng(k)
+    width = breaks._row_width(k)
+    size = np.array([1e16, 1.0, -1e16, 1.0])[np.arange(n) % 4, None]
+    values = size * rng.choice([1.0, 2.0, 3.0], (n, width))
+    values[rng.random((n, width)) < 0.1] = -0.0
+    values[-50:, 0] = -0.0
+    values[:, -k - 1 : -1] = np.copysign(0.0, rng.choice([-1.0, 1.0], (n, k)))
+    values[:, -1] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "n, h, low, top",
+    [
+        (400, 40, 40, 360),  # three tiles, the last ending mid-block
+        (400, 40, 150, 277),  # one whole tile
+        (400, 40, 0, 0),  # row 0 alone
+        (80, 40, 40, 40),  # 2h = n: a single interior row
+    ],
+)
+def test_tiled_tail_sums_keep_the_prefix_sums_bits(k, n, h, low, top):
+    # The search takes each start row's window to n-1 from one reduce over
+    # a tile of consecutive rows. Its bits must be those of the prefix sum
+    # from the row, on data where pairwise sums would differ and where
+    # some sums are -0.0.
+    values = adversarial_moment_rows(n, k)
+    sweep = breaks._Sweep([SsrTable(n=n, h=h, values=values, floor=1e-300)], 0, 1)
+    sweep.fill_tails(low, top)
+    want = np.array([np.cumsum(values[i:], axis=0)[-1] for i in range(low, top + 1)])
+    assert np.array_equal(sweep.tails[0].view(np.int64), want.view(np.int64))
+    pairwise = np.array([np.add.reduce(values[i:].T.copy(), axis=1) for i in range(low, top + 1)])
+    assert not np.array_equal(pairwise.view(np.int64), want.view(np.int64))
+    if top >= n - 50:
+        assert np.signbit(want[-1, 0]) and want[-1, 0] == 0.0
+
+
 def singular_window_instance():
     """(y, X, h) whose hml column is zero on a leading block.
 
@@ -649,6 +694,12 @@ def test_carried_bound_stays_far_below_the_prune_slack(monkeypatch, family):
             assert np.nanmax(under) <= breaks._PRUNE_SLACK_REL / 100, f"{family} {case} {chains}"
 
 
+def planted_fund_table() -> SsrTable:
+    """Three planted breaks, n = 3000, h = 450."""
+    path = [(750, 0.8), (750, -0.8), (750, 0.8), (750, -0.8)]
+    return build_ssr_table(make_sample(3000, 12, path, noise=0.006))
+
+
 def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     # Three planted breaks, n = 3000, h = 450: 1,367,929 reachable cells.
     # The search solved 57,308 of them (4.2%) when this test was written;
@@ -656,9 +707,7 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     # solves every lane's windows in one batch where it can, so the
     # kernel runs on at most a third as many calls as there are start
     # rows (2,102).
-    path = [(750, 0.8), (750, -0.8), (750, 0.8), (750, -0.8)]
-    sample = make_sample(3000, 12, path, noise=0.006)
-    table = build_ssr_table(sample)
+    table = planted_fund_table()
     cells = solved_cells(monkeypatch)
     kernel, calls = breaks.solve_windows, []
 
@@ -674,6 +723,27 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     assert len(cells) <= 0.05 * reachable
     rows = 1 + (table.n - 2 * table.h + 1)
     assert rows == 2102 and len(calls) <= rows / 3
+
+
+def test_prefix_sums_stop_at_each_rows_last_inner_end(monkeypatch):
+    # Each start row's window to n-1 comes from its block's tiled reduce,
+    # so the row's prefix sums stop at its last picked inner end. Run from
+    # every start row to n-1 they would cover sum(n - i) = 3,154,500 rows;
+    # on this fund they covered 1,770,206 (0.561) when this test was
+    # written. The sweep's prefix sums are the ones over pair lanes.
+    table = planted_fund_table()
+    cumsum, rows = np.cumsum, []
+
+    def counting(a, *args, **kwargs):
+        if a.dtype == np.complex128:
+            rows.append(a.shape[0])
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    (bs,) = select_break_count([table])
+    full = sum(table.n - i for i in [0, *range(table.h, table.n - table.h + 1)])
+    assert bs.chosen_m == 3 and full == 3_154_500
+    assert sum(rows) <= 0.6 * full
 
 
 def test_select_break_count_single_regime_zero_noise():

@@ -64,7 +64,15 @@ _STACK = ("AnalysisConfig", "ConfigError", "analyze_fund", "build_report", "sear
 
 
 def _load_stack() -> None:
-    """Import the analysis stack, keeping any of its names already set here."""
+    """Import the analysis stack, keeping any of its names already set here.
+
+    If numpy is not loaded yet, OpenBLAS defaults to one thread: the
+    search's solves are at most five columns wide, where a second thread
+    only adds overhead. A user's own setting wins, and a caller that
+    loaded numpy first keeps the environment it has.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import pipeline
 
     for name in _STACK:

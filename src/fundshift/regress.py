@@ -17,6 +17,11 @@ is available behind a flag for serial-correlation-robust inference.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +98,52 @@ _EXACT_FIT_REL = 1e-20
 _EXACT_COEF_REL = 1e-8
 
 
+def _load_ufuncs() -> types.ModuleType:
+    """Import ``scipy.special._ufuncs`` without running scipy's package init.
+
+    Bare stand-ins for ``scipy`` and ``scipy.special`` hold only the
+    package paths while the compiled module and its own imports load.
+    Then every scipy entry the load added to ``sys.modules`` is removed,
+    stand-ins included, so that a later ``import scipy`` runs in full.
+    """
+    # find_spec locates a top-level package without running any of its code.
+    roots = importlib.util.find_spec("scipy").submodule_search_locations
+    before = set(sys.modules)
+    try:
+        for name, sub in (("scipy", ()), ("scipy.special", ("special",))):
+            stand_in = types.ModuleType(name)
+            stand_in.__path__ = [os.path.join(root, *sub) for root in roots]
+            sys.modules[name] = stand_in
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        for name in set(sys.modules) - before:
+            if name.partition(".")[0] == "scipy":
+                del sys.modules[name]
+
+
+@functools.cache
+def t_kernel() -> np.ufunc:
+    """scipy's compiled Student-t CDF, ``stdtr(dof, t)``.
+
+    The package init that ``import scipy.special`` runs (array-API
+    support, f2py), and the ufunc does not need, was 20 MB of an
+    ``analyze`` process's 65 MB peak RSS and 0.25 s of its imports on a
+    2-core Xeon. So while no scipy module is loaded, the kernel comes
+    from ``_load_ufuncs``. A later ``import scipy.special`` reuses that
+    compiled module, so its ``stdtr`` is the same object. If scipy is
+    already loaded, or the private load fails, the kernel comes from
+    ``scipy.special`` itself.
+    """
+    if not {"scipy", "scipy.special"} & sys.modules.keys():
+        try:
+            return _load_ufuncs().stdtr
+        except Exception:  # a layout this loader does not know: take the public path
+            pass
+    from scipy import special
+
+    return special.stdtr
+
+
 def _nw_cov(X: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray, lags: int) -> np.ndarray:
     n = X.shape[0]
     Xu = X * resid[:, None]
@@ -118,7 +169,7 @@ def ols(
     the Newey-West estimator at the conventional bandwidth; point
     estimates and SSR are unchanged.
     """
-    from scipy import special  # here, so that simulating loads no scipy
+    stdtr = t_kernel()  # here, so that simulating loads no scipy
 
     n, k = X.shape
     if len(names) != k:
@@ -168,7 +219,7 @@ def ols(
         coef = float(beta[j])
         if se[j] > 0.0:
             t = coef / float(se[j])
-            p = float(2.0 * special.stdtr(dof, -abs(t)))
+            p = float(2.0 * stdtr(dof, -abs(t)))
         elif abs(coef) > coef_tol:
             t, p = float(np.inf) * np.sign(coef), 0.0
         else:

@@ -3,15 +3,19 @@
 Every test prints a single ``criterion N: PASS`` line on success (visible
 with ``pytest -s`` or ``-rA``); under ``pytest -v`` the per-test
 PASSED/FAILED status doubles as the pass/fail line. Stated runtime caps
-are asserted inside the tests that carry them.
+are asserted inside the tests that carry them. A last test pins the
+cohort report's bytes to the numeric stack they were recorded on.
 """
 
+import ctypes
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from oracles import exhaustive_best_partition, normal_equations_fit, weekdays
 
@@ -302,11 +306,17 @@ def run_analyze(sim_dir: Path, report_path: Path) -> int:
     ])
 
 
-def test_criterion_8_end_to_end_planted_cohort(cohort_dir, tmp_path):
+@pytest.fixture(scope="module")
+def cohort_report(cohort_dir, tmp_path_factory) -> tuple[Path, float]:
+    """The cohort's default-flag report and the seconds ``analyze`` took."""
+    report_path = tmp_path_factory.mktemp("report") / "report.json"
     start = time.perf_counter()
-    report_path = tmp_path / "report.json"
     assert run_analyze(cohort_dir, report_path) == EXIT_OK
-    elapsed = time.perf_counter() - start
+    return report_path, time.perf_counter() - start
+
+
+def test_criterion_8_end_to_end_planted_cohort(cohort_dir, cohort_report):
+    report_path, elapsed = cohort_report
 
     truth = {
         t["fund_id"]: t
@@ -337,10 +347,55 @@ def test_criterion_8_end_to_end_planted_cohort(cohort_dir, tmp_path):
           f"{box_hits}/{box_total}, analyze in {elapsed:.1f}s")
 
 
-def test_criterion_9_determinism(cohort_dir, tmp_path):
-    first = tmp_path / "first.json"
+def test_criterion_9_determinism(cohort_dir, cohort_report, tmp_path):
     second = tmp_path / "second.json"
-    assert run_analyze(cohort_dir, first) == EXIT_OK
     assert run_analyze(cohort_dir, second) == EXIT_OK
-    assert first.read_bytes() == second.read_bytes()
+    assert cohort_report[0].read_bytes() == second.read_bytes()
     print("criterion 9: PASS - consecutive analyze runs are byte-identical")
+
+
+#: The numeric stack the pinned report bytes were recorded on. The same
+#: code gives other float bits under another numpy, scipy (p-values come
+#: from its t kernel), BLAS build or BLAS kernel.
+PINNED_STACK = {
+    "numpy": "2.4.6",
+    "scipy": "1.17.1",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "kernel": "SkylakeX",
+}
+
+#: sha256 of the cohort's default-flag report on ``PINNED_STACK``.
+PINNED_REPORT_SHA256 = "bd10769aef84afc4e5b757297d91cf384c1bbad9bdd16fa55d3384e201a46fa0"
+
+
+def blas_kernel() -> str:
+    """The core name of the OpenBLAS that numpy loaded, or "unknown"."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                if corename is not None:
+                    corename.restype, corename.argtypes = ctypes.c_char_p, []
+                    return corename().decode()
+    return "unknown"
+
+
+def numeric_stack() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "kernel": blas_kernel(),
+    }
+
+
+def test_cohort_report_bytes_are_pinned(cohort_report):
+    stack = numeric_stack()
+    if stack != PINNED_STACK:
+        pytest.skip(f"report bytes pinned on {PINNED_STACK}, this run has {stack}")
+    digest = hashlib.sha256(cohort_report[0].read_bytes()).hexdigest()
+    assert digest == PINNED_REPORT_SHA256
+    print(f"pinned: PASS - cohort report sha256 {digest[:8]} on {stack['kernel']}")

@@ -25,18 +25,32 @@ ANALYSIS_STACK = {"numpy", "scipy", "fundshift.pipeline", "fundshift.breaks",
                   "fundshift.regress"}
 
 
+def probe(statement: str, **env: str | None):
+    """The JSON value ``statement`` prints last, in a fresh interpreter.
+
+    ``json`` and ``sys`` are imported first. Each keyword sets an
+    environment variable of the child, or unsets it if None.
+    """
+    child_env = dict(os.environ)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), child_env.get("PYTHONPATH")) if p
+    )
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    out = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{statement}"],
+        env=child_env, capture_output=True, text=True, check=True,
+    )
+    # The statement may print first; the value is the last line.
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def modules_after(statement: str) -> set[str]:
     """Names in ``sys.modules`` of a fresh interpreter after ``statement``."""
-    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    # The statement may print first; the module list is the last line.
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return set(probe(f"{statement}\nprint(json.dumps(sorted(sys.modules)))"))
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
@@ -128,5 +142,82 @@ def test_simulate_command_loads_no_scipy(sim_dir, tmp_path):
 def test_analyze_command_loads_the_analysis_stack(sim_dir, tmp_path):
     argv = analyze_argv(sim_dir, tmp_path / "report.json")
     loaded = modules_after(f"import fundshift.cli\nassert fundshift.cli.main({argv!r}) == 0")
-    assert sorted(ANALYSIS_STACK - loaded) == []
+    # regress holds scipy's compiled t kernel; no scipy module stays in sys.modules.
+    assert sorted(ANALYSIS_STACK - {"scipy"} - loaded) == []
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
     assert (tmp_path / "report.json").is_file()
+
+
+def test_analysis_stack_loads_the_t_kernel_without_scipy_init_and_leaves_scipy_whole():
+    stack, same_kernel, cdfs = probe(
+        "import fundshift.cli, fundshift.regress\n"
+        "fundshift.cli._load_stack()\n"
+        "stack = sorted(sys.modules)\n"
+        "import scipy.special, scipy.stats\n"
+        "print(json.dumps([stack, scipy.special.stdtr is fundshift.regress.t_kernel(),\n"
+        "                  [scipy.stats.t.cdf(-2.0, 10), scipy.special.stdtr(10, -2.0)]]))"
+    )
+    assert "fundshift.regress" in stack
+    assert sorted({"scipy._lib._array_api", "scipy.special._basic"} & set(stack)) == []
+    # A later full import reuses the compiled module, and scipy.stats works.
+    assert same_kernel
+    assert cdfs[0] == cdfs[1]
+
+
+def pvalue_bits(before_fit: str = "") -> dict:
+    """Bits of the p-values of two fits of one noisy design, in a fresh interpreter.
+
+    ``before_fit`` runs after fundshift is imported and before the first
+    fit loads the t kernel. Also reports whether scipy's package init ran.
+    """
+    return probe(
+        "import numpy as np\n"
+        "from fundshift.regress import ols\n"
+        f"{before_fit}\n"
+        "rng = np.random.default_rng(11)\n"
+        "X = np.column_stack([np.ones(250), rng.normal(0, 0.01, (250, 3))])\n"
+        "y = X @ np.array([1e-4, 0.9, 0.3, -0.02]) + rng.normal(0, 0.01, 250)\n"
+        "fits = [ols(y, X, ('a', 'b', 'c', 'd'), 'm', hac=hac) for hac in (False, True)]\n"
+        "p = np.array([l.pvalue for fit in fits for l in fit.loadings])\n"
+        "assert np.all((p > 0.0) & (p < 1.0)), p\n"
+        "print(json.dumps({'bits': p.view(np.int64).tolist(),\n"
+        "                  'scipy_init': 'scipy._lib._array_api' in sys.modules}))"
+    )
+
+
+def test_t_kernel_fallback_gives_the_same_pvalue_bits():
+    fast = pvalue_bits()
+    failed = pvalue_bits(
+        "import importlib.util\n"
+        "def find_spec(name, package=None):\n"
+        "    raise ImportError(name)\n"
+        "importlib.util.find_spec = find_spec"
+    )
+    assert not fast["scipy_init"]
+    assert failed["scipy_init"]
+    assert failed["bits"] == fast["bits"]
+
+
+def test_t_kernel_is_scipy_special_stdtr_once_scipy_is_loaded():
+    import scipy.special
+
+    from fundshift.regress import t_kernel
+
+    t_kernel.cache_clear()
+    assert t_kernel() is scipy.special.stdtr
+
+
+@pytest.mark.parametrize(
+    ("preset", "numpy_first", "expected"),
+    [(None, False, "1"), ("2", False, "2"), (None, True, None)],
+    ids=["unset", "user-setting-wins", "numpy-loaded-first"],
+)
+def test_load_stack_defaults_openblas_to_one_thread(preset, numpy_first, expected):
+    value = probe(
+        "import os, fundshift.cli\n"
+        f"{'import numpy' if numpy_first else ''}\n"
+        "fundshift.cli._load_stack()\n"
+        "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))",
+        OPENBLAS_NUM_THREADS=preset,
+    )
+    assert value == expected

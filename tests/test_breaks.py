@@ -551,7 +551,9 @@ def group_differs_from_reference(instances, cells, monkeypatch) -> bool:
     """Search equal-shape instances in one group; compare each to the unpruned reference DP.
 
     Runs to the most breaks that fit, at every count of :func:`chain_counts`,
-    and checks every solved cell too.
+    and once more at the default count with batches of 64 windows, so
+    that runs longer than a batch are solved in slices; checks every
+    solved cell too.
     """
     (y, X, h), n = instances[0], len(instances[0][0])
     most = n // h - 1
@@ -562,10 +564,12 @@ def group_differs_from_reference(instances, cells, monkeypatch) -> bool:
         for table in packed
     ]
     differs = False
-    for chains in chain_counts(h):
+    passes = [(chains, breaks._BATCH_WINDOWS) for chains in chain_counts(h)]
+    for chains, batch in [*passes, (breaks._CHAINS, 64)]:
         cells.clear()
         with monkeypatch.context() as patch:
             patch.setattr(breaks, "_CHAINS", chains)
+            patch.setattr(breaks, "_BATCH_WINDOWS", batch)
             got = optimal_partitions(tables, most)
         for f, (table, parts) in enumerate(zip(packed, got, strict=True)):
             mine = {(i, j): v for (g, i, j), v in cells.items() if g == f}

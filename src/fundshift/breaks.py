@@ -79,8 +79,8 @@ _PRUNE_SLACK_REL = 1e-12
 
 #: Most windows one batched solve holds; the search flushes its gathered
 #: windows before a batch would grow past it. A longer run of one row and
-#: fund, which the first rows a flat fund sweeps can ask for, is solved
-#: alone. Each window costs about 300 bytes while its batch is solved.
+#: fund, which a flat fund's first rows can ask for, is a batch of its own
+#: (solved in slices). Each window costs about 300 bytes while it is solved.
 _BATCH_WINDOWS = 1024
 
 #: Row chains the search advances per fund in lockstep, at most h.
@@ -123,9 +123,16 @@ def max_breaks_bound(trim: float) -> int:
 
 
 @functools.cache
+def _pair_terms(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each Gram column's pair (a, b), a <= b, and its count in sum_ab beta_a beta_b x_a x_b."""
+    rows, cols = np.triu_indices(k)
+    return rows, cols, np.where(rows == cols, 1.0, 2.0)
+
+
+@functools.cache
 def _gram_index(k: int) -> np.ndarray:
     """Column of each Gram entry (a, b) within a moment row."""
-    rows, cols = np.triu_indices(k)
+    rows, cols, _ = _pair_terms(k)
     at = np.empty((k, k), dtype=np.intp)
     at[rows, cols] = at[cols, rows] = np.arange(rows.size)
     at.flags.writeable = False
@@ -254,7 +261,7 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
         raise BreakDetectionError(f"ssr table: h={h} below k+1={k + 1}")
     if n < 2 * h:
         raise BreakDetectionError(f"ssr table: n={n} below 2h={2 * h}")
-    rows, cols = np.triu_indices(k)
+    rows, cols, _ = _pair_terms(k)
     pad = np.zeros((n, _row_width(k) - rows.size - k - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         moments = np.column_stack([X[:, rows] * X[:, cols], pad, X * y[:, None], y * y])
@@ -290,12 +297,9 @@ class Partition:
             raise BreakDetectionError("Partition: m != len(break_indices)")
         if self.total_ssr < 0.0:
             raise BreakDetectionError("Partition: negative total_ssr")
-        bounds = (-1,) + self.break_indices + (self.n - 1,)
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a < self.h:
-                raise BreakDetectionError(
-                    f"Partition: segment ({a + 1}, {b}) shorter than h={self.h}"
-                )
+        for a, b in self.regime_windows:
+            if b - a + 1 < self.h:
+                raise BreakDetectionError(f"Partition: segment ({a}, {b}) shorter than h={self.h}")
 
     @property
     def regime_windows(self) -> tuple[tuple[int, int], ...]:
@@ -321,13 +325,6 @@ def _chain_blocks(n: int, h: int, chains: int):
         rows = np.arange(top, top - size, -1)
         yield top + 1, [rows[lo : lo + seg] for lo in range(0, size, seg)]
     yield h, [np.zeros(1, dtype=np.intp)]
-
-
-@functools.cache
-def _pair_terms(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each Gram column's pair (a, b), a <= b, and its count in sum_ab beta_a beta_b x_a x_b."""
-    rows, cols = np.triu_indices(k)
-    return rows, cols, np.where(rows == cols, 1.0, 2.0)
 
 
 def _residual_weights(beta: np.ndarray) -> np.ndarray:
@@ -357,7 +354,7 @@ def _own_fit_ssr(moments: np.ndarray) -> np.ndarray:
     sound = np.isfinite(moments).all(axis=-1)
     sound[sound] = np.linalg.cond(grams[sound]) < _GAP_COND
     if sound.any():
-        beta = np.linalg.solve(grams[sound], moments[sound][:, -k - 1 : -1, None])[..., 0]
+        _, beta = _fit(moments[sound], np.linalg.solve)
         fitted = np.einsum("bw,bw->b", moments[sound], _residual_weights(beta))
         ssr[sound] = np.maximum(fitted, 0.0)
     return ssr
@@ -387,8 +384,9 @@ class _Sweep:
     lane's next one: its best at the lane's last row plus the residuals
     of any rows skipped since, under the coefficients of that best's
     first window, whose residual weights ``weights[c, f, r]`` holds.
-    ``tails`` holds each fund's sums to n-1 from the rows of the block
-    the sweep is in.
+    ``tails`` holds each fund's sums to n-1 from the block's rows (the
+    last column, y'y, scales a row's prune slack), and ``batch`` a
+    step's gathered windows: up to ``_BATCH_WINDOWS``, or one longer run.
     """
 
     def __init__(self, tables: Sequence[SsrTable], max_m: int, chains: int) -> None:
@@ -402,8 +400,7 @@ class _Sweep:
         self.sum_lanes = _lanes(self.sums)
         self.tails = np.empty((funds, 0, self.sums.shape[1]))  # see fill_tails
         self.tails_from = 0
-        self.batch = np.empty((_BATCH_WINDOWS, self.sums.shape[1]))  # gathered window sums
-        self.yy = np.array([np.cumsum(v[::-1, -1])[::-1] for v in self.values])  # rows i..n-1
+        self.batch = np.empty((max(_BATCH_WINDOWS, n - 2 * h + 2), self.sums.shape[1]))
         self.all_ends = tables[0].ends(0)  # row i's ends are its suffix from min(i, n-2h+1)
         self.max_m = max_m
         self.best = np.full((funds, max_m + 1, n), np.inf)
@@ -470,7 +467,7 @@ class _Sweep:
             bound = self.bound[:lanes, :, low : n - 2 * h + 1]
             carried, weights = self.carried[:lanes, :, :levels], self.weights[:lanes, :, :levels]
             upper = _level_bounds(carried, weights, self.values, rows)
-            upper += _PRUNE_SLACK_REL * self.yy[:, rows].T[:, :, None]
+            upper += _PRUNE_SLACK_REL * self.tails[:, rows - self.tails_from, -1].T[:, :, None]
             upper = np.fmin(upper, np.finfo(float).max)  # a level new to a lane: every feasible end
             lower = np.empty(bound.shape)
             for r in range(levels):
@@ -500,14 +497,8 @@ class _Sweep:
                 inner = int(rel[hi - 2]) + 1
                 np.cumsum(self.row_lanes[f][i : i + inner], axis=0, out=self.sum_lanes[:inner])
             self.sums[n - 1 - i] = self.tails[f, i - self.tails_from]
-            if hi - w0 > _BATCH_WINDOWS:  # a run longer than a batch is solved alone
-                self._fill(step, run, run + 1, self.sums[rel[lo:hi]])
-                r0, w0 = run + 1, hi
-            else:
-                gathered = self.batch[lo - w0 : hi - w0]
-                np.take(self.sums, rel[lo:hi], axis=0, out=gathered, mode="clip")
-        if r0 < sizes.size:
-            self._fill(step, r0, sizes.size, self.batch[: tops[-1] - w0])
+            np.take(self.sums, rel[lo:hi], axis=0, out=self.batch[lo - w0 : hi - w0], mode="clip")
+        self._fill(step, r0, sizes.size, self.batch[: tops[-1] - w0])
 
     def _fill(self, step: tuple, r0: int, r1: int, cells: np.ndarray) -> None:
         """Solve runs r0 .. r1-1 of a step and fill their DP rows, bounds and carried costs.

@@ -4,12 +4,16 @@ Every test prints a single ``criterion N: PASS`` line on success (visible
 with ``pytest -s`` or ``-rA``); under ``pytest -v`` the per-test
 PASSED/FAILED status doubles as the pass/fail line. Stated runtime caps
 are asserted inside the tests that carry them. A last test pins the
-cohort report's bytes to the numeric stack they were recorded on.
+cohort reports' bytes to the numeric stack they were recorded on, and
+one more checks that other BLAS kernels move only the report's floats.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -295,15 +299,20 @@ def cohort_dir(tmp_path_factory) -> Path:
     return out
 
 
-def run_analyze(sim_dir: Path, report_path: Path) -> int:
-    return main([
+def analyze_argv(sim_dir: Path, report_path: Path, *flags: str) -> list[str]:
+    return [
         "analyze",
         "--nav", str(sim_dir / "nav"),
         "--factors", str(sim_dir / "factors.csv"),
         "--bench-map", str(sim_dir / "benchmark_map.csv"),
         "--bench-nav", str(sim_dir / "bench_nav"),
         "--out", str(report_path),
-    ])
+        *flags,
+    ]
+
+
+def run_analyze(sim_dir: Path, report_path: Path, *flags: str) -> int:
+    return main(analyze_argv(sim_dir, report_path, *flags))
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +322,18 @@ def cohort_report(cohort_dir, tmp_path_factory) -> tuple[Path, float]:
     start = time.perf_counter()
     assert run_analyze(cohort_dir, report_path) == EXIT_OK
     return report_path, time.perf_counter() - start
+
+
+#: The second reference report's ``analyze`` flags.
+HAC_FLAGS = ("--hac", "--carhart", "--min-regime-obs", "300")
+
+
+@pytest.fixture(scope="module")
+def cohort_hac_report(cohort_dir, tmp_path_factory) -> Path:
+    """The cohort's report with ``HAC_FLAGS``."""
+    report_path = tmp_path_factory.mktemp("report") / "report.json"
+    assert run_analyze(cohort_dir, report_path, *HAC_FLAGS) == EXIT_OK
+    return report_path
 
 
 def test_criterion_8_end_to_end_planted_cohort(cohort_dir, cohort_report):
@@ -367,18 +388,21 @@ PINNED_STACK = {
 #: sha256 of the cohort's default-flag report on ``PINNED_STACK``.
 PINNED_REPORT_SHA256 = "bd10769aef84afc4e5b757297d91cf384c1bbad9bdd16fa55d3384e201a46fa0"
 
+#: sha256 of the cohort's report with ``HAC_FLAGS`` on ``PINNED_STACK``.
+PINNED_HAC_REPORT_SHA256 = "4a5f3f0eba84cf37c5fa917d1888cba35dc5c2e7d7d3969e594d014f48bd0a2e"
 
-def blas_kernel() -> str:
-    """The core name of the OpenBLAS that numpy loaded, or "unknown"."""
+
+def openblas(query: str) -> str:
+    """``get_corename`` or ``get_config`` of the OpenBLAS that numpy loaded, or "unknown"."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
-                if corename is not None:
-                    corename.restype, corename.argtypes = ctypes.c_char_p, []
-                    return corename().decode()
+                call = getattr(lib, f"{prefix}_{query}{suffix}", None)
+                if call is not None:
+                    call.restype, call.argtypes = ctypes.c_char_p, []
+                    return call().decode()
     return "unknown"
 
 
@@ -388,14 +412,79 @@ def numeric_stack() -> dict[str, str]:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "kernel": blas_kernel(),
+        "kernel": openblas("get_corename"),
     }
 
 
-def test_cohort_report_bytes_are_pinned(cohort_report):
+def assert_pinned(report_path: Path, want: str, what: str) -> None:
     stack = numeric_stack()
     if stack != PINNED_STACK:
         pytest.skip(f"report bytes pinned on {PINNED_STACK}, this run has {stack}")
-    digest = hashlib.sha256(cohort_report[0].read_bytes()).hexdigest()
-    assert digest == PINNED_REPORT_SHA256
-    print(f"pinned: PASS - cohort report sha256 {digest[:8]} on {stack['kernel']}")
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert digest == want
+    print(f"pinned: PASS - {what} sha256 {digest[:8]} on {stack['kernel']}")
+
+
+def test_cohort_report_bytes_are_pinned(cohort_report):
+    assert_pinned(cohort_report[0], PINNED_REPORT_SHA256, "cohort report")
+
+
+def test_cohort_hac_report_bytes_are_pinned(cohort_hac_report):
+    assert_pinned(cohort_hac_report, PINNED_HAC_REPORT_SHA256, "cohort report with HAC_FLAGS")
+
+
+#: Runs ``analyze`` on its arguments, then prints the OpenBLAS kernel it ran on.
+KERNEL_CHILD = """
+import sys
+from fundshift.cli import main
+code = main(sys.argv[1:])
+from test_acceptance import openblas
+print(openblas("get_corename"))
+sys.exit(code)
+"""
+
+
+def float_moves(want, got, where: str = "report") -> list[float]:
+    """Each float's relative move from ``want`` to ``got``; any other difference fails."""
+    if isinstance(want, float) and isinstance(got, float):
+        return [0.0 if want == got else abs(got - want) / max(abs(want), abs(got))]
+    assert type(want) is type(got), where
+    if isinstance(want, dict):
+        assert want.keys() == got.keys(), where
+        return [m for key in want for m in float_moves(want[key], got[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        assert len(want) == len(got), where
+        return [m for i, pair in enumerate(zip(want, got))
+                for m in float_moves(*pair, f"{where}[{i}]")]
+    assert want == got, where
+    return []
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_cohort_report_agrees_across_blas_kernels(cohort_dir, cohort_report, coretype, tmp_path):
+    # The pinned bytes hold on one BLAS kernel. Under another, only floats
+    # may move, by rounding: at most 6.5e-13 relative when this test was
+    # written; it allows 1e-9. One child process per kernel.
+    config = openblas("get_config")
+    if "DYNAMIC_ARCH" not in config.split():
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {config}")
+    default = openblas("get_corename")
+    if coretype == default:
+        pytest.skip(f"{coretype} is the kernel the in-process report ran on")
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    out = tmp_path / "report.json"
+    child = subprocess.run([sys.executable, "-c", KERNEL_CHILD, *analyze_argv(cohort_dir, out)],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == EXIT_OK, child.stderr
+    kernel = child.stdout.splitlines()[-1]
+    assert kernel != default, f"OPENBLAS_CORETYPE={coretype} left the kernel at {default}"
+    moves = float_moves(json.loads(cohort_report[0].read_text(encoding="utf-8")),
+                        json.loads(out.read_text(encoding="utf-8")))
+    assert max(moves) <= 1e-9
+    moved = sum(m > 0.0 for m in moves)
+    print(f"cross-kernel: PASS - under {kernel}, {moved} of {len(moves)} floats moved, "
+          f"at most {max(moves):.2g} relative; nothing else moved")

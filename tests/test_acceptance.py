@@ -478,7 +478,7 @@ def test_cohort_report_agrees_across_blas_kernels(cohort_dir, cohort_report, cor
     )
     out = tmp_path / "report.json"
     child = subprocess.run([sys.executable, "-c", KERNEL_CHILD, *analyze_argv(cohort_dir, out)],
-                           env=env, capture_output=True, text=True)
+                           env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == EXIT_OK, child.stderr
     kernel = child.stdout.splitlines()[-1]
     assert kernel != default, f"OPENBLAS_CORETYPE={coretype} left the kernel at {default}"

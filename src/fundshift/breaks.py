@@ -33,11 +33,12 @@ those of the full table bit for bit.
 A row's windows are chosen before its prefix sums, from lower bounds
 solved on rows above it and an upper bound carried down from the row
 above, so the sweep runs eight row chains per fund, and every fund of a
-group of tables of equal n, h and k, in lockstep: one kernel batch
-serves a whole step, and every fund keeps the bits of a sweep alone at
-any chain count. The kernel, :func:`solve_windows`, solves the gathered
-windows of any funds and start rows in one batch and falls back to each
-(fund, start) run, by pseudo-inverse where a run is singular.
+group of tables of equal n, h and k, in lockstep: a step's windows
+share kernel batches of whole runs, and every fund keeps the bits of a
+sweep alone at any chain count. The kernel, :func:`solve_windows`,
+solves the gathered windows of any funds and start rows in one batch
+and falls back to each (fund, start) run, by pseudo-inverse where a run
+is singular.
 :meth:`SsrTable.ssr`, which the filter reads, solves through it too.
 """
 
@@ -77,10 +78,11 @@ _SSR_FLOOR_REL = 1e-12
 #: to 1e-14) and 4.1e-15 at 5000 days (Gram condition number 6e4).
 _PRUNE_SLACK_REL = 1e-12
 
-#: Most windows one batched solve holds; the search flushes its gathered
-#: windows before a batch would grow past it. A longer run of one row and
-#: fund, which a flat fund's first rows can ask for, is a batch of its own
-#: (solved in slices). Each window costs about 300 bytes while it is solved.
+#: Least size of the sweep's batch buffer, in windows: it holds
+#: max(_BATCH_WINDOWS, n-2h+2), room for the longest run of one row and
+#: fund, and the sweep solves its gathered windows before a run would
+#: overflow it. Each window costs about 300 bytes while it is solved; a
+#: buffer of n-2h+2 alone raised seed-7 ``wide``'s kernel calls by a third.
 _BATCH_WINDOWS = 1024
 
 #: Row chains the search advances per fund in lockstep, at most h.
@@ -224,29 +226,22 @@ def solve_windows(
     and led by the row's first window, (i, i+h-1) or (i, n-1). Every
     later window holds the first, so none is singular unless the first
     is. LAPACK factors each matrix of a batch on its own, so the batch's
-    make-up cannot move a window's bits. If any matrix is singular, or
-    the batch holds more than ``_BATCH_WINDOWS`` windows, each run is
-    solved on its own, in slices of at most that many windows, each led
-    by the run's first window, and a run that is singular gets the
+    make-up cannot move a window's bits. If any matrix is singular, each
+    run is solved whole on its own, and a run that is singular gets the
     pseudo-inverse, which still gives the least SSR of a consistent Gram
     system. A window's bits thus depend on (i, j) alone.
     """
-    if end.size <= _BATCH_WINDOWS:
-        try:
-            return _fit(cells, np.linalg.solve)
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        return _fit(cells, np.linalg.solve)
+    except np.linalg.LinAlgError:
+        pass
     ssr, beta = np.empty(end.size), np.empty((end.size, _regressors(cells.shape[-1])))
     runs = np.flatnonzero((np.diff(fund) != 0) | (np.diff(start) != 0)) + 1
     for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), end.size]):
-        for a in range(lo, hi, _BATCH_WINDOWS):
-            b = min(a + _BATCH_WINDOWS, hi)
-            part = cells[lo:b] if a == lo else cells[np.r_[lo, a:b]]
-            try:
-                fit = _fit(part, np.linalg.solve)
-            except np.linalg.LinAlgError:
-                fit = _fit(part, _pinv_solve)
-            ssr[a:b], beta[a:b] = fit[0][-(b - a) :], fit[1][-(b - a) :]
+        try:
+            ssr[lo:hi], beta[lo:hi] = _fit(cells[lo:hi], np.linalg.solve)
+        except np.linalg.LinAlgError:
+            ssr[lo:hi], beta[lo:hi] = _fit(cells[lo:hi], _pinv_solve)
     return ssr, beta
 
 
@@ -386,7 +381,8 @@ class _Sweep:
     first window, whose residual weights ``weights[c, f, r]`` holds.
     ``tails`` holds each fund's sums to n-1 from the block's rows (the
     last column, y'y, scales a row's prune slack), and ``batch`` a
-    step's gathered windows: up to ``_BATCH_WINDOWS``, or one longer run.
+    step's gathered windows, whole runs only: it has room for the
+    longest run, so no batch splits one.
     """
 
     def __init__(self, tables: Sequence[SsrTable], max_m: int, chains: int) -> None:
@@ -394,8 +390,9 @@ class _Sweep:
         self.n, self.h = n, h
         self.values = [t.values for t in tables]
         self.row_lanes = [_lanes(v) for v in self.values]
-        # One fund's prefix sums from row i, with the sum to n-1 at n-1-i;
-        # fill_tails puts rows low .. n-1 in it, above _TILE rows of -0.0.
+        # One fund's prefix sums from row i, each at its end row, and the
+        # sum to n-1 at n-1; fill_tails puts rows low .. n-1 in it, above
+        # _TILE rows of -0.0.
         self.sums = np.full((n + _TILE, self.values[0].shape[1]), -0.0)
         self.sum_lanes = _lanes(self.sums)
         self.tails = np.empty((funds, 0, self.sums.shape[1]))  # see fill_tails
@@ -479,57 +476,55 @@ class _Sweep:
         pick[np.arange(lanes), :, first] = True
         pick[:, :, -1] = True
 
-        # The picked windows in (lane, fund, end) order: one run per (lane,
-        # fund), its sums gathered while the one buffer holds the lane's row:
-        # prefix sums to the run's last inner end, and its tail at n-1.
-        at = np.flatnonzero(pick) % grid.size
+        # The picked windows' ends in (lane, fund, end) order: one run per
+        # (lane, fund), its sums gathered while the one buffer holds the
+        # lane's row: prefix sums to the run's last inner end, and its tail.
+        ends = grid[np.flatnonzero(pick) % grid.size]
         sizes = pick.sum(axis=2).ravel()
         tops = np.cumsum(sizes)
-        rel = grid[at] - np.repeat(np.repeat(rows, len(self.values)), sizes)
-        step = (rows, grid, follow, at, sizes, tops)
+        step = (rows, ends, sizes, tops, levels)
         r0, w0 = 0, 0  # the pending batch's first run and first window
         for run, (i, f) in enumerate(itertools.product(rows.tolist(), range(len(self.values)))):
             lo, hi = tops[run] - sizes[run], tops[run]
-            if hi - w0 > _BATCH_WINDOWS and run > r0:
+            if hi - w0 > len(self.batch):  # never on run r0: it fits alone
                 self._fill(step, r0, run, self.batch[: lo - w0])
                 r0, w0 = run, lo
             if hi - lo > 1:  # prefix sums of rows i .. the run's last inner end
-                inner = int(rel[hi - 2]) + 1
-                np.cumsum(self.row_lanes[f][i : i + inner], axis=0, out=self.sum_lanes[:inner])
-            self.sums[n - 1 - i] = self.tails[f, i - self.tails_from]
-            np.take(self.sums, rel[lo:hi], axis=0, out=self.batch[lo - w0 : hi - w0], mode="clip")
+                last = int(ends[hi - 2]) + 1
+                np.cumsum(self.row_lanes[f][i:last], axis=0, out=self.sum_lanes[i:last])
+            self.sums[n - 1] = self.tails[f, i - self.tails_from]
+            np.take(self.sums, ends[lo:hi], axis=0, out=self.batch[lo - w0 : hi - w0], mode="clip")
         self._fill(step, r0, sizes.size, self.batch[: tops[-1] - w0])
 
     def _fill(self, step: tuple, r0: int, r1: int, cells: np.ndarray) -> None:
         """Solve runs r0 .. r1-1 of a step and fill their DP rows, bounds and carried costs.
 
-        ``step`` holds the step's rows, end grid and follow rows, and each
-        picked window's end, with the window count of each run and its
-        running total. A run holds every window its row solves, ascending,
+        ``step`` holds the step's rows, each picked window's end, the
+        window count of each run and its running total, and the step's
+        level count. A run holds every window its row solves, ascending,
         so its DP row is final at once: each level keeps its first least
         candidate.
         """
-        rows, grid, follow, at, sizes, tops = step
+        rows, ends, sizes, tops, levels = step
         lane, fund = np.divmod(np.arange(r0, r1), len(self.values))
         start = rows[lane]
         w0 = tops[r0] - sizes[r0]
-        at = at[w0 : tops[r1 - 1]]
+        ends = ends[w0 : tops[r1 - 1]]
         run = np.repeat(np.arange(r1 - r0), sizes[r0:r1])
-        ssr, beta = solve_windows(cells, fund[run], start[run], grid[at])
+        ssr, beta = solve_windows(cells, fund[run], start[run], ends)
         heads = tops[r0:r1] - sizes[r0:r1] - w0
         self.best[fund, 0, start] = ssr[tops[r0:r1] - 1 - w0]  # each run ends at n-1
-        inner = at < grid.size - 1
-        self.bound[lane[run[inner]], fund[run[inner]], grid[at[inner]] - self.h + 1] = ssr[inner]
-        levels = follow.shape[1]
+        inner = ends < self.n - 1
+        self.bound[lane[run[inner]], fund[run[inner]], ends[inner] - self.h + 1] = ssr[inner]
         if levels:  # cand[b, r]: window b's cost as the first segment of level r+1
             cand = np.full((ssr.size, levels), np.inf)
-            cand[inner] = follow[fund[run[inner]], :, at[inner]]
+            cand[inner] = self.best[fund[run[inner]], :levels, ends[inner] + 1]
             cand += ssr[:, None]
             least = np.minimum.reduceat(cand, heads)
             index = np.where(cand == least[run], np.arange(ssr.size)[:, None], ssr.size)
             win = np.minimum.reduceat(index, heads)  # each run's first least window
             self.best[fund, 1 : levels + 1, start] = least
-            self.choice[fund, 1 : levels + 1, start] = grid[at[win]]
+            self.choice[fund, 1 : levels + 1, start] = ends[win]
             self.carried[lane, fund, :levels] = least
             self.weights[lane, fund, :levels] = _residual_weights(beta[win])
 
@@ -549,7 +544,7 @@ def optimal_partitions(
     Row i solves its first end, its last, and every end whose lower bound
     comes within the slack of some level's upper bound; the rest can
     neither win nor tie. All of this is known before the row's prefix
-    sums, so one kernel batch serves a whole step. Breaks let the bounds
+    sums, so a step's lanes share kernel batches. Breaks let the bounds
     prune most ends; a flat fund without one solves a fifth to a third.
     Each level keeps the first minimum over ascending ends: each break
     vector is a global minimizer, the earliest unless rounding ties an

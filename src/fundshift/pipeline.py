@@ -129,9 +129,9 @@ class FundRecord:
 #: Most fund-days one break search holds. Equal-length funds are searched
 #: together in groups of at most this size: 4 funds of 1,000 days, while a
 #: 5,000-day fund is searched alone. At its peak a group's search holds
-#: about 0.32 MB per 1,000 fund-days in a group of four 1,000-day funds
-#: (1.29 MB) and 0.51 MB per 1,000 days for a 4,995-day fund alone
-#: (2.55 MB; tracemalloc, seed-7 perfbench inputs), which adds to the
+#: about 0.43 MB per 1,000 fund-days in a group of four 1,000-day funds
+#: (1.72 MB) and 0.64 MB per 1,000 days for a 4,995-day fund alone
+#: (3.17-3.24 MB; tracemalloc, seed-7 perfbench inputs), which adds to the
 #: peak RSS of a run.
 GROUP_FUND_DAYS = 4000
 

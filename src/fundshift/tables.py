@@ -144,6 +144,9 @@ def render_table(aggregates: dict, table: str, fmt: str) -> str:
     disagrees with its labels, or a break histogram other than ``break_histogram``
     of its funds column among them, raises LookupError, TypeError, AttributeError
     or ValueError (exit 2 in ``fundshift report``) before anything prints.
-    Empty cells are undefined metrics.
+    Empty cells are undefined metrics. A format other than ``csv`` or ``md``
+    raises ValueError.
     """
+    if fmt not in ("csv", "md"):
+        raise ValueError(f"table format must be 'csv' or 'md', got {fmt!r}")
     return _TABLE_RENDERERS[table](aggregates, fmt)

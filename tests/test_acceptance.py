@@ -3,13 +3,15 @@
 Every test prints a single ``criterion N: PASS`` line on success (visible
 with ``pytest -s`` or ``-rA``); under ``pytest -v`` the per-test
 PASSED/FAILED status doubles as the pass/fail line. Stated runtime caps
-are asserted inside the tests that carry them. A last test pins the
-cohort reports' bytes to the numeric stack they were recorded on, and
-one more checks that other BLAS kernels move only the report's floats.
+are asserted inside the tests that carry them. The last tests pin the
+bytes of the cohort reports and of the seed-7 perfbench reports to the
+numeric stack they were recorded on, and one more checks that other
+BLAS kernels move only the report's floats.
 """
 
 import ctypes
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -431,6 +433,33 @@ def test_cohort_report_bytes_are_pinned(cohort_report):
 
 def test_cohort_hac_report_bytes_are_pinned(cohort_hac_report):
     assert_pinned(cohort_hac_report, PINNED_HAC_REPORT_SHA256, "cohort report with HAC_FLAGS")
+
+
+#: sha256 of the seed-7 perfbench reports on ``PINNED_STACK``. Some rows
+#: of ``long`` solve runs longer than ``breaks._BATCH_WINDOWS`` windows.
+PINNED_SEED7_SHA256 = {
+    "long": "80790d8348517f625d488455a712570e5b8b7b752816337f26dcfff1d6e6460a",
+    "wide": "59f7451a502d3419859d7a0ad39ce46b3c8c377bffcba26f568ebc6b4c2c8ba6",
+}
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, which defines the benchmark's inputs and flags, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEED7_SHA256))
+def test_perfbench_seed7_report_bytes_are_pinned(name, tmp_path):
+    workloads = perfbench_workloads()
+    inputs, report_path = tmp_path / "inputs", tmp_path / "report.json"
+    workloads.generate(name, 7, inputs, main)
+    assert run_analyze(inputs, report_path, *workloads.WORKLOADS[name].analyze_flags) == EXIT_OK
+    assert_pinned(report_path, PINNED_SEED7_SHA256[name], f"seed-7 perfbench {name} report")
 
 
 #: Runs ``analyze`` on its arguments, then prints the OpenBLAS kernel it ran on.

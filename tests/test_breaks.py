@@ -551,9 +551,9 @@ def group_differs_from_reference(instances, cells, monkeypatch) -> bool:
     """Search equal-shape instances in one group; compare each to the unpruned reference DP.
 
     Runs to the most breaks that fit, at every count of :func:`chain_counts`,
-    and once more at the default count with batches of 64 windows, so
-    that runs longer than a batch are solved in slices; checks every
-    solved cell too.
+    and once more at the default count with a batch buffer of at least 64
+    windows, not 1,024, so that the sweep flushes its batches at other
+    points; checks every solved cell too.
     """
     (y, X, h), n = instances[0], len(instances[0][0])
     most = n // h - 1
@@ -710,13 +710,20 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     # the bound is that share rounded up to 5%. At 8 row chains a step
     # solves every lane's windows in one batch where it can, so the
     # kernel runs on at most a third as many calls as there are start
-    # rows (2,102).
+    # rows (2,102). No call holds more windows than the sweep's batch
+    # buffer, and no batch splits a run: each (fund, start) run of a call
+    # begins at its row's first end. The buffer holds n - 2h + 2 = 2,102
+    # windows here, and some rows' runs are longer than _BATCH_WINDOWS.
     table = planted_fund_table()
+    n, h = table.n, table.h
     cells = solved_cells(monkeypatch)
-    kernel, calls = breaks.solve_windows, []
+    kernel, calls, heads_first = breaks.solve_windows, [], []
 
     def counting(sums, fund, start, end):
         calls.append(end.size)
+        heads = np.flatnonzero((np.diff(fund, prepend=-1) != 0) | (np.diff(start, prepend=-1) != 0))
+        first = np.where(start[heads] <= n - 2 * h, start[heads] + h - 1, n - 1)
+        heads_first.append(bool((end[heads] == first).all()))
         return kernel(sums, fund, start, end)
 
     monkeypatch.setattr(breaks, "solve_windows", counting)
@@ -725,8 +732,10 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     assert (table.h, reachable) == (450, 1_367_929)
     assert bs.chosen_m == 3
     assert len(cells) <= 0.05 * reachable
-    rows = 1 + (table.n - 2 * table.h + 1)
+    rows = 1 + (n - 2 * h + 1)
     assert rows == 2102 and len(calls) <= rows / 3
+    assert breaks._BATCH_WINDOWS < max(calls) <= max(breaks._BATCH_WINDOWS, n - 2 * h + 2)
+    assert all(heads_first)
 
 
 def test_prefix_sums_stop_at_each_rows_last_inner_end(monkeypatch):

@@ -1113,6 +1113,16 @@ def test_report_markdown_header_escapes_a_pipe_in_a_label(tmp_path, capsys):
     assert cells == ["style_t", "A\\|B", "Total"]
 
 
+@pytest.mark.parametrize("fmt", ["CSV", "markdown", ""])
+def test_render_table_rejects_an_unknown_format(tmp_path, fmt):
+    # Only "csv" and "md" render; any other format, "CSV" included, raises
+    # before a table prints, even for deciles, which may have no rows.
+    aggregates = json.loads(fixture_report(tmp_path).read_text(encoding="utf-8"))["aggregates"]
+    for table, agg in (("breaks", aggregates), ("deciles", {"deciles": None})):
+        with pytest.raises(ValueError, match="'csv' or 'md'"):
+            render_table(agg, table, fmt)
+
+
 def test_report_unknown_table_is_usage_error(tmp_path):
     path = fixture_report(tmp_path)
     with pytest.raises(SystemExit) as exc:

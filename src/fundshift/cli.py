@@ -214,6 +214,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # the reason it is unusable, serve every other fund that uses it.
     bench_dir = Path(args.bench_nav)
     benchmarks: dict[str, ReturnSeries | str] = {}
+    # Funds on one calendar with one benchmark share its dates and columns.
+    calendars: dict = {}
     for path in fund_paths:
         fund_id = path.stem
         bench_id = bmap.benchmark_for(fund_id)
@@ -229,7 +231,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             continue
         try:
             nav = parse_nav_csv(_read_text(path), fund_id)
-            samples.append(align(compute_returns(nav), bench, factors))
+            samples.append(align(compute_returns(nav), bench, factors, calendars))
         except (ValueError, OSError) as exc:
             skip(fund_id, str(exc))
 

@@ -160,7 +160,9 @@ class AlignedSample:
 
     All vectors share the common calendar ``dates`` (the exact sorted
     intersection of the three input calendars) and have length ``n``.
-    Arrays are read-only.
+    Arrays are read-only, and samples that :func:`align` built through
+    one ``shared`` dict may hold the same ``dates`` tuple and the same
+    benchmark and factor arrays; each holds its own ``r_fund``.
     """
 
     fund_id: str
@@ -312,12 +314,19 @@ def write_benchmark_map_csv(bmap: BenchmarkMap) -> str:
     return tables.write_csv([("fund_id", "benchmark_id"), *sorted(bmap.entries.items())])
 
 
-def align(fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel) -> AlignedSample:
+def align(
+    fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel, shared: dict | None = None
+) -> AlignedSample:
     """Restrict all series to the exact intersection of their calendars.
 
     No forward-filling: a date survives only if the fund, the benchmark
     and the factor panel all observed it. Raises when the intersection
     is shorter than :data:`MIN_ALIGNED_OBS`.
+
+    ``shared`` is a dict the caller keeps for the samples of one run.
+    Samples aligned through it on one calendar, with the same ``bench``
+    and ``factors`` objects, share their ``dates`` and every array but
+    their own ``r_fund``.
     """
     common = set(fund.dates) & set(bench.dates) & set(factors.dates)
     if len(common) < MIN_ALIGNED_OBS:
@@ -333,15 +342,18 @@ def align(fund: ReturnSeries, bench: ReturnSeries, factors: FactorPanel) -> Alig
         lookup = {d: v for d, v in zip(src_dates, values)}
         return np.array([lookup[d] for d in dates], dtype=float)
 
-    mom = _take(factors.dates, factors.mom) if factors.has_mom else None
-    return AlignedSample(
-        fund_id=fund.series_id,
-        dates=dates,
-        r_fund=_take(fund.dates, fund.returns),
-        r_bench=_take(bench.dates, bench.returns),
-        mkt_rf=_take(factors.dates, factors.mkt_rf),
-        smb=_take(factors.dates, factors.smb),
-        hml=_take(factors.dates, factors.hml),
-        rf=_take(factors.dates, factors.rf),
-        mom=mom,
-    )
+    key = (id(bench), id(factors), dates)
+    if shared is not None and key in shared:
+        columns = shared[key][0]
+    else:
+        columns = {
+            "dates": dates,
+            "r_bench": _take(bench.dates, bench.returns),
+            **{name: _take(factors.dates, getattr(factors, name))
+               for name in ("mkt_rf", "smb", "hml", "rf")},
+            "mom": _take(factors.dates, factors.mom) if factors.has_mom else None,
+        }
+        if shared is not None:
+            # The entry holds bench and factors, so no other object takes their ids.
+            shared[key] = (columns, bench, factors)
+    return AlignedSample(fund_id=fund.series_id, r_fund=_take(fund.dates, fund.returns), **columns)

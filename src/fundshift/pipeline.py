@@ -57,10 +57,11 @@ from .stylebox import (
     regime_styles,
 )
 
-# regress.ols loads scipy's t kernel on its first fit, so that simulating
-# loads no scipy. analyze loads it here, before any input is read: loaded
-# after the inputs, scipy.special raised peak RSS by 0.8 MB on a 3 x
-# 5000-day cohort.
+# regress.ols loads scipy's t kernel (Boost's t_cdf from
+# scipy.special._ufuncs_cxx, which maps no BLAS) on its first fit, so
+# that simulating loads no scipy. analyze loads it here, before any input
+# is read: loaded after the inputs, scipy.special raised peak RSS by 0.8
+# MB on a 3 x 5000-day cohort.
 t_kernel()
 
 

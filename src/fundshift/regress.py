@@ -17,11 +17,13 @@ is available behind a flag for serial-correlation-robust inference.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.util
 import os
 import sys
 import types
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +100,8 @@ _EXACT_FIT_REL = 1e-20
 _EXACT_COEF_REL = 1e-8
 
 
-def _load_ufuncs() -> types.ModuleType:
-    """Import ``scipy.special._ufuncs`` without running scipy's package init.
+def _load_ufuncs_cxx() -> types.ModuleType:
+    """Import ``scipy.special._ufuncs_cxx`` without running scipy's package init.
 
     Bare stand-ins for ``scipy`` and ``scipy.special`` hold only the
     package paths while the compiled module and its own imports load.
@@ -114,29 +116,53 @@ def _load_ufuncs() -> types.ModuleType:
             stand_in = types.ModuleType(name)
             stand_in.__path__ = [os.path.join(root, *sub) for root in roots]
             sys.modules[name] = stand_in
-        return importlib.import_module("scipy.special._ufuncs")
+        return importlib.import_module("scipy.special._ufuncs_cxx")
     finally:
         for name in set(sys.modules) - before:
             if name.partition(".")[0] == "scipy":
                 del sys.modules[name]
 
 
-@functools.cache
-def t_kernel() -> np.ufunc:
-    """scipy's compiled Student-t CDF, ``stdtr(dof, t)``.
+def _boost_t_cdf() -> Callable[[float, float], float]:
+    """Boost's Student-t CDF ``t_cdf(dof, t)``, the function ``stdtr`` runs.
 
-    The package init that ``import scipy.special`` runs (array-API
-    support, f2py), and the ufunc does not need, was 20 MB of an
+    ``_ufuncs_cxx`` exports it as a ``void *`` variable; the capsule
+    holds that variable's address, and the variable the function's.
+    Raises if the kernel does not give 0.25 at one degree of freedom
+    and t = -1, which a swapped argument order would not.
+    """
+    capsule = _load_ufuncs_cxx().__pyx_capi__["_export_t_cdf_double"]
+    # A prototype of its own: setting ``restype`` on ``ctypes.pythonapi``'s
+    # function would change it for every other caller in the process.
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = ctypes.c_void_p.from_address(get_pointer(capsule, b"void *")).value
+    cdf = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(address)
+    if not abs(cdf(1.0, -1.0) - 0.25) < 1e-12:
+        raise ImportError("t_cdf_double does not take (dof, t)")
+    return cdf
+
+
+@functools.cache
+def t_kernel() -> Callable[[float, float], float]:
+    """scipy's compiled Student-t CDF, as ``stdtr(dof, t)``.
+
+    ``scipy.special.stdtr`` is a ufunc over Boost's ``t_cdf``, compiled
+    into ``scipy.special._ufuncs_cxx``. The package init that ``import
+    scipy.special`` runs (array-API support, f2py) was 20 MB of an
     ``analyze`` process's 65 MB peak RSS and 0.25 s of its imports on a
-    2-core Xeon. So while no scipy module is loaded, the kernel comes
-    from ``_load_ufuncs``. A later ``import scipy.special`` reuses that
-    compiled module, so its ``stdtr`` is the same object. If scipy is
-    already loaded, or the private load fails, the kernel comes from
-    ``scipy.special`` itself.
+    2-core Xeon, and ``scipy.special._ufuncs``, which holds the ufunc,
+    maps scipy's own OpenBLAS, libgfortran and libquadmath besides
+    numpy's. ``_ufuncs_cxx`` maps only the C++ runtime. So while no
+    scipy module is loaded, the kernel is ``t_cdf`` itself, called
+    through ctypes: the same compiled function, so the same bits. If
+    scipy is already loaded, or the private load fails, the kernel is
+    ``scipy.special.stdtr``.
     """
     if not {"scipy", "scipy.special"} & sys.modules.keys():
         try:
-            return _load_ufuncs().stdtr
+            return _boost_t_cdf()
         except Exception:  # a layout this loader does not know: take the public path
             pass
     from scipy import special

@@ -379,7 +379,8 @@ def test_criterion_9_determinism(cohort_dir, cohort_report, tmp_path):
 
 #: The numeric stack the pinned report bytes were recorded on. The same
 #: code gives other float bits under another numpy, scipy (p-values come
-#: from its t kernel), BLAS build or BLAS kernel.
+#: from its compiled Boost ``t_cdf``, the function ``stdtr`` runs), BLAS
+#: build or BLAS kernel.
 PINNED_STACK = {
     "numpy": "2.4.6",
     "scipy": "1.17.1",

@@ -330,3 +330,75 @@ def test_benchmark_map_quotes_ids_that_hold_commas_or_quotes():
     lines = text.splitlines()
     assert {'"F,1","B,1"', '"Q""1","B,1"', 'F1,"B,1"', 'G|x,"B,1"'} <= set(lines)
     assert parse_benchmark_map_csv(text) == bmap
+
+
+#: What samples aligned on one calendar, benchmark and factor panel share.
+SHARED_COLUMNS = ("r_bench", "mkt_rf", "smb", "hml", "rf", "mom")
+
+
+def _nav_returns(fund_id: str, dates: list[date], seed: int) -> ReturnSeries:
+    rng = np.random.default_rng(seed)
+    navs = 100.0 * np.cumprod(1.0 + rng.normal(0.0003, 0.01, len(dates)))
+    rows = [(d.isoformat(), float(v)) for d, v in zip(dates, navs)]
+    return compute_returns(parse_nav_csv(nav_csv(rows), fund_id))
+
+
+def _cohort(days: int = 200):
+    dates = list(weekdays(days))
+    panel = replace(_panel(dates), mom=tuple(np.random.default_rng(5).normal(0, 0.005, days)))
+    return dates, _nav_returns("B1", dates, 2), panel
+
+
+def test_align_funds_on_one_calendar_share_dates_and_benchmark_and_factor_arrays():
+    dates, bench, panel = _cohort()
+    shared: dict = {}
+    a = align(_nav_returns("F1", dates, 1), bench, panel, shared)
+    b = align(_nav_returns("F2", dates, 7), bench, panel, shared)
+    assert b.dates is a.dates
+    for name in SHARED_COLUMNS:
+        assert getattr(b, name) is getattr(a, name), name
+    assert b.r_fund is not a.r_fund
+    assert not np.array_equal(a.r_fund, b.r_fund)
+    # Sharing changes no value: each sample equals its own unshared alignment.
+    alone = align(_nav_returns("F2", dates, 7), bench, panel)
+    assert alone.dates == b.dates
+    for name in ("r_fund", *SHARED_COLUMNS):
+        assert np.array_equal(getattr(alone, name), getattr(b, name)), name
+
+
+def test_align_fund_whose_nav_file_has_a_gap_shares_nothing():
+    dates, bench, panel = _cohort()
+    shared: dict = {}
+    a = align(_nav_returns("F1", dates, 1), bench, panel, shared)
+    gapped = align(_nav_returns("F2", dates[:90] + dates[91:], 7), bench, panel, shared)
+    assert gapped.n == a.n - 1
+    assert gapped.dates is not a.dates
+    for name in ("r_fund", *SHARED_COLUMNS):
+        assert not np.shares_memory(getattr(gapped, name), getattr(a, name)), name
+
+
+def test_align_fund_with_another_benchmark_shares_none_of_its_arrays():
+    dates, bench, panel = _cohort()
+    shared: dict = {}
+    a = align(_nav_returns("F1", dates, 1), bench, panel, shared)
+    other = align(_nav_returns("F2", dates, 7), _nav_returns("B2", dates, 8), panel, shared)
+    assert other.dates == a.dates
+    for name in ("r_fund", *SHARED_COLUMNS):
+        assert not np.shares_memory(getattr(other, name), getattr(a, name)), name
+
+
+def test_align_shared_arrays_stay_read_only_and_subsample_copies():
+    from fundshift.regress import subsample
+
+    dates, bench, panel = _cohort()
+    shared: dict = {}
+    a = align(_nav_returns("F1", dates, 1), bench, panel, shared)
+    b = align(_nav_returns("F2", dates, 7), bench, panel, shared)
+    for name in ("r_fund", *SHARED_COLUMNS):
+        assert not getattr(b, name).flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(b, name)[0] = 1.0
+    part = subsample(b, 10, 120)
+    for name in ("r_fund", *SHARED_COLUMNS):
+        assert not np.shares_memory(getattr(part, name), getattr(a, name)), name
+        assert np.array_equal(getattr(part, name), getattr(b, name)[10:121]), name

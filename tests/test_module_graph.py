@@ -148,20 +148,47 @@ def test_analyze_command_loads_the_analysis_stack(sim_dir, tmp_path):
     assert (tmp_path / "report.json").is_file()
 
 
+#: (dof, t) pairs on which the t kernel must give ``stdtr``'s bits.
+KERNEL_DOFS = [1, 2, 3, 4, 5, 10, 100, 995, 4994, 1e6]
+KERNEL_TS = [-0.0, -1e-300, -0.5, -2.0, -40.0, -1e3, -float("inf"), float("nan")]
+
+
 def test_analysis_stack_loads_the_t_kernel_without_scipy_init_and_leaves_scipy_whole():
-    stack, same_kernel, cdfs = probe(
+    stack, bits, cdfs = probe(
         "import fundshift.cli, fundshift.regress\n"
         "fundshift.cli._load_stack()\n"
         "stack = sorted(sys.modules)\n"
-        "import scipy.special, scipy.stats\n"
-        "print(json.dumps([stack, scipy.special.stdtr is fundshift.regress.t_kernel(),\n"
+        "kernel = fundshift.regress.t_kernel()\n"
+        f"grid = [(d, t) for d in {KERNEL_DOFS!r} for t in json.loads({json.dumps(KERNEL_TS)!r})]\n"
+        "ours = [kernel(d, t) for d, t in grid]\n"
+        "import numpy as np, scipy.special, scipy.stats\n"
+        "theirs = [scipy.special.stdtr(d, t) for d, t in grid]\n"
+        "bits = [np.array(v, dtype=float).view(np.int64).tolist() for v in (ours, theirs)]\n"
+        "print(json.dumps([stack, bits,\n"
         "                  [scipy.stats.t.cdf(-2.0, 10), scipy.special.stdtr(10, -2.0)]]))"
     )
     assert "fundshift.regress" in stack
     assert sorted({"scipy._lib._array_api", "scipy.special._basic"} & set(stack)) == []
-    # A later full import reuses the compiled module, and scipy.stats works.
-    assert same_kernel
+    # The kernel is the compiled function stdtr runs, and a later full
+    # import of scipy works.
+    assert bits[0] == bits[1]
     assert cdfs[0] == cdfs[1]
+
+
+def test_analysis_stack_maps_no_scipy_openblas():
+    maps = Path("/proc/self/maps")
+    if not maps.is_file():
+        pytest.skip("no /proc/self/maps here")
+    mapped, loaded = probe(
+        "import fundshift.cli\n"
+        "fundshift.cli._load_stack()\n"
+        "paths = {line.split()[-1] for line in open('/proc/self/maps') if '/' in line}\n"
+        "print(json.dumps([sorted(paths), sorted(sys.modules)]))"
+    )
+    assert [p for p in mapped if "/scipy.libs/" in p] == []
+    assert [p for p in mapped if "/_ufuncs_cxx." in p] != []
+    assert [p for p in mapped if "/_ufuncs." in p] == []
+    assert "scipy.special._ufuncs" not in loaded
 
 
 def pvalue_bits(before_fit: str = "") -> dict:
@@ -185,17 +212,38 @@ def pvalue_bits(before_fit: str = "") -> dict:
     )
 
 
-def test_t_kernel_fallback_gives_the_same_pvalue_bits():
-    fast = pvalue_bits()
-    failed = pvalue_bits(
+#: Ways to make the private kernel load fail, each run before the first fit.
+KERNEL_FAILURES = {
+    "no-scipy-spec": (
         "import importlib.util\n"
         "def find_spec(name, package=None):\n"
         "    raise ImportError(name)\n"
         "importlib.util.find_spec = find_spec"
-    )
+    ),
+    "no-capsule": (
+        "import types, fundshift.regress\n"
+        "fundshift.regress._load_ufuncs_cxx = lambda: types.SimpleNamespace(__pyx_capi__={})"
+    ),
+    # Only the next prototype made is swapped: its calls pass (t, dof).
+    "swapped-arguments": (
+        "import ctypes\n"
+        "prototype = ctypes.CFUNCTYPE\n"
+        "def swapped(*types):\n"
+        "    ctypes.CFUNCTYPE = prototype\n"
+        "    bind = prototype(*types)\n"
+        "    return lambda address: (lambda f: lambda a, b: f(b, a))(bind(address))\n"
+        "ctypes.CFUNCTYPE = swapped"
+    ),
+}
+
+
+def test_t_kernel_fallback_gives_the_same_pvalue_bits():
+    fast = pvalue_bits()
     assert not fast["scipy_init"]
-    assert failed["scipy_init"]
-    assert failed["bits"] == fast["bits"]
+    for failure, before_fit in KERNEL_FAILURES.items():
+        failed = pvalue_bits(before_fit)
+        assert failed["scipy_init"], failure
+        assert failed["bits"] == fast["bits"], failure
 
 
 def test_t_kernel_is_scipy_special_stdtr_once_scipy_is_loaded():

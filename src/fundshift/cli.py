@@ -99,12 +99,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data: str | dict) -> None:
+    """Write a string, or stream any other ``data`` as JSON, to ``path`` via a temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                json.dump(data, fh, sort_keys=True, indent=2, allow_nan=False)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,10 +125,6 @@ def _read_text(path: Path) -> str:
         raise MarketDataError(
             f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -163,12 +164,47 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 truth_to_dict(t) for t in sorted(sim.truths, key=lambda t: t.fund_id)
             ],
         }
-        _atomic_write(out / "truth.json", _dump_json(truth))
+        _atomic_write(out / "truth.json", truth)
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
 
     log.info("simulated %d funds into %s", len(sim.funds), out)
     return EXIT_OK
+
+
+def _skip(skipped: list[tuple[str, str]], fund_id: str, reason: str) -> None:
+    log.warning("skipping %s: %s", fund_id, reason)
+    skipped.append((fund_id, reason))
+
+
+def _read_samples(fund_paths, bmap, factors, bench_dir: Path) -> tuple[list, list]:
+    """Each readable fund's aligned sample, and ``(fund_id, reason)`` per fund skipped."""
+    samples = []
+    skipped: list[tuple[str, str]] = []
+    # Each benchmark is read when a fund first needs it; its returns, or
+    # the reason it is unusable, serve every other fund that uses it.
+    benchmarks: dict[str, ReturnSeries | str] = {}
+    # Funds on one calendar with one benchmark share its dates and columns.
+    calendars: dict = {}
+    for path in fund_paths:
+        fund_id = path.stem
+        bench_id = bmap.benchmark_for(fund_id)
+        if bench_id is not None and bench_id not in benchmarks:
+            try:
+                nav = parse_nav_csv(_read_text(bench_dir / f"{bench_id}.csv"), bench_id)
+                benchmarks[bench_id] = compute_returns(nav)
+            except (OSError, MarketDataError) as exc:
+                benchmarks[bench_id] = f"benchmark {bench_id}: {exc}"
+        bench = benchmarks.get(bench_id, "no benchmark")
+        if isinstance(bench, str):
+            _skip(skipped, fund_id, bench)
+            continue
+        try:
+            nav = parse_nav_csv(_read_text(path), fund_id)
+            samples.append(align(compute_returns(nav), bench, factors, calendars))
+        except (ValueError, OSError) as exc:
+            _skip(skipped, fund_id, str(exc))
+    return samples, skipped
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -203,48 +239,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot list NAV directory: {exc}", EXIT_IO)
 
-    samples = []
-    skipped: list[tuple[str, str]] = []
-
-    def skip(fund_id: str, reason: str) -> None:
-        log.warning("skipping %s: %s", fund_id, reason)
-        skipped.append((fund_id, reason))
-
-    # Each benchmark is read when a fund first needs it; its returns, or
-    # the reason it is unusable, serve every other fund that uses it.
-    bench_dir = Path(args.bench_nav)
-    benchmarks: dict[str, ReturnSeries | str] = {}
-    # Funds on one calendar with one benchmark share its dates and columns.
-    calendars: dict = {}
-    for path in fund_paths:
-        fund_id = path.stem
-        bench_id = bmap.benchmark_for(fund_id)
-        if bench_id is not None and bench_id not in benchmarks:
-            try:
-                nav = parse_nav_csv(_read_text(bench_dir / f"{bench_id}.csv"), bench_id)
-                benchmarks[bench_id] = compute_returns(nav)
-            except (OSError, MarketDataError) as exc:
-                benchmarks[bench_id] = f"benchmark {bench_id}: {exc}"
-        bench = benchmarks.get(bench_id, "no benchmark")
-        if isinstance(bench, str):
-            skip(fund_id, bench)
-            continue
-        try:
-            nav = parse_nav_csv(_read_text(path), fund_id)
-            samples.append(align(compute_returns(nav), bench, factors, calendars))
-        except (ValueError, OSError) as exc:
-            skip(fund_id, str(exc))
+    # Parsed inputs hold a Python object per value. The helper's locals die when
+    # it returns and the panel and map go here, so none lives through the search.
+    samples, skipped = _read_samples(fund_paths, bmap, factors, Path(args.bench_nav))
+    del factors, bmap
 
     # Equal-length funds share one break search; each fund then runs on alone.
     searched, failed = search_breaks(samples, config)
     for fund_id, reason in failed:
-        skip(fund_id, reason)
+        _skip(skipped, fund_id, reason)
     records = []
     for fund in searched:
         try:
             record = analyze_fund(fund, config)
         except ValueError as exc:
-            skip(fund.fund_id, str(exc))
+            _skip(skipped, fund.fund_id, str(exc))
             continue
         log.info("analyzed %s: %d break(s)", fund.fund_id, record.break_set.chosen_m)
         records.append(record)
@@ -254,7 +263,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report = build_report(records, skipped, config, version=__version__)
     try:
-        _atomic_write(Path(args.out), _dump_json(report))
+        _atomic_write(Path(args.out), report)
     except OSError as exc:
         return _fail(f"cannot write report: {exc}", EXIT_IO)
     log.info("analyzed %d fund(s), skipped %d", len(records), len(skipped))

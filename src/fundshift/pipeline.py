@@ -364,17 +364,16 @@ def build_report(
     config: AnalysisConfig,
     version: str,
 ) -> dict:
-    """Assemble the full report document (pre-serialization dict)."""
+    """Assemble the report dict, cleaning each fund entry and the aggregates once, as built."""
     records = sorted(records, key=lambda r: r.fund_id)
-    report = {
+    return {
         "version": version,
         "config": config.to_dict(),
-        "funds": [fund_record_dict(rec) for rec in records],
+        "funds": [_clean(fund_record_dict(rec)) for rec in records],
         "skipped": [
             {"fund_id": fund_id, "reason": reason}
             for fund_id, reason in sorted(skipped)
         ],
-        "aggregates": build_aggregates(records),
+        "aggregates": _clean(build_aggregates(records)),
     }
-    return _clean(report)
 

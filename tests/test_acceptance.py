@@ -3,10 +3,12 @@
 Every test prints a single ``criterion N: PASS`` line on success (visible
 with ``pytest -s`` or ``-rA``); under ``pytest -v`` the per-test
 PASSED/FAILED status doubles as the pass/fail line. Stated runtime caps
-are asserted inside the tests that carry them. The last tests pin the
-bytes of the cohort reports and of the seed-7 perfbench reports to the
-numeric stack they were recorded on, and one more checks that other
-BLAS kernels move only the report's floats.
+are asserted inside the tests that carry them. One more counts the
+memory of the cohort's report stage. The last tests pin the bytes of
+the cohort reports and of the seed-7 perfbench reports to the numeric
+stack they were recorded on, compare the same reports with references
+in ``tests/references`` on any stack, and check that other BLAS kernels
+move only the report's floats.
 """
 
 import ctypes
@@ -17,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from fundshift.breaks import (
     select_break_count,
     ssr_table_from_arrays,
 )
+from fundshift import cli
 from fundshift.cli import EXIT_OK, main
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import annualized_metrics
@@ -377,6 +381,38 @@ def test_criterion_9_determinism(cohort_dir, cohort_report, tmp_path):
     print("criterion 9: PASS - consecutive analyze runs are byte-identical")
 
 
+def test_analyze_holds_one_copy_of_its_report(cohort_dir, tmp_path, monkeypatch):
+    # Counted, not timed: tracemalloc traces the report stage of one run.
+    # build_report's peak may exceed the report it returns, and writing
+    # the file may add to it, only by less than the file's size: a second
+    # copy of the report, or the document held as text, would not fit.
+    traced = {}
+    build = cli.build_report
+
+    def measured(*args, **kwargs):
+        tracemalloc.start()
+        tracemalloc.reset_peak()  # in case tracing was already on
+        report = build(*args, **kwargs)
+        live, peak = tracemalloc.get_traced_memory()
+        traced["build"] = peak - live
+        tracemalloc.reset_peak()
+        traced["before_write"] = tracemalloc.get_traced_memory()[0]
+        return report
+
+    monkeypatch.setattr(cli, "build_report", measured)
+    report_path = tmp_path / "report.json"
+    try:
+        assert run_analyze(cohort_dir, report_path) == EXIT_OK
+        write = tracemalloc.get_traced_memory()[1] - traced["before_write"]
+    finally:
+        tracemalloc.stop()
+    size = report_path.stat().st_size
+    assert traced["build"] < size, f"build_report peaked {traced['build']} B above its result"
+    assert write < size, f"writing a {size} B report grew traced memory by {write} B"
+    print(f"report memory: PASS - build_report peak {traced['build']} B above its result, "
+          f"write {write} B, against a {size} B file")
+
+
 #: The numeric stack the pinned report bytes were recorded on. The same
 #: code gives other float bits under another numpy, scipy (p-values come
 #: from its compiled Boost ``t_cdf``, the function ``stdtr`` runs), BLAS
@@ -454,13 +490,95 @@ def perfbench_workloads():
     return module
 
 
+@pytest.fixture(scope="module")
+def seed7_run(tmp_path_factory):
+    """The seed-7 perfbench inputs and report of a workload, made once per module."""
+    made: dict[str, tuple[Path, Path]] = {}
+
+    def run(name: str) -> tuple[Path, Path]:
+        if name not in made:
+            workloads = perfbench_workloads()
+            root = tmp_path_factory.mktemp(f"seed7-{name}")
+            inputs, report_path = root / "inputs", root / "report.json"
+            workloads.generate(name, 7, inputs, main)
+            flags = workloads.WORKLOADS[name].analyze_flags
+            assert run_analyze(inputs, report_path, *flags) == EXIT_OK
+            made[name] = inputs, report_path
+        return made[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SEED7_SHA256))
-def test_perfbench_seed7_report_bytes_are_pinned(name, tmp_path):
-    workloads = perfbench_workloads()
-    inputs, report_path = tmp_path / "inputs", tmp_path / "report.json"
-    workloads.generate(name, 7, inputs, main)
-    assert run_analyze(inputs, report_path, *workloads.WORKLOADS[name].analyze_flags) == EXIT_OK
+def test_perfbench_seed7_report_bytes_are_pinned(name, seed7_run):
+    _, report_path = seed7_run(name)
     assert_pinned(report_path, PINNED_SEED7_SHA256[name], f"seed-7 perfbench {name} report")
+
+
+#: One reference per pinned report, recorded on ``PINNED_STACK``: the
+#: sha256 of its input tree, the sha256 of the report with each float
+#: replaced by ``FLOAT`` (all four in full would exceed 250 KB), and its
+#: floats in order as ``repr`` strings. After a deliberate change to a
+#: report, write ``reference_of`` of the new one on ``PINNED_STACK`` to
+#: its file with ``json.dumps(..., sort_keys=True, indent=0)``.
+REFERENCES = Path(__file__).parent / "references"
+FLOAT = "<float>"
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file's relative path and bytes, as perfbench/run.py takes it."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def split_floats(value, floats: list[float]):
+    """``value`` with each float replaced by ``FLOAT``, appending the float to ``floats``."""
+    if isinstance(value, float):
+        floats.append(value)
+        return FLOAT
+    if isinstance(value, dict):
+        return {key: split_floats(value[key], floats) for key in sorted(value)}
+    if isinstance(value, list):
+        return [split_floats(v, floats) for v in value]
+    return value
+
+
+def reference_of(inputs: Path, report_path: Path) -> dict:
+    floats: list[float] = []
+    structure = split_floats(json.loads(report_path.read_text(encoding="utf-8")), floats)
+    text = json.dumps(structure, sort_keys=True, separators=(",", ":"))
+    return {
+        "inputs_sha256": tree_digest(inputs),
+        "structure_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "floats": [repr(x) for x in floats],
+    }
+
+
+def made_report(request, name: str) -> tuple[Path, Path]:
+    """The input tree and the report that the suite's fixtures made for ``name``."""
+    if name.startswith("seed7_"):
+        return request.getfixturevalue("seed7_run")(name.removeprefix("seed7_"))
+    if name == "cohort_hac":
+        return request.getfixturevalue("cohort_dir"), request.getfixturevalue("cohort_hac_report")
+    return request.getfixturevalue("cohort_dir"), request.getfixturevalue("cohort_report")[0]
+
+
+@pytest.mark.parametrize("name", ["cohort", "cohort_hac", "seed7_long", "seed7_wide"])
+def test_report_agrees_with_its_reference_on_any_stack(name, request):
+    # The sha256 pins hold only on PINNED_STACK and skip elsewhere; this
+    # never skips. Every non-float must equal the reference's and every
+    # float must lie within 1e-9 relative of it, the cross-kernel bound.
+    ref = json.loads((REFERENCES / f"{name}.json").read_text(encoding="utf-8"))
+    got = reference_of(*made_report(request, name))
+    assert got["inputs_sha256"] == ref["inputs_sha256"], f"{name}: the generated inputs changed"
+    assert got["structure_sha256"] == ref["structure_sha256"], (
+        f"{name}: a key, string, integer, bool or null moved, or a float came or went"
+    )
+    moves = float_moves(list(map(float, ref["floats"])), list(map(float, got["floats"])), name)
+    assert max(moves) <= 1e-9, f"{name}: a float moved {max(moves):.2g} relative"
+    print(f"reference: PASS - {name}, {len(moves)} floats within {max(moves):.2g} relative")
 
 
 #: Runs ``analyze`` on its arguments, then prints the OpenBLAS kernel it ran on.

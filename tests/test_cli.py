@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import re
 import shutil
 import sys
@@ -630,6 +631,70 @@ def test_analyze_unwritable_report_exits_3(tmp_path, capsys):
     blocker.write_text("file", encoding="utf-8")
     assert analyze(out, blocker / "report.json") == EXIT_IO
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_analyze_streams_the_report_that_build_report_returns(tmp_path, monkeypatch):
+    # The file is streamed from the report build_report returns, which
+    # nothing cleans after it: the report is already clean, and its
+    # serialisation with the CLI's settings is the file. The report is
+    # captured as perfbench's traced run captures it.
+    out = simulate(tmp_path, three_fund_spec())
+    built = []
+    build = cli.build_report
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_report", keep)
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    (report,) = built
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert report_path.read_text(encoding="utf-8") == text
+    assert pipeline._clean(report) == report
+
+
+def test_analyze_writes_a_non_finite_float_of_a_fund_entry_as_null(tmp_path, monkeypatch):
+    out = simulate(tmp_path, three_fund_spec())
+    entry_of = pipeline.fund_record_dict
+
+    def non_finite(rec):
+        entry = entry_of(rec)
+        entry["metrics"]["sharpe_pa"] = math.inf
+        entry["criterion"][-1]["bic"] = math.nan
+        return entry
+
+    monkeypatch.setattr(pipeline, "fund_record_dict", non_finite)
+    report_path = tmp_path / "report.json"
+    assert analyze(out, report_path) == EXIT_OK
+    funds = json.loads(report_path.read_text(encoding="utf-8"))["funds"]
+    assert [fund["metrics"]["sharpe_pa"] for fund in funds] == [None] * 3
+    assert [fund["criterion"][-1]["bic"] for fund in funds] == [None] * 3
+
+
+def test_analyze_report_failing_mid_stream_leaves_the_old_report_and_no_temp_file(
+    tmp_path, monkeypatch
+):
+    # The last fund's entry cannot be encoded, so serialisation fails after
+    # the others are streamed into the temp file. The error propagates,
+    # the temp file goes, and the report already at --out keeps its bytes.
+    out = simulate(tmp_path, three_fund_spec())
+    entry_of = pipeline.fund_record_dict
+
+    def unencodable_last(rec):
+        entry = entry_of(rec)
+        if rec.fund_id == "F3":
+            entry["metrics"]["sharpe_pa"] = object()
+        return entry
+
+    monkeypatch.setattr(pipeline, "fund_record_dict", unencodable_last)
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(b"an older report\n")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        analyze(out, report_path)
+    assert report_path.read_bytes() == b"an older report\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_analyze_empty_nav_dir_exits_4(tmp_path, capsys):

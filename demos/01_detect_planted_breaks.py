@@ -47,7 +47,7 @@ print(f"\naligned sample: n={sample.n}, minimum regime length h={table.h}, "
 # The search takes a group of equal-length funds; this one is a group of one.
 (bs,) = select_break_count([table])
 print("\nBIC by break count (chosen m minimizes):")
-for m, bic in bs.criterion_values:
+for m, bic in enumerate(bs.criterion):
     marker = "  <- chosen" if m == bs.chosen_m else ""
     print(f"  m={m}: {bic:+.4f}{marker}")
 

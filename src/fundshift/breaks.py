@@ -3,7 +3,8 @@
 For each candidate break count m, a dynamic program finds the partition
 that globally minimizes the total SSR of the benchmark-adjusted
 regression over its segments, subject to a minimum segment length h.
-The break count is then chosen by BIC.
+The break count is then chosen by BIC. One :class:`BreakSet` holds each
+segmentation; the chosen one also holds every count's BIC.
 
 Conventions:
 
@@ -48,7 +49,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -174,16 +175,21 @@ class SsrTable:
     j <= n-h-1. ``floor`` is the least SSR the BIC reads.
     """
 
-    n: int
     h: int
     values: np.ndarray
     floor: float
 
     def __post_init__(self) -> None:
         v = self.values
-        if v.shape != (self.n, _row_width(self.k)) or v.dtype != np.float64 or not v.flags.c_contiguous:
+        shaped = v.ndim == 2 and v.shape[1] == _row_width(self.k)
+        if not shaped or v.dtype != np.float64 or not v.flags.c_contiguous:
             raise BreakDetectionError("SsrTable: values must be (n, even width) float64 in C order")
         v.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        """Observation count: one moment row each."""
+        return len(self.values)
 
     @property
     def k(self) -> int:
@@ -263,7 +269,7 @@ def ssr_table_from_arrays(y: np.ndarray, X: np.ndarray, h: int) -> SsrTable:
     if not np.isfinite(moments).all():
         raise BreakDetectionError("ssr table: y, X and their products must be finite")
     floor = max(float(np.sum((y - y.mean()) ** 2)) * _SSR_FLOOR_REL, np.finfo(float).tiny)
-    return SsrTable(n=n, h=h, values=moments, floor=floor)
+    return SsrTable(h=h, values=moments, floor=floor)
 
 
 def build_ssr_table(sample: AlignedSample, trim: float = DEFAULT_TRIM) -> SsrTable:
@@ -274,27 +280,37 @@ def build_ssr_table(sample: AlignedSample, trim: float = DEFAULT_TRIM) -> SsrTab
 
 
 @dataclass(frozen=True)
-class Partition:
-    """One segmentation: m break indices and its total SSR.
+class BreakSet:
+    """One segmentation of a fund: its break indices and total SSR.
 
     A break index b is the last observation of its regime, so breaks
     live in [h-1, n-h-1] and consecutive breaks are at least h apart.
+    ``criterion[m]`` is the BIC score of m breaks, for every feasible m,
+    once break-count selection has chosen this segmentation; the search's
+    own partitions leave it empty. ``is_style_break`` stays None until
+    the classification layer grades each break; True marks breaks where
+    the size or value loading changed class or magnitude.
     """
 
-    m: int
     break_indices: tuple[int, ...]
     total_ssr: float
     n: int
     h: int
+    criterion: tuple[float, ...] = ()
+    is_style_break: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.m != len(self.break_indices):
-            raise BreakDetectionError("Partition: m != len(break_indices)")
         if self.total_ssr < 0.0:
-            raise BreakDetectionError("Partition: negative total_ssr")
+            raise BreakDetectionError("BreakSet: negative total_ssr")
         for a, b in self.regime_windows:
             if b - a + 1 < self.h:
-                raise BreakDetectionError(f"Partition: segment ({a}, {b}) shorter than h={self.h}")
+                raise BreakDetectionError(f"BreakSet: segment ({a}, {b}) shorter than h={self.h}")
+        if self.is_style_break is not None and len(self.is_style_break) != self.chosen_m:
+            raise BreakDetectionError("BreakSet: is_style_break length != chosen_m")
+
+    @property
+    def chosen_m(self) -> int:
+        return len(self.break_indices)
 
     @property
     def regime_windows(self) -> tuple[tuple[int, int], ...]:
@@ -531,7 +547,7 @@ class _Sweep:
 
 def optimal_partitions(
     tables: Sequence[SsrTable], max_m: int
-) -> tuple[tuple[Partition, ...], ...]:
+) -> tuple[tuple[BreakSet, ...], ...]:
     """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks, per table.
 
     Suffix DP: best[r][i] is the least total SSR of i..n-1 in r+1
@@ -587,48 +603,17 @@ def optimal_partitions(
     )
 
 
-def _backtrack(best: np.ndarray, choice: np.ndarray, m: int, n: int, h: int) -> Partition:
+def _backtrack(best: np.ndarray, choice: np.ndarray, m: int, n: int, h: int) -> BreakSet:
     """The m-break partition the DP rows ``best`` and ``choice`` of one table hold."""
     path = [-1]  # each break is the choice at the row after the last one
     for r in range(m, 0, -1):
         path.append(int(choice[r, path[-1] + 1]))
-    return Partition(m=m, break_indices=tuple(path[1:]), total_ssr=float(best[m, 0]), n=n, h=h)
+    return BreakSet(break_indices=tuple(path[1:]), total_ssr=float(best[m, 0]), n=n, h=h)
 
 
-def optimal_partition(table: SsrTable, m: int) -> Partition:
+def optimal_partition(table: SsrTable, m: int) -> BreakSet:
     """Globally SSR-minimal partition with exactly m breaks: the sweep stopped at m."""
     return optimal_partitions([table], m)[0][m]
-
-
-@dataclass(frozen=True)
-class BreakSet:
-    """Selected break structure of one fund.
-
-    ``criterion_values`` echoes the BIC score of every feasible
-    candidate break count. ``is_style_break`` stays None until the
-    classification layer grades each break; True marks breaks where the
-    size or value loading changed class or magnitude.
-    """
-
-    partition: Partition
-    criterion_values: tuple[tuple[int, float], ...]
-    is_style_break: tuple[bool, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.is_style_break is not None and len(self.is_style_break) != self.chosen_m:
-            raise BreakDetectionError("BreakSet: is_style_break length != chosen_m")
-
-    @property
-    def chosen_m(self) -> int:
-        return self.partition.m
-
-    @property
-    def break_indices(self) -> tuple[int, ...]:
-        return self.partition.break_indices
-
-    @property
-    def regime_windows(self) -> tuple[tuple[int, int], ...]:
-        return self.partition.regime_windows
 
 
 def _bic(ssr: float, n: int, k: int, m: int, floor: float) -> float:
@@ -653,11 +638,8 @@ def select_break_count(
     sweeps = optimal_partitions(tables, most if max_breaks is None else min(max_breaks, most))
     selected = []
     for table, partitions in zip(tables, sweeps):
-        scores = tuple(
-            (part.m, _bic(part.total_ssr, n, k, part.m, table.floor)) for part in partitions
-        )
-        chosen_m = min(scores, key=lambda mv: mv[1])[0]
-        selected.append(BreakSet(partition=partitions[chosen_m], criterion_values=scores))
+        bic = tuple(_bic(part.total_ssr, n, k, m, table.floor) for m, part in enumerate(partitions))
+        selected.append(replace(partitions[bic.index(min(bic))], criterion=bic))
     return tuple(selected)
 
 
@@ -684,8 +666,6 @@ def filter_short_regimes(bs: BreakSet, min_regime: int, table: SsrTable) -> Brea
     if len(keep) == bs.chosen_m:
         return bs
 
-    n, h = bs.partition.n, bs.partition.h
-    bounds = [-1] + keep + [n - 1]
+    bounds = [-1] + keep + [bs.n - 1]
     total = sum(table.ssr(a + 1, b) for a, b in zip(bounds, bounds[1:]))
-    part = Partition(m=len(keep), break_indices=tuple(keep), total_ssr=total, n=n, h=h)
-    return BreakSet(partition=part, criterion_values=bs.criterion_values)
+    return replace(bs, break_indices=tuple(keep), total_ssr=total)

@@ -320,13 +320,13 @@ def fund_record_dict(rec: FundRecord) -> dict:
         "n_obs": sample.n,
         "first_date": dates[0].isoformat(),
         "last_date": dates[-1].isoformat(),
-        "h": bs.partition.h,
+        "h": bs.h,
         "chosen_m": bs.chosen_m,
         "break_indices": list(bs.break_indices),
         "break_dates": [dates[b].isoformat() for b in bs.break_indices],
         "is_style_break": list(bs.is_style_break or ()),
-        "total_ssr": bs.partition.total_ssr,
-        "criterion": [{"m": m, "bic": v} for m, v in bs.criterion_values],
+        "total_ssr": bs.total_ssr,
+        "criterion": [{"m": m, "bic": v} for m, v in enumerate(bs.criterion)],
         "regimes": regimes,
         "shifts": shifts,
         "comparisons": comparisons,
@@ -346,7 +346,7 @@ def build_aggregates(records: list[FundRecord]) -> dict:
     Break counts run to the largest count any fund's criterion scored.
     """
     metrics = [rec.metrics for rec in records]
-    max_m = max((len(rec.break_set.criterion_values) - 1 for rec in records), default=0)
+    max_m = max((len(rec.break_set.criterion) - 1 for rec in records), default=0)
     histogram, performance = break_count_tables(metrics, max_m=max_m)
     return {
         "break_histogram": histogram,

@@ -101,13 +101,16 @@ _EXACT_COEF_REL = 1e-8
 
 
 def _load_ufuncs_cxx() -> types.ModuleType:
-    """Import ``scipy.special._ufuncs_cxx`` without running scipy's package init.
+    """Import ``scipy.special._ufuncs_cxx``, without running scipy's package init if it has not run.
 
-    Bare stand-ins for ``scipy`` and ``scipy.special`` hold only the
-    package paths while the compiled module and its own imports load.
-    Then every scipy entry the load added to ``sys.modules`` is removed,
-    stand-ins included, so that a later ``import scipy`` runs in full.
+    With ``scipy`` already loaded, this is a plain import. Otherwise bare
+    stand-ins for ``scipy`` and ``scipy.special`` hold only the package
+    paths while the compiled module and its own imports load. Then every
+    scipy entry the load added to ``sys.modules`` is removed, stand-ins
+    included, so that a later ``import scipy`` runs in full.
     """
+    if "scipy" in sys.modules:
+        return importlib.import_module("scipy.special._ufuncs_cxx")
     # find_spec locates a top-level package without running any of its code.
     roots = importlib.util.find_spec("scipy").submodule_search_locations
     before = set(sys.modules)
@@ -154,20 +157,17 @@ def t_kernel() -> Callable[[float, float], float]:
     ``analyze`` process's 65 MB peak RSS and 0.25 s of its imports on a
     2-core Xeon, and ``scipy.special._ufuncs``, which holds the ufunc,
     maps scipy's own OpenBLAS, libgfortran and libquadmath besides
-    numpy's. ``_ufuncs_cxx`` maps only the C++ runtime. So while no
-    scipy module is loaded, the kernel is ``t_cdf`` itself, called
-    through ctypes: the same compiled function, so the same bits. If
-    scipy is already loaded, or the private load fails, the kernel is
-    ``scipy.special.stdtr``.
+    numpy's. ``_ufuncs_cxx`` maps only the C++ runtime. So the kernel is
+    ``t_cdf`` itself, called through ctypes: the same compiled function,
+    so the same bits, whether or not scipy was loaded first. Only if
+    that load fails is the kernel ``scipy.special.stdtr``.
     """
-    if not {"scipy", "scipy.special"} & sys.modules.keys():
-        try:
-            return _boost_t_cdf()
-        except Exception:  # a layout this loader does not know: take the public path
-            pass
-    from scipy import special
+    try:
+        return _boost_t_cdf()
+    except Exception:  # a layout this loader does not know: take the public path
+        from scipy import special
 
-    return special.stdtr
+        return special.stdtr
 
 
 def _nw_cov(X: np.ndarray, resid: np.ndarray, xtx_inv: np.ndarray, lags: int) -> np.ndarray:

@@ -116,7 +116,7 @@ def factor_state(loading: FactorLoading) -> FactorState:
 
 def _tilt(state: FactorState) -> int:
     """+1 for a significantly positive loading, -1 for a significantly negative one, else 0."""
-    return (state.beta > 0.0) - (state.beta < 0.0) if state.significant else 0
+    return state.sign if state.significant else 0
 
 
 def classify_size(state: FactorState) -> SizeClass:

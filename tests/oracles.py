@@ -16,7 +16,7 @@ from datetime import date, timedelta
 import numpy as np
 from scipy import linalg
 
-from fundshift.breaks import BreakDetectionError, Partition
+from fundshift.breaks import BreakDetectionError, BreakSet
 from fundshift.marketdata import AlignedSample
 
 #: Annualization constant mirrored here so the oracle stays standalone.
@@ -308,7 +308,7 @@ def reference_dp(table: PackedSsrTable, max_m: int) -> tuple[np.ndarray, np.ndar
     return best, choice
 
 
-def reference_partitions(table: PackedSsrTable, max_m: int) -> tuple[Partition, ...]:
+def reference_partitions(table: PackedSsrTable, max_m: int) -> tuple[BreakSet, ...]:
     """Globally SSR-minimal partitions with 0, 1, ..., max_m breaks, from :func:`reference_dp`."""
     n, h = table.n, table.h
     best, choice = reference_dp(table, max_m)
@@ -321,7 +321,6 @@ def reference_partitions(table: PackedSsrTable, max_m: int) -> tuple[Partition, 
             breaks.append(b)
             i = b + 1
         partitions.append(
-            Partition(m=m, break_indices=tuple(breaks), total_ssr=float(best[m, 0]),
-                      n=n, h=h)
+            BreakSet(break_indices=tuple(breaks), total_ssr=float(best[m, 0]), n=n, h=h)
         )
     return tuple(partitions)

@@ -34,7 +34,7 @@ from fundshift.breaks import (
     select_break_count,
     ssr_table_from_arrays,
 )
-from fundshift import cli
+from fundshift import breaks, cli
 from fundshift.cli import EXIT_OK, main
 from fundshift.marketdata import AlignedSample
 from fundshift.perf import annualized_metrics
@@ -492,8 +492,13 @@ def perfbench_workloads():
 
 @pytest.fixture(scope="module")
 def seed7_run(tmp_path_factory):
-    """The seed-7 perfbench inputs and report of a workload, made once per module."""
+    """The seed-7 perfbench inputs and report of a workload, made once per module.
+
+    ``seed7_run.search[name]`` holds the windows that run's
+    ``breaks.solve_windows`` calls solved, and the number of calls.
+    """
     made: dict[str, tuple[Path, Path]] = {}
+    search: dict[str, tuple[int, int]] = {}
 
     def run(name: str) -> tuple[Path, Path]:
         if name not in made:
@@ -502,10 +507,20 @@ def seed7_run(tmp_path_factory):
             inputs, report_path = root / "inputs", root / "report.json"
             workloads.generate(name, 7, inputs, main)
             flags = workloads.WORKLOADS[name].analyze_flags
-            assert run_analyze(inputs, report_path, *flags) == EXIT_OK
+            solve, windows = breaks.solve_windows, []
+
+            def counted(cells, fund, start, end):
+                windows.append(end.size)
+                return solve(cells, fund, start, end)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(breaks, "solve_windows", counted)
+                assert run_analyze(inputs, report_path, *flags) == EXIT_OK
             made[name] = inputs, report_path
+            search[name] = sum(windows), len(windows)
         return made[name]
 
+    run.search = search
     return run
 
 
@@ -513,6 +528,25 @@ def seed7_run(tmp_path_factory):
 def test_perfbench_seed7_report_bytes_are_pinned(name, seed7_run):
     _, report_path = seed7_run(name)
     assert_pinned(report_path, PINNED_SEED7_SHA256[name], f"seed-7 perfbench {name} report")
+
+
+#: Windows solved and ``breaks.solve_windows`` calls of each seed-7
+#: perfbench search on ``PINNED_STACK``. Unlike its time, the search's work
+#: does not drift with the machine; which windows the bounds prune depends
+#: on float bits, so the counts hold on that stack alone. A change that
+#: moves them on purpose updates them here.
+PINNED_SEED7_SEARCH = {"long": (225_226, 1_332), "wide": (708_182, 1_177)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEED7_SEARCH))
+def test_perfbench_seed7_search_work_is_pinned(name, seed7_run):
+    seed7_run(name)
+    stack = numeric_stack()
+    if stack != PINNED_STACK:
+        pytest.skip(f"search counts pinned on {PINNED_STACK}, this run has {stack}")
+    windows, calls = seed7_run.search[name]
+    assert (windows, calls) == PINNED_SEED7_SEARCH[name]
+    print(f"pinned: PASS - seed-7 {name} search solved {windows} windows in {calls} calls")
 
 
 #: One reference per pinned report, recorded on ``PINNED_STACK``: the
@@ -617,7 +651,10 @@ def test_cohort_report_agrees_across_blas_kernels(cohort_dir, cohort_report, cor
     if "DYNAMIC_ARCH" not in config.split():
         pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: {config}")
     default = openblas("get_corename")
-    if coretype == default:
+    # A whole run forced to Prescott reports the corename Katmai, so the
+    # run's own setting is compared too, as OpenBLAS reads it: any case.
+    forced = os.environ.get("OPENBLAS_CORETYPE", "")
+    if coretype == default or coretype.lower() == forced.lower():
         pytest.skip(f"{coretype} is the kernel the in-process report ran on")
     tests = Path(__file__).parent
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype)

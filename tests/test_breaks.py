@@ -237,9 +237,11 @@ def test_ssr_table_rejects_values_that_are_not_pair_lanes():
         good[:, 1:].copy(),  # odd width: 15 columns, the unpadded k = 4 row
         good.astype(np.float32),
         np.asfortranarray(good),
+        good.ravel(),  # n is the row count, so values must be one row per observation
+        good[:, None, :].copy(),
     ):
         with pytest.raises(BreakDetectionError, match="SsrTable"):
-            SsrTable(n=30, h=10, values=values, floor=1e-300)
+            SsrTable(h=10, values=values, floor=1e-300)
 
 
 SPECIALS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1.7e308]
@@ -296,7 +298,7 @@ def test_tiled_tail_sums_keep_the_prefix_sums_bits(k, n, h, low, top):
     # from the row, on data where pairwise sums would differ and where
     # some sums are -0.0.
     values = adversarial_moment_rows(n, k)
-    sweep = breaks._Sweep([SsrTable(n=n, h=h, values=values, floor=1e-300)], 0, 1)
+    sweep = breaks._Sweep([SsrTable(h=h, values=values, floor=1e-300)], 0, 1)
     sweep.fill_tails(low, top)
     want = np.array([np.cumsum(values[i:], axis=0)[-1] for i in range(low, top + 1)])
     assert np.array_equal(sweep.tails[0].view(np.int64), want.view(np.int64))
@@ -436,7 +438,7 @@ def test_one_sweep_yields_every_break_count(y):
     # stopped at m returns, and the exhaustive optimum where enumerable.
     table = ssr_table_from_arrays(y, np.ones((90, 1)), h=15)
     (sweep,) = optimal_partitions([table], 5)
-    assert [part.m for part in sweep] == [0, 1, 2, 3, 4, 5]
+    assert [part.chosen_m for part in sweep] == [0, 1, 2, 3, 4, 5]
     for m, part in enumerate(sweep):
         alone = optimal_partition(table, m)
         assert part.break_indices == alone.break_indices
@@ -765,7 +767,7 @@ def test_select_break_count_single_regime_zero_noise():
     assert bs.chosen_m == 0
     assert bs.regime_windows == ((0, 399),)
     # n=400, h=60: (m+1)*60 <= 400 holds for every m up to the default cap of 5.
-    assert [m for m, _ in bs.criterion_values] == [0, 1, 2, 3, 4, 5]
+    assert len(bs.criterion) == 6
 
 
 def test_select_break_count_planted_rotation_with_noise():
@@ -927,7 +929,7 @@ def test_select_break_count_respects_max_breaks():
     table = build_ssr_table(sample, trim=0.05)
     (bs,) = select_break_count([table], max_breaks=2)
     assert bs.chosen_m <= 2
-    assert max(m for m, _ in bs.criterion_values) <= 2
+    assert len(bs.criterion) <= 3
     with pytest.raises(BreakDetectionError, match="negative"):
         select_break_count([table], max_breaks=-1)
 
@@ -967,7 +969,7 @@ def test_filter_short_regimes_merges_around_short_regime():
     filtered = filter_short_regimes(bs, 500, table=table)
     assert filtered.chosen_m == 0
     assert filtered.regime_windows == ((0, 1229),)
-    assert filtered.partition.total_ssr == table.ssr(0, 1229)
+    assert filtered.total_ssr == table.ssr(0, 1229)
 
 
 def test_filter_short_regimes_idempotent():

@@ -246,13 +246,21 @@ def test_t_kernel_fallback_gives_the_same_pvalue_bits():
         assert failed["bits"] == fast["bits"], failure
 
 
-def test_t_kernel_is_scipy_special_stdtr_once_scipy_is_loaded():
+def test_t_kernel_is_boost_t_cdf_once_scipy_is_loaded():
+    # A process that imported scipy first fits with the same kernel as
+    # one that did not, not with the stdtr ufunc.
+    import numpy as np
     import scipy.special
 
     from fundshift.regress import t_kernel
 
     t_kernel.cache_clear()
-    assert t_kernel() is scipy.special.stdtr
+    kernel = t_kernel()
+    assert kernel is not scipy.special.stdtr
+    grid = [(d, t) for d in KERNEL_DOFS for t in KERNEL_TS]
+    ours = np.array([kernel(d, t) for d, t in grid])
+    theirs = np.array([scipy.special.stdtr(d, t) for d, t in grid])
+    assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import annual_metrics_reference, make_styled_sample, weekdays
 
-from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
+from fundshift.breaks import BreakSet, build_ssr_table, select_break_count
 from fundshift.marketdata import MIN_ALIGNED_OBS, AlignedSample
 from fundshift.perf import (
     METRIC_FIELDS,
@@ -265,7 +265,7 @@ def test_render_group_csv_layout():
     # Stand-in record: only the fields build_aggregates reads.
     record = SimpleNamespace(
         fund_id="A", metrics=make_metrics("A", 4.0, 0), styles=[], shifts=(),
-        break_set=SimpleNamespace(criterion_values=((0, 0.0),)),
+        break_set=SimpleNamespace(criterion=(0.0,)),
     )
     agg = build_aggregates([record])
     lines = render_table(agg, "performance", "csv").splitlines()
@@ -285,7 +285,7 @@ def test_render_deciles_keeps_odd_fund_ids_in_one_cell():
     records = [
         SimpleNamespace(
             fund_id=fund_id, metrics=make_metrics(fund_id, er, 0), styles=[], shifts=(),
-            break_set=SimpleNamespace(criterion_values=((0, 0.0),)),
+            break_set=SimpleNamespace(criterion=(0.0,)),
         )
         for fund_id, er in excess.items()
     ]
@@ -309,7 +309,7 @@ def test_aggregate_break_counts_stop_at_the_longest_fund_cap():
     def record(fund_id, cap):
         return SimpleNamespace(
             fund_id=fund_id, metrics=make_metrics(fund_id, 1.0, 0), styles=[], shifts=(),
-            break_set=SimpleNamespace(criterion_values=tuple((m, 0.0) for m in range(cap + 1))),
+            break_set=SimpleNamespace(criterion=(0.0,) * (cap + 1)),
         )
 
     short = build_aggregates([record("A", 3)])
@@ -374,8 +374,7 @@ def test_pre_post_null_comparison_with_tiled_factors():
     sample = make_styled_sample(
         11, [(400, 0.0003, 0.6, 0.2), (400, 0.0003, 0.6, 0.2)], tile_factors=True
     )
-    part = Partition(m=1, break_indices=(399,), total_ssr=0.0, n=800, h=120)
-    bs = BreakSet(partition=part, criterion_values=())
+    bs = BreakSet(break_indices=(399,), total_ssr=0.0, n=800, h=120)
     styles = regime_styles(sample, bs)
     shifts = grade_breaks(styles)
     (pair,) = pre_post_compare(sample, styles)
@@ -402,8 +401,8 @@ def test_pre_post_min_window_boundary():
     )
 
     def compared(first: int) -> bool:
-        part = Partition(m=1, break_indices=(first - 1,), total_ssr=0.0, n=120, h=10)
-        styles = regime_styles(sample, BreakSet(partition=part, criterion_values=()))
+        bs = BreakSet(break_indices=(first - 1,), total_ssr=0.0, n=120, h=10)
+        styles = regime_styles(sample, bs)
         (pair,) = pre_post_compare(sample, styles)
         return pair is not None
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import make_styled_sample
 
-from fundshift.breaks import BreakSet, Partition, build_ssr_table, select_break_count
+from fundshift.breaks import BreakSet, build_ssr_table, select_break_count
 from fundshift.perf import FundMetrics
 from fundshift.pipeline import build_aggregates
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
@@ -263,8 +263,7 @@ def test_regime_styles_planted_two_regime_fund():
 
 def test_regime_styles_rejects_regime_shorter_than_parameters():
     sample = make_styled_sample(23, [(20, 0.0, 0.5, 0.0)])
-    part = Partition(m=1, break_indices=(2,), total_ssr=0.0, n=20, h=3)
-    bs = BreakSet(partition=part, criterion_values=())
+    bs = BreakSet(break_indices=(2,), total_ssr=0.0, n=20, h=3)
     with pytest.raises(RegressionError, match="need more than"):
         regime_styles(sample, bs)
 
@@ -432,7 +431,7 @@ def render_transitions(chains: list[list[str]]) -> str:
             styles=[SimpleNamespace(box=box_of(l)) for l in chain],
             shifts=(),
             metrics=FundMetrics(f"F{i}", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, len(chain) - 1),
-            break_set=SimpleNamespace(criterion_values=tuple((m, 0.0) for m in range(6))),
+            break_set=SimpleNamespace(criterion=(0.0,) * 6),
         )
         for i, chain in enumerate(chains)
     ]

@@ -357,13 +357,16 @@ def _own_fit_ssr(moments: np.ndarray) -> np.ndarray:
     under the solved coefficients exceeds the least SSR by about
     (eps * cond)^2 of the fitted sum of squares, far inside the prune
     slack. Elsewhere, singular and non-finite sets among them, the bound
-    is 0.
+    is 0. The gate reads the Frobenius condition number, whose inverse
+    runs through the same LAPACK ``gesv`` as the window solves, so no
+    SVD is loaded; it is never below the 2-norm one, so up to rounding
+    at a tie the gate is at least as strict.
     """
     k = _regressors(moments.shape[-1])
     grams = moments[..., _gram_index(k)]
     ssr = np.zeros(moments.shape[:-1])
     sound = np.isfinite(moments).all(axis=-1)
-    sound[sound] = np.linalg.cond(grams[sound]) < _GAP_COND
+    sound[sound] = np.linalg.cond(grams[sound], "fro") < _GAP_COND
     if sound.any():
         _, beta = _fit(moments[sound], np.linalg.solve)
         fitted = np.einsum("bw,bw->b", moments[sound], _residual_weights(beta))

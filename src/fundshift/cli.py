@@ -151,12 +151,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(f"simulation failed: {exc}", EXIT_CONFIG)
 
     out = Path(args.out)
+    # Every file shares the factor calendar, so each date is formatted once.
+    iso: dict = {}
     try:
         for nav in sim.funds:
-            _atomic_write(out / "nav" / f"{nav.fund_id}.csv", write_nav_csv(nav))
+            _atomic_write(out / "nav" / f"{nav.fund_id}.csv", write_nav_csv(nav, iso))
         for nav in sim.benchmarks:
-            _atomic_write(out / "bench_nav" / f"{nav.fund_id}.csv", write_nav_csv(nav))
-        _atomic_write(out / "factors.csv", write_factor_csv(sim.factors))
+            _atomic_write(out / "bench_nav" / f"{nav.fund_id}.csv", write_nav_csv(nav, iso))
+        _atomic_write(out / "factors.csv", write_factor_csv(sim.factors, iso))
         _atomic_write(out / "benchmark_map.csv", write_benchmark_map_csv(sim.benchmark_map))
         truth = {
             "seed": sim.seed,

@@ -13,11 +13,12 @@ total-return adjusted upstream; no dividend handling happens here.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import chain, filterfalse, repeat
 from typing import TYPE_CHECKING
 
 from . import tables
@@ -58,6 +59,10 @@ def is_plain_id(text: str) -> bool:
 
 
 def _check_dates_increasing(dates: tuple[date, ...], context: str) -> None:
+    # This and the series checks test the whole column at C speed first;
+    # their loops run only to name the first failure.
+    if all(map(operator.gt, dates[1:], dates)):
+        return
     for a, b in zip(dates, dates[1:]):
         if b == a:
             raise MarketDataError(f"{context}: duplicate date {a.isoformat()}")
@@ -83,11 +88,12 @@ class NavSeries:
         if len(self.navs) < 2:
             raise MarketDataError(f"NavSeries {self.fund_id}: fewer than 2 rows")
         _check_dates_increasing(self.dates, f"NavSeries {self.fund_id}")
-        for d, v in zip(self.dates, self.navs):
-            if not v > 0:
-                raise MarketDataError(
-                    f"NavSeries {self.fund_id}: nav {v!r} on {d.isoformat()} is not positive"
-                )
+        if not all(map(operator.gt, self.navs, repeat(0))):
+            for d, v in zip(self.dates, self.navs):
+                if not v > 0:
+                    raise MarketDataError(
+                        f"NavSeries {self.fund_id}: nav {v!r} on {d.isoformat()} is not positive"
+                    )
 
 
 @dataclass(frozen=True)
@@ -102,11 +108,12 @@ class ReturnSeries:
         if len(self.dates) != len(self.returns):
             raise MarketDataError(f"ReturnSeries {self.series_id}: length mismatch")
         _check_dates_increasing(self.dates, f"ReturnSeries {self.series_id}")
-        for d, r in zip(self.dates, self.returns):
-            if not r > -1.0:
-                raise MarketDataError(
-                    f"ReturnSeries {self.series_id}: return {r!r} on {d.isoformat()} <= -1"
-                )
+        if not all(map(operator.gt, self.returns, repeat(-1.0))):
+            for d, r in zip(self.dates, self.returns):
+                if not r > -1.0:
+                    raise MarketDataError(
+                        f"ReturnSeries {self.series_id}: return {r!r} on {d.isoformat()} <= -1"
+                    )
 
 
 @dataclass(frozen=True)
@@ -196,6 +203,19 @@ class AlignedSample:
         return self.mom is not None
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as iterating ``io.StringIO(text)`` gives them, split only at "\\n".
+
+    Each keeps its "\\n", the last has none if the text does not end in
+    one, and no empty last line follows a final "\\n". The text is held
+    once more at its own width, not at the 4 bytes a character that
+    ``StringIO`` stores.
+    """
+    lines = text.split("\n")
+    last = lines.pop()
+    return chain(map(operator.add, lines, repeat("\n")), [last] if last else [])
+
+
 def _read_rows(
     text: str, headers: list[list[str]], context: str
 ) -> tuple[list[str], Iterator[list[str]]]:
@@ -209,7 +229,7 @@ def _read_rows(
 
     def records() -> Iterator[list[str]]:
         try:
-            yield from csv.reader(io.StringIO(text))
+            yield from csv.reader(_lines(text))
         except csv.Error as exc:
             raise MarketDataError(f"{context}: {exc}") from None
 
@@ -289,25 +309,33 @@ def parse_benchmark_map_csv(text: str) -> BenchmarkMap:
     return BenchmarkMap(entries=entries)
 
 
-def _ftext(value: float) -> str:
+def _csv_text(header: list[str], dates: tuple[date, ...], values: list, iso: dict | None) -> str:
+    """CSV text of a date column and float columns, each built in one pass; ``iso`` as below."""
+    if iso is None:
+        texts = map(date.isoformat, dates)
+    else:
+        new = list(filterfalse(iso.__contains__, dates))
+        iso.update(zip(new, map(date.isoformat, new)))
+        texts = map(iso.__getitem__, dates)
     # repr of a Python float is the shortest text that round-trips exactly.
-    return repr(float(value))
+    columns = [texts, *(map(repr, map(float, column)) for column in values)]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 
-def write_nav_csv(nav: NavSeries) -> str:
-    """Serialize to the ``date,nav`` format. Floats round-trip exactly."""
-    lines = ["date,nav"]
-    lines += [f"{d.isoformat()},{_ftext(v)}" for d, v in zip(nav.dates, nav.navs)]
-    return "\n".join(lines) + "\n"
+def write_nav_csv(nav: NavSeries, iso: dict | None = None) -> str:
+    """Serialize to the ``date,nav`` format. Floats round-trip exactly.
+
+    ``iso`` maps dates to their ISO text and gains the dates it lacked,
+    so that a caller writing many files on one calendar formats each
+    date once.
+    """
+    return _csv_text(["date", "nav"], nav.dates, [nav.navs], iso)
 
 
-def write_factor_csv(panel: FactorPanel) -> str:
-    """Serialize a factor panel, emitting ``mom`` only when present."""
+def write_factor_csv(panel: FactorPanel, iso: dict | None = None) -> str:
+    """Serialize a factor panel, emitting ``mom`` only when present; ``iso`` as for NAVs."""
     header = _FACTOR_HEADERS[panel.has_mom]
-    columns = [[d.isoformat() for d in panel.dates]]
-    columns += [list(map(_ftext, getattr(panel, name))) for name in header[1:]]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, panel.dates, [getattr(panel, name) for name in header[1:]], iso)
 
 
 def write_benchmark_map_csv(bmap: BenchmarkMap) -> str:

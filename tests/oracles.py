@@ -132,6 +132,23 @@ def annual_metrics_reference(e: np.ndarray) -> dict:
     }
 
 
+def reference_nav_csv(nav) -> str:
+    """``date,nav`` text of a NAV series, one f-string per row."""
+    lines = ["date,nav"]
+    lines += [f"{d.isoformat()},{float(v)!r}" for d, v in zip(nav.dates, nav.navs)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_factor_csv(panel) -> str:
+    """Factor file text of a panel, one f-string per row; ``mom`` only when present."""
+    names = ["mkt_rf", "smb", "hml", *(["mom"] if panel.mom is not None else []), "rf"]
+    columns = [getattr(panel, name) for name in names]
+    lines = [",".join(["date", *names])]
+    for i, d in enumerate(panel.dates):
+        lines.append(d.isoformat() + "".join(f",{float(column[i])!r}" for column in columns))
+    return "\n".join(lines) + "\n"
+
+
 def weekdays(count: int, start: date = date(2006, 1, 2)) -> tuple[date, ...]:
     out = []
     d = start

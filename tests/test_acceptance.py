@@ -495,10 +495,12 @@ def seed7_run(tmp_path_factory):
     """The seed-7 perfbench inputs and report of a workload, made once per module.
 
     ``seed7_run.search[name]`` holds the windows that run's
-    ``breaks.solve_windows`` calls solved, and the number of calls.
+    ``breaks.solve_windows`` calls solved, the number of calls, and the
+    rows of every complex128 ``np.cumsum``: the search's prefix sums
+    over pair lanes.
     """
     made: dict[str, tuple[Path, Path]] = {}
-    search: dict[str, tuple[int, int]] = {}
+    search: dict[str, tuple[int, int, int]] = {}
 
     def run(name: str) -> tuple[Path, Path]:
         if name not in made:
@@ -508,16 +510,23 @@ def seed7_run(tmp_path_factory):
             workloads.generate(name, 7, inputs, main)
             flags = workloads.WORKLOADS[name].analyze_flags
             solve, windows = breaks.solve_windows, []
+            cumsum, rows = np.cumsum, []
 
             def counted(cells, fund, start, end):
                 windows.append(end.size)
                 return solve(cells, fund, start, end)
 
+            def counted_cumsum(a, *args, **kwargs):
+                if a.dtype == np.complex128:
+                    rows.append(a.shape[0])
+                return cumsum(a, *args, **kwargs)
+
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(breaks, "solve_windows", counted)
+                patch.setattr(np, "cumsum", counted_cumsum)
                 assert run_analyze(inputs, report_path, *flags) == EXIT_OK
             made[name] = inputs, report_path
-            search[name] = sum(windows), len(windows)
+            search[name] = sum(windows), len(windows), sum(rows)
         return made[name]
 
     run.search = search
@@ -530,12 +539,15 @@ def test_perfbench_seed7_report_bytes_are_pinned(name, seed7_run):
     assert_pinned(report_path, PINNED_SEED7_SHA256[name], f"seed-7 perfbench {name} report")
 
 
-#: Windows solved and ``breaks.solve_windows`` calls of each seed-7
-#: perfbench search on ``PINNED_STACK``. Unlike its time, the search's work
-#: does not drift with the machine; which windows the bounds prune depends
-#: on float bits, so the counts hold on that stack alone. A change that
-#: moves them on purpose updates them here.
-PINNED_SEED7_SEARCH = {"long": (225_226, 1_332), "wide": (708_182, 1_177)}
+#: Windows solved, ``breaks.solve_windows`` calls and rows prefix-summed
+#: of each seed-7 perfbench search on ``PINNED_STACK``. Unlike its time,
+#: the search's work does not drift with the machine; which windows the
+#: bounds prune depends on float bits, so the counts hold on that stack
+#: alone. A change that moves them on purpose updates them here.
+PINNED_SEED7_SEARCH = {
+    "long": (225_226, 1_332, 9_977_943),
+    "wide": (708_182, 1_177, 4_754_407),
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SEED7_SEARCH))
@@ -544,9 +556,10 @@ def test_perfbench_seed7_search_work_is_pinned(name, seed7_run):
     stack = numeric_stack()
     if stack != PINNED_STACK:
         pytest.skip(f"search counts pinned on {PINNED_STACK}, this run has {stack}")
-    windows, calls = seed7_run.search[name]
-    assert (windows, calls) == PINNED_SEED7_SEARCH[name]
-    print(f"pinned: PASS - seed-7 {name} search solved {windows} windows in {calls} calls")
+    windows, calls, rows = seed7_run.search[name]
+    assert (windows, calls, rows) == PINNED_SEED7_SEARCH[name]
+    print(f"pinned: PASS - seed-7 {name} search solved {windows} windows in {calls} calls "
+          f"and prefix-summed {rows} rows")
 
 
 #: One reference per pinned report, recorded on ``PINNED_STACK``: the

@@ -740,6 +740,57 @@ def test_pruned_search_solves_few_cells_on_a_planted_fund(monkeypatch):
     assert all(heads_first)
 
 
+def gram_grid() -> list[np.ndarray]:
+    """Gram matrices for k = 1..5: well-conditioned, near the gate, singular, non-finite."""
+    rng = np.random.default_rng(3)
+    grams = []
+    for k in range(1, 6):
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        for log_cond in [0, 2, 4, 5, 5.5, 5.9, 6, 6.1, 7, 9, 12, 16, 20]:
+            spread = np.logspace(0, -log_cond, k) if k > 1 else np.ones(1)
+            grams.append((q * (10.0 ** rng.uniform(-6, 6)) * spread) @ q.T)
+        a = rng.normal(size=(3 * k, k))
+        grams.append(a.T @ a)
+        a[:, -1] = a[:, 0]  # a repeated regressor: singular for k > 1
+        grams.append(a.T @ a)
+        grams.append(np.zeros((k, k)))
+        for bad in (np.inf, -np.inf, np.nan):
+            g = a.T @ a
+            g[0, -1] = g[-1, 0] = bad
+            grams.append(g)
+    return grams
+
+
+def test_own_fit_gate_accepts_only_grams_below_the_two_norm_bound():
+    # The gate reads the Frobenius condition number (no SVD); every Gram it
+    # trusts must also be below _GAP_COND in the 2-norm. A trusted fit of
+    # moments with a unit residual sum gives a positive bound, an untrusted
+    # one gives 0. cond_F >= cond_2 holds exactly, but both are computed
+    # with relative errors near eps * cond: at the k = 2 point built with
+    # cond_2 = 1e6 exactly, the gate read 999,999.99999 and the SVD
+    # 1,000,000.00005, so the 2-norm side allows 1e-9 relative.
+    accepted = rejected = 0
+    for gram in gram_grid():
+        k = gram.shape[0]
+        beta = np.linspace(-1.0, 1.0, k)
+        with np.errstate(invalid="ignore"):
+            rhs = gram @ beta
+            yy = beta @ rhs + 1.0
+        row = np.zeros(breaks._row_width(k))
+        row[breaks._gram_index(k)] = gram
+        row[-k - 1 : -1], row[-1] = rhs, yy
+        gram = row[breaks._gram_index(k)]  # the row holds one triangle
+        with np.errstate(invalid="ignore", over="ignore"):
+            trusted = breaks._own_fit_ssr(row[None, :])[0] > 0
+        if trusted:
+            accepted += 1
+            assert np.linalg.cond(gram) < breaks._GAP_COND * (1 + 1e-9), gram
+        else:
+            rejected += 1
+            assert not (np.isfinite(gram).all() and np.linalg.cond(gram) < 1e4), gram
+    assert accepted >= 5 * 5 and rejected >= 5 * 9
+
+
 def test_prefix_sums_stop_at_each_rows_last_inner_end(monkeypatch):
     # Each start row's window to n-1 comes from its block's tiled reduce,
     # so the row's prefix sums stop at its last picked inner end. Run from

@@ -24,9 +24,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exhaustive_best_partition, packed_ssr_table, reference_partitions
+from oracles import (
+    exhaustive_best_partition,
+    packed_ssr_table,
+    reference_factor_csv,
+    reference_nav_csv,
+    reference_partitions,
+)
 
-from fundshift import breaks
+from fundshift import breaks, marketdata
 from fundshift.breaks import optimal_partitions, ssr_table_from_arrays
 from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.marketdata import (
@@ -133,6 +139,62 @@ def test_factor_round_trip_in_both_layouts(panel):
 def test_benchmark_map_round_trip(entries):
     bmap = BenchmarkMap(entries=entries)
     assert parse_benchmark_map_csv(write_benchmark_map_csv(bmap)) == bmap
+
+
+#: Floats whose text is easy to get wrong: signed zeros, subnormals and
+#: the largest magnitudes, beside any finite float.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308,
+                               1.7976931348623157e308])
+
+
+def written_floats(positive: bool):
+    """Finite floats, each a Python float or a numpy float64."""
+    values = FINITE | EDGE_FLOATS
+    if positive:
+        values = values.filter(lambda v: v > 0)
+    return st.tuples(values, st.booleans()).map(lambda vb: np.float64(vb[0]) if vb[1] else vb[0])
+
+
+#: Calendars with years below 1000, whose ISO text is zero-padded, or any year.
+EARLY_DATES = st.dates(max_value=date(999, 12, 31)) | st.dates()
+
+
+@st.composite
+def written_series(draw):
+    """A NAV series, a factor panel, and a date map holding some of their dates."""
+    dates = st.lists(EARLY_DATES, max_size=20, unique=True).map(lambda ds: tuple(sorted(ds)))
+    nav_dates = draw(dates.filter(lambda ds: len(ds) >= 2))
+    navs = draw(st.lists(written_floats(True), min_size=len(nav_dates),
+                         max_size=len(nav_dates)))
+    nav = NavSeries(fund_id="F1", dates=nav_dates, navs=tuple(navs))
+    panel_dates = draw(dates)
+    column = st.lists(written_floats(False), min_size=len(panel_dates),
+                      max_size=len(panel_dates)).map(tuple)
+    panel = FactorPanel(dates=panel_dates, mkt_rf=draw(column), smb=draw(column),
+                        hml=draw(column), rf=draw(column), mom=draw(st.none() | column))
+    known = draw(st.lists(st.sampled_from(nav_dates + panel_dates), unique=True))
+    return nav, panel, {d: d.isoformat() for d in known}
+
+
+@generated
+@given(written_series())
+def test_writers_equal_the_row_wise_reference_with_and_without_a_date_map(series):
+    # The map may lack some dates; the writers add them, each with its
+    # ISO text, so that a second file on the calendar finds them.
+    nav, panel, iso = series
+    known = set(iso)
+    assert write_nav_csv(nav) == write_nav_csv(nav, iso) == reference_nav_csv(nav)
+    assert write_factor_csv(panel) == write_factor_csv(panel, iso) == reference_factor_csv(panel)
+    assert write_nav_csv(nav, iso) == reference_nav_csv(nav)
+    assert iso == {d: d.isoformat() for d in {*known, *nav.dates, *panel.dates}}
+
+
+@generated
+@given(st.text() | st.text(alphabet=st.sampled_from('a,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029')))
+def test_csv_lines_are_the_lines_string_io_gives(text):
+    # Only "\n" ends a line, as in io.StringIO's default newline mode;
+    # str.splitlines would also split at "\r", "\x0b", "\x1c", "\u2028" and others.
+    assert list(marketdata._lines(text)) == list(io.StringIO(text))
 
 
 @st.composite

@@ -200,6 +200,47 @@ def test_parse_factor_csv_unordered_dates():
         parse_factor_csv(text)
 
 
+#: A 5,000-day calendar and the row near its end that holds the one bad value.
+LONG_DAYS = weekdays(5000)
+BAD_ROW = 4990
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -3.5, float("nan"), np.float64(-1e-300)], ids=repr)
+def test_long_nav_series_names_its_one_bad_nav_near_the_end(value):
+    navs = [100.0] * len(LONG_DAYS)
+    navs[BAD_ROW] = value
+    with pytest.raises(MarketDataError) as err:
+        NavSeries("F1", LONG_DAYS, tuple(navs))
+    day = LONG_DAYS[BAD_ROW].isoformat()
+    assert str(err.value) == f"NavSeries F1: nav {value!r} on {day} is not positive"
+
+
+@pytest.mark.parametrize("value", [-1.0, -2.0, float("nan")], ids=repr)
+def test_long_return_series_names_its_one_bad_return_near_the_end(value):
+    returns = [0.001] * len(LONG_DAYS)
+    returns[BAD_ROW] = value
+    with pytest.raises(MarketDataError) as err:
+        ReturnSeries("R1", LONG_DAYS, tuple(returns))
+    day = LONG_DAYS[BAD_ROW].isoformat()
+    assert str(err.value) == f"ReturnSeries R1: return {value!r} on {day} <= -1"
+
+
+@pytest.mark.parametrize("duplicate", [True, False], ids=["duplicate", "out-of-order"])
+def test_long_factor_panel_names_its_one_bad_date_near_the_end(duplicate):
+    dates = list(LONG_DAYS)
+    a = dates[BAD_ROW - 1]
+    dates[BAD_ROW] = a if duplicate else a - timedelta(days=1)
+    zeros = (0.0,) * len(dates)
+    with pytest.raises(MarketDataError) as err:
+        FactorPanel(dates=tuple(dates), mkt_rf=zeros, smb=zeros, hml=zeros, rf=zeros)
+    if duplicate:
+        assert str(err.value) == f"FactorPanel: duplicate date {a.isoformat()}"
+    else:
+        assert str(err.value) == (
+            f"FactorPanel: dates out of order ({dates[BAD_ROW].isoformat()} after {a.isoformat()})"
+        )
+
+
 def test_parse_benchmark_map():
     bmap = parse_benchmark_map_csv("fund_id,benchmark_id\nF1,B1\nF2,B1\n")
     assert bmap.benchmark_for("F1") == "B1"

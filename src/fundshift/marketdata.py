@@ -13,12 +13,12 @@ total-return adjusted upstream; no dividend handling happens here.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import chain, filterfalse, repeat
+from itertools import filterfalse
 from typing import TYPE_CHECKING
 
 from . import tables
@@ -59,14 +59,13 @@ def is_plain_id(text: str) -> bool:
 
 
 def _check_dates_increasing(dates: tuple[date, ...], context: str) -> None:
-    # This and the series checks test the whole column at C speed first;
-    # their loops run only to name the first failure.
-    if all(map(operator.gt, dates[1:], dates)):
-        return
+    # One comparison a row, here and in the series checks, whose bounds
+    # are floats because a float compares faster with a float than with
+    # an int. A failure is told apart only once it is found.
     for a, b in zip(dates, dates[1:]):
-        if b == a:
-            raise MarketDataError(f"{context}: duplicate date {a.isoformat()}")
-        if b < a:
+        if not b > a:
+            if b == a:
+                raise MarketDataError(f"{context}: duplicate date {a.isoformat()}")
             raise MarketDataError(
                 f"{context}: dates out of order ({b.isoformat()} after {a.isoformat()})"
             )
@@ -88,12 +87,11 @@ class NavSeries:
         if len(self.navs) < 2:
             raise MarketDataError(f"NavSeries {self.fund_id}: fewer than 2 rows")
         _check_dates_increasing(self.dates, f"NavSeries {self.fund_id}")
-        if not all(map(operator.gt, self.navs, repeat(0))):
-            for d, v in zip(self.dates, self.navs):
-                if not v > 0:
-                    raise MarketDataError(
-                        f"NavSeries {self.fund_id}: nav {v!r} on {d.isoformat()} is not positive"
-                    )
+        for d, v in zip(self.dates, self.navs):
+            if not v > 0.0:
+                raise MarketDataError(
+                    f"NavSeries {self.fund_id}: nav {v!r} on {d.isoformat()} is not positive"
+                )
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,11 @@ class ReturnSeries:
         if len(self.dates) != len(self.returns):
             raise MarketDataError(f"ReturnSeries {self.series_id}: length mismatch")
         _check_dates_increasing(self.dates, f"ReturnSeries {self.series_id}")
-        if not all(map(operator.gt, self.returns, repeat(-1.0))):
-            for d, r in zip(self.dates, self.returns):
-                if not r > -1.0:
-                    raise MarketDataError(
-                        f"ReturnSeries {self.series_id}: return {r!r} on {d.isoformat()} <= -1"
-                    )
+        for d, r in zip(self.dates, self.returns):
+            if not r > -1.0:
+                raise MarketDataError(
+                    f"ReturnSeries {self.series_id}: return {r!r} on {d.isoformat()} <= -1"
+                )
 
 
 @dataclass(frozen=True)
@@ -203,19 +200,6 @@ class AlignedSample:
         return self.mom is not None
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as iterating ``io.StringIO(text)`` gives them, split only at "\\n".
-
-    Each keeps its "\\n", the last has none if the text does not end in
-    one, and no empty last line follows a final "\\n". The text is held
-    once more at its own width, not at the 4 bytes a character that
-    ``StringIO`` stores.
-    """
-    lines = text.split("\n")
-    last = lines.pop()
-    return chain(map(operator.add, lines, repeat("\n")), [last] if last else [])
-
-
 def _read_rows(
     text: str, headers: list[list[str]], context: str
 ) -> tuple[list[str], Iterator[list[str]]]:
@@ -229,7 +213,7 @@ def _read_rows(
 
     def records() -> Iterator[list[str]]:
         try:
-            yield from csv.reader(_lines(text))
+            yield from csv.reader(io.StringIO(text))
         except csv.Error as exc:
             raise MarketDataError(f"{context}: {exc}") from None
 
@@ -311,14 +295,11 @@ def parse_benchmark_map_csv(text: str) -> BenchmarkMap:
 
 def _csv_text(header: list[str], dates: tuple[date, ...], values: list, iso: dict | None) -> str:
     """CSV text of a date column and float columns, each built in one pass; ``iso`` as below."""
-    if iso is None:
-        texts = map(date.isoformat, dates)
-    else:
-        new = list(filterfalse(iso.__contains__, dates))
-        iso.update(zip(new, map(date.isoformat, new)))
-        texts = map(iso.__getitem__, dates)
+    iso = {} if iso is None else iso
+    new = list(filterfalse(iso.__contains__, dates))
+    iso.update(zip(new, map(date.isoformat, new)))
     # repr of a Python float is the shortest text that round-trips exactly.
-    columns = [texts, *(map(repr, map(float, column)) for column in values)]
+    columns = [map(iso.__getitem__, dates), *(map(repr, map(float, column)) for column in values)]
     return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
 
 

@@ -32,7 +32,7 @@ from oracles import (
     reference_partitions,
 )
 
-from fundshift import breaks, marketdata
+from fundshift import breaks
 from fundshift.breaks import optimal_partitions, ssr_table_from_arrays
 from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.marketdata import (
@@ -187,14 +187,6 @@ def test_writers_equal_the_row_wise_reference_with_and_without_a_date_map(series
     assert write_factor_csv(panel) == write_factor_csv(panel, iso) == reference_factor_csv(panel)
     assert write_nav_csv(nav, iso) == reference_nav_csv(nav)
     assert iso == {d: d.isoformat() for d in {*known, *nav.dates, *panel.dates}}
-
-
-@generated
-@given(st.text() | st.text(alphabet=st.sampled_from('a,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029')))
-def test_csv_lines_are_the_lines_string_io_gives(text):
-    # Only "\n" ends a line, as in io.StringIO's default newline mode;
-    # str.splitlines would also split at "\r", "\x0b", "\x1c", "\u2028" and others.
-    assert list(marketdata._lines(text)) == list(io.StringIO(text))
 
 
 @st.composite

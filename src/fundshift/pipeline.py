@@ -1,9 +1,9 @@
 """Per-fund analysis pipeline and report assembly.
 
-A cohort runs in two stages. ``search_breaks`` fits each aligned
-sample's full-sample regressions, then runs break detection on the
-benchmark-adjusted regression and short-regime filtering, searching
-funds of equal length together. ``analyze_fund`` takes one searched fund
+A cohort runs in two stages. ``search_breaks`` passes each group of
+equal-length funds once through ``_search_group``: full-sample fits, SSR
+tables, one break search and short-regime filtering; a fund whose fits
+or table fail is skipped alone. ``analyze_fund`` takes one searched fund
 on through per-regime style classification, break grading, full-sample
 metrics and a pre/post comparison per break. ``build_report`` folds the
 per-fund records into the machine-readable report document with its
@@ -45,7 +45,6 @@ from .regress import (
     fit_benchmark_adjusted,
     fit_carhart,
     fit_ff3,
-    t_kernel,
 )
 from .stylebox import (
     BreakShift,
@@ -56,13 +55,6 @@ from .stylebox import (
     grade_breaks,
     regime_styles,
 )
-
-# regress.ols loads scipy's t kernel (Boost's t_cdf from
-# scipy.special._ufuncs_cxx, which maps no BLAS) on its first fit, so
-# that simulating loads no scipy. analyze loads it here, before any input
-# is read: loaded after the inputs, scipy.special raised peak RSS by 0.8
-# MB on a 3 x 5000-day cohort.
-t_kernel()
 
 
 class ConfigError(ValueError):
@@ -154,55 +146,53 @@ class SearchedFund:
 def search_breaks(
     samples: Sequence[AlignedSample], config: AnalysisConfig
 ) -> tuple[list[SearchedFund], list[tuple[str, str]]]:
-    """Fit each fund's full sample, then search the breaks of equal-length funds together.
+    """Search the breaks of equal-length funds together, one group at a time.
 
-    The full-sample fits are the rank check: they reject a rank-deficient
-    design before the break search would grind through it window by
-    window. The other funds are grouped by length, in input order, at
-    most ``GROUP_FUND_DAYS`` fund-days to a group, and each group's SSR
-    tables are built, searched in one sweep, filtered and dropped before
-    the next group starts. A fund's result does not depend on its group.
+    Funds are grouped by length, in input order, at most ``GROUP_FUND_DAYS``
+    fund-days to a group. A fund's result does not depend on its group.
     Returns the searched funds, and ``(fund_id, reason)`` per fund skipped.
     """
-    skipped: list[tuple[str, str]] = []
-    by_length: dict[int, list[tuple]] = {}
+    by_length: dict[int, list[AlignedSample]] = {}
+    for sample in samples:
+        by_length.setdefault(sample.n, []).append(sample)
+    searched, skipped = [], []
+    for n, same_length in by_length.items():
+        size = max(1, GROUP_FUND_DAYS // n)
+        for lo in range(0, len(same_length), size):
+            group_searched, group_skipped = _search_group(same_length[lo : lo + size], config)
+            searched += group_searched
+            skipped += group_skipped
+    return searched, skipped
+
+
+def _search_group(
+    samples: Sequence[AlignedSample], config: AnalysisConfig
+) -> tuple[list[SearchedFund], list[tuple[str, str]]]:
+    """Fit, build, search and filter one group of equal-length funds.
+
+    The full-sample fits are the rank check: they reject a rank-deficient
+    design before the search would grind through it window by window. A
+    fund whose fits or SSR table raise ``ValueError`` is skipped alone.
+    One sweep searches the tables that built, and neither it nor the
+    filter can raise on them: the tables share n, h and k, and
+    ``AnalysisConfig`` has checked ``max_breaks`` and ``min_regime_obs``.
+    """
+    fitted, tables, skipped = [], [], []
     for sample in samples:
         try:
             ff3 = fit_ff3(sample, sig_level=config.sig_level, hac=config.hac)
             agt = fit_benchmark_adjusted(sample, sig_level=config.sig_level, hac=config.hac)
+            tables.append(build_ssr_table(sample, config.trim))
         except ValueError as exc:
             skipped.append((sample.fund_id, str(exc)))
-            continue
-        by_length.setdefault(sample.n, []).append((sample, ff3, agt))
-
-    searched: list[SearchedFund] = []
-    for n, fitted in by_length.items():
-        size = max(1, GROUP_FUND_DAYS // n)
-        for lo in range(0, len(fitted), size):
-            _search_group(fitted[lo : lo + size], config, searched, skipped)
-    return searched, skipped
-
-
-def _search_group(group: list[tuple], config: AnalysisConfig, searched: list, skipped: list) -> None:
-    """Search one group of fitted funds; on an error, search each fund alone."""
-    samples = [sample for sample, _, _ in group]
-    try:
-        tables = [build_ssr_table(sample, config.trim) for sample in samples]
-        break_sets = select_break_count(tables, max_breaks=config.max_breaks)
-        filtered = [
-            filter_short_regimes(bs, config.min_regime_obs, table=table)
-            for bs, table in zip(break_sets, tables)
-        ]
-    except ValueError as exc:
-        if len(group) == 1:
-            skipped.append((samples[0].fund_id, str(exc)))
         else:
-            for fund in group:
-                _search_group([fund], config, searched, skipped)
-        return
-    searched.extend(
-        SearchedFund(sample, ff3, agt, bs) for (sample, ff3, agt), bs in zip(group, filtered)
-    )
+            fitted.append((sample, ff3, agt))
+    break_sets = select_break_count(tables, max_breaks=config.max_breaks) if tables else ()
+    searched = [
+        SearchedFund(sample, ff3, agt, filter_short_regimes(bs, config.min_regime_obs, table=table))
+        for (sample, ff3, agt), bs, table in zip(fitted, break_sets, tables)
+    ]
+    return searched, skipped
 
 
 def analyze_fund(fund: SearchedFund, config: AnalysisConfig) -> FundRecord:

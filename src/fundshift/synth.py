@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from itertools import islice
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
 from typing import get_args, get_origin, get_type_hints
@@ -168,13 +169,13 @@ class PlantedTruth:
 
 def weekday_calendar(start: date, count: int) -> tuple[date, ...]:
     """``count`` consecutive weekdays beginning at or after ``start``."""
-    out: list[date] = []
-    d = start
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return tuple(out)
+    # Ordinal 1, 0001-01-01, is a Monday.
+    days = range(start.toordinal(), date.max.toordinal() + 1)
+    weekdays = islice((day for day in days if (day - 1) % 7 < 5), count)
+    out = tuple(map(date.fromordinal, weekdays))
+    if len(out) < count:
+        raise SynthError(f"weekday calendar: {count} weekdays from {start} run past {date.max}")
+    return out
 
 
 def gen_factors(
@@ -219,6 +220,8 @@ def _returns_from_loadings(
 def _nav_from_returns(series_id: str, factors: FactorPanel, r: np.ndarray) -> NavSeries:
     if np.any(r <= -1.0):
         raise SynthError(f"{series_id}: generated return at or below -100%")
+    if factors.dates[0] == date.min:
+        raise SynthError(f"{series_id}: the NAV base row falls before {date.min}")
     navs = NAV_BASE * np.cumprod(1.0 + r)
     dates = (factors.dates[0] - timedelta(days=1),) + factors.dates[: len(r)]
     return NavSeries(

@@ -60,6 +60,12 @@ def _label(value) -> str:
     return value
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"table column {value!r} is not a list")
+    return value
+
+
 def _count(value) -> str:
     if type(value) is not int or value < 0:
         raise TypeError(f"table cell {value!r} is not a count")
@@ -86,7 +92,7 @@ def _render_breaks(agg: dict, fmt: str) -> str:
 
 def _render_transitions(agg: dict, fmt: str) -> str:
     t = agg["transitions"]
-    labels, counts = [_label(x) for x in t["labels"]], t["counts"]
+    labels, counts = [_label(x) for x in _list(t["labels"])], t["counts"]
     if len(counts) != len(labels) or any(len(row) != len(labels) for row in counts):
         raise ValueError(f"transitions: counts is not {len(labels)} x {len(labels)}")
     cells = [[_count(c) for c in row] for row in counts]
@@ -113,7 +119,7 @@ def _render_deciles(agg: dict, fmt: str) -> str:
         return "no decile analysis (fewer than 10 funds)\n"
     rows = []
     for side in ("top", "bottom"):
-        for i, fund_id in enumerate(d[f"{side}_fund_ids"], start=1):
+        for i, fund_id in enumerate(_list(d[f"{side}_fund_ids"]), start=1):
             rows.append([f"{side}_funds", str(i), _label(fund_id)])
     for section in ("top_intensity", "bottom_intensity",
                     "top_destinations", "bottom_destinations"):

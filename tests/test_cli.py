@@ -306,6 +306,45 @@ def test_simulate_bad_id_exits_2_and_writes_nothing(tmp_path, capsys, bad_id, ke
     assert sorted(tmp_path.rglob("*")) == [spec_path]
 
 
+def edge_spec(start_date: str) -> dict:
+    """The rotation spec on a 100-day calendar from ``start_date``."""
+    spec = {**rotation_spec(), "start_date": start_date, "t": 100}
+    for regime in spec["funds"][0]["regimes"]:
+        regime["length"] = 50
+    return spec
+
+
+@pytest.mark.parametrize(
+    "start_date, reason",
+    [("0001-01-01", "B1: the NAV base row falls before 0001-01-01"),
+     ("9999-12-01", "weekday calendar: 100 weekdays from 9999-12-01 run past 9999-12-31")],
+    ids=["base-row-before-year-1", "calendar-past-year-9999"],
+)
+def test_simulate_past_the_range_of_dates_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                     start_date, reason):
+    spec_path = write_spec(tmp_path, edge_spec(start_date))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"simulation failed: {reason}" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == [spec_path]
+
+
+@pytest.mark.parametrize(
+    "start_date, base_date, last_date",
+    [("0001-01-02", "0001-01-01", "0001-05-21"), ("9999-08-16", "9999-08-15", "9999-12-31")],
+    ids=["base-row-on-year-1", "calendar-to-friday-9999-12-31"],
+)
+def test_simulate_at_the_edge_of_the_range_of_dates(tmp_path, start_date, base_date, last_date):
+    out = simulate(tmp_path, edge_spec(start_date))
+    rows = (out / "nav" / "F1.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in (rows[1], rows[2], rows[-1])] == [
+        base_date, start_date, last_date
+    ]
+    assert len(rows) == 102
+
+
 # --------------------------------------------------------------- analyze
 
 
@@ -831,6 +870,32 @@ def test_analyze_fund_entry_is_the_same_alone_or_in_a_cohort(tmp_path):
         assert json.dumps(entry, sort_keys=True) == json.dumps(fund, sort_keys=True)
 
 
+def recording_search(monkeypatch, refuse: str = "") -> tuple[list, list]:
+    """Patch the search so each table built and each sweep's funds are recorded.
+
+    ``build_ssr_table`` raises for the fund ``refuse``. Returns the fund ids
+    of the tables built, and the fund ids each ``select_break_count`` got.
+    """
+    built, searches, fund_of = [], [], {}
+    build, select = pipeline.build_ssr_table, pipeline.select_break_count
+
+    def building(sample, trim):
+        built.append(sample.fund_id)
+        if sample.fund_id == refuse:
+            raise ValueError(f"{refuse}: refused")
+        table = build(sample, trim)
+        fund_of[id(table)] = sample.fund_id
+        return table
+
+    def recording(tables, max_breaks=None):
+        searches.append([fund_of[id(table)] for table in tables])
+        return select(tables, max_breaks)
+
+    monkeypatch.setattr(pipeline, "build_ssr_table", building)
+    monkeypatch.setattr(pipeline, "select_break_count", recording)
+    return built, searches
+
+
 def test_fund_entry_does_not_depend_on_its_search_group(tmp_path, monkeypatch):
     # Equal-length funds share one break search, in groups of at most
     # GROUP_FUND_DAYS fund-days, here two 300-day funds. A fund's entry is
@@ -842,22 +907,8 @@ def test_fund_entry_does_not_depend_on_its_search_group(tmp_path, monkeypatch):
     with open(out / "benchmark_map.csv", "a", encoding="utf-8") as fh:
         fh.write("F4,B1\n")
     monkeypatch.setattr(pipeline, "GROUP_FUND_DAYS", 2 * 300)
-    groups, fund_of = [], {}
-    build, select, search = (
-        pipeline.build_ssr_table, pipeline.select_break_count, pipeline.search_breaks
-    )
-
-    def building(sample, trim):
-        table = build(sample, trim)
-        fund_of[id(table)] = sample.fund_id
-        return table
-
-    def recording(tables, max_breaks=None):
-        groups.append([fund_of[id(table)] for table in tables])
-        return select(tables, max_breaks)
-
-    monkeypatch.setattr(pipeline, "build_ssr_table", building)
-    monkeypatch.setattr(pipeline, "select_break_count", recording)
+    search = pipeline.search_breaks
+    _, groups = recording_search(monkeypatch)
 
     def entries(fund_ids: str, reverse: bool = False) -> dict[str, str]:
         run = tmp_path / (fund_ids + ("-reversed" if reverse else ""))
@@ -882,6 +933,50 @@ def test_fund_entry_does_not_depend_on_its_search_group(tmp_path, monkeypatch):
     for fund_id in mixed:
         assert entries(fund_id) == {fund_id: mixed[fund_id]}
     assert [fund["n_obs"] for fund in map(json.loads, mixed.values())] == [300, 300, 300, 260]
+
+
+def test_a_fund_whose_table_fails_is_skipped_alone_and_its_group_searched_once(
+    tmp_path, caplog, monkeypatch
+):
+    out = simulate(tmp_path, three_fund_spec())
+    alone = {}
+    for fund_id in ("F1", "F3"):
+        run = tmp_path / fund_id
+        shutil.copytree(out, run)
+        for nav in (run / "nav").iterdir():
+            if nav.stem != fund_id:
+                nav.unlink()
+        assert analyze(run, run / "report.json") == EXIT_OK
+        (alone[fund_id],) = json.loads((run / "report.json").read_text(encoding="utf-8"))["funds"]
+    built, searches = recording_search(monkeypatch, refuse="F2")
+    caplog.set_level(logging.WARNING, logger="fundshift")
+    assert analyze(out, tmp_path / "report.json") == EXIT_OK
+    assert built == ["F1", "F2", "F3"]
+    assert searches == [["F1", "F3"]]
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["skipped"] == [{"fund_id": "F2", "reason": "F2: refused"}]
+    assert [r.getMessage() for r in caplog.records] == ["skipping F2: F2: refused"]
+    assert {fund["fund_id"]: fund for fund in report["funds"]} == alone
+
+
+def test_a_length_whose_every_table_fails_runs_no_search(tmp_path, caplog, monkeypatch):
+    # At trim 0.499 a 61-day fund gets h = 31, too long for two segments.
+    spec = rotation_spec()
+    spec["t"] = 61
+    spec["funds"] = [
+        {"fund_id": fund_id, "benchmark_id": "B1",
+         "regimes": [{"length": 61, "beta_mkt": 1.0, "beta_smb": beta}]}
+        for fund_id, beta in (("F1", 0.8), ("F2", -0.4))
+    ]
+    out = simulate(tmp_path, spec)
+    built, searches = recording_search(monkeypatch)
+    caplog.set_level(logging.WARNING, logger="fundshift")
+    assert analyze(out, tmp_path / "report.json", "--trim", "0.499") == EXIT_EMPTY
+    assert built == ["F1", "F2"]
+    assert searches == []
+    reason = "ssr table: n=61 below 2h=62"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [f"skipping {fund_id}: {reason}" for fund_id in ("F1", "F2")]
 
 
 def test_report_self_consistency(tmp_path):
@@ -1068,6 +1163,40 @@ def test_report_non_string_cell_exits_2_in_either_format(tmp_path, capsys, fmt, 
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "invalid report file: table cell 1 is not a string" in captured.err
+    assert captured.out == ""
+
+
+def _deciles(**ids) -> dict:
+    return {"deciles": {"top_fund_ids": ["F1"], "bottom_fund_ids": ["F2"], **ids,
+                        "top_intensity": {}, "bottom_intensity": {},
+                        "top_destinations": {}, "bottom_destinations": {}}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize(
+    "table, aggregates",
+    [
+        ("transitions", {"transitions": {"labels": "ABCDEFGHI", "counts": [[0] * 9] * 9,
+                                         "grand_total": 0}}),
+        ("transitions", {"transitions": {"labels": {"A": 0}, "counts": [[0]], "grand_total": 0}}),
+        ("deciles", _deciles(top_fund_ids="F1F2")),
+        ("deciles", _deciles(bottom_fund_ids={"F2": 1})),
+    ],
+    ids=["transitions-string-labels", "transitions-dict-labels", "deciles-string-top-ids",
+         "deciles-dict-bottom-ids"],
+)
+def test_report_column_that_is_not_a_list_exits_2_in_either_format(tmp_path, capsys, fmt, table,
+                                                                   aggregates):
+    # A string or a dict iterates too, as one label or fund per character
+    # or key; both formats reject it before anything prints.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"aggregates": aggregates}), encoding="utf-8")
+    code = main(["report", "--in", str(path), "--table", table, "--format", fmt])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "invalid report file: table column" in captured.err
+    assert "is not a list" in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -180,8 +180,9 @@ def test_analysis_stack_maps_no_scipy_openblas():
     if not maps.is_file():
         pytest.skip("no /proc/self/maps here")
     mapped, loaded = probe(
-        "import fundshift.cli\n"
+        "import fundshift.cli, fundshift.regress\n"
         "fundshift.cli._load_stack()\n"
+        "fundshift.regress.t_kernel()\n"
         "paths = {line.split()[-1] for line in open('/proc/self/maps') if '/' in line}\n"
         "print(json.dumps([sorted(paths), sorted(sys.modules)]))"
     )
@@ -189,6 +190,26 @@ def test_analysis_stack_maps_no_scipy_openblas():
     assert [p for p in mapped if "/_ufuncs_cxx." in p] != []
     assert [p for p in mapped if "/_ufuncs." in p] == []
     assert "scipy.special._ufuncs" not in loaded
+
+
+def test_t_kernel_loads_at_the_first_fit_not_with_the_stack():
+    maps = Path("/proc/self/maps")
+    if not maps.is_file():
+        pytest.skip("no /proc/self/maps here")
+    stack, fitted = probe(
+        "import numpy as np, fundshift.cli\n"
+        "from fundshift.regress import ols\n"
+        "def mapped():\n"
+        "    return sorted({line.split()[-1] for line in open('/proc/self/maps') if '/' in line})\n"
+        "fundshift.cli._load_stack()\n"
+        "stack = mapped()\n"
+        "X = np.column_stack([np.ones(20), np.arange(20.0)])\n"
+        "ols(np.arange(20.0) ** 0.5, X, ('a', 'b'), 'm')\n"
+        "print(json.dumps([stack, mapped()]))"
+    )
+    assert [p for p in stack if "/_ufuncs_cxx." in p] == []
+    assert [p for p in fitted if "/_ufuncs_cxx." in p] != []
+    assert [p for p in fitted if "/scipy.libs/" in p] == []
 
 
 def pvalue_bits(before_fit: str = "") -> dict:

@@ -16,39 +16,31 @@ Exit codes are stable: 0 success, 2 usage or configuration error,
 output files are written atomically (temp file, then rename) and are
 byte-identical across reruns on identical inputs.
 
-At import the module loads only the standard library and the numpy-free
-``marketdata`` and ``tables``. ``analyze`` loads the analysis stack and
-``simulate`` the generator when they run, so ``report``, ``--help`` and
-``--version`` never import numpy or scipy.
+At import the module loads only the standard library and ``tables``.
+``simulate`` and ``analyze`` load ``marketdata`` and ``logging`` when they
+run, ``analyze`` the analysis stack and ``simulate`` the generator, so
+``report``, ``--help`` and ``--version`` load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import tempfile
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .marketdata import (
-    MarketDataError,
-    ReturnSeries,
-    compute_returns,
-    align,
-    parse_benchmark_map_csv,
-    parse_factor_csv,
-    parse_nav_csv,
-    write_benchmark_map_csv,
-    write_factor_csv,
-    write_nav_csv,
-)
 from .tables import REPORT_TABLES, render_table
 
 if TYPE_CHECKING:
+    from .marketdata import (
+        MarketDataError, ReturnSeries, align, compute_returns, parse_benchmark_map_csv,
+        parse_factor_csv, parse_nav_csv, write_benchmark_map_csv, write_factor_csv, write_nav_csv,
+    )
     from .pipeline import AnalysisConfig, ConfigError, analyze_fund, build_report, search_breaks
 
 EXIT_OK = 0
@@ -56,42 +48,49 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_EMPTY = 4
 
-log = logging.getLogger("fundshift")
+#: The names ``simulate`` and ``analyze`` use, each with the module that
+#: defines it. They are attributes of this module, loaded on first use, so
+#: ``report`` loads neither module and a caller can wrap them before a run.
+_LAZY = {
+    **dict.fromkeys(("MarketDataError", "align", "compute_returns", "parse_benchmark_map_csv",
+                     "parse_factor_csv", "parse_nav_csv", "write_benchmark_map_csv",
+                     "write_factor_csv", "write_nav_csv"), "marketdata"),
+    **dict.fromkeys(("AnalysisConfig", "ConfigError", "analyze_fund", "build_report",
+                     "search_breaks"), "pipeline"),
+}
 
-#: The pipeline names ``cmd_analyze`` calls. They are attributes of this
-#: module, loaded on first use, so a caller can wrap them before a run.
-_STACK = ("AnalysisConfig", "ConfigError", "analyze_fund", "build_report", "search_breaks")
 
+def _load(module: str) -> None:
+    """Import ``module`` and set its ``_LAZY`` names here, keeping any already set.
 
-def _load_stack() -> None:
-    """Import the analysis stack, keeping any of its names already set here.
-
-    If numpy is not loaded yet, OpenBLAS defaults to one thread: the
-    search's solves are at most five columns wide, where a second thread
-    only adds overhead. A user's own setting wins, and a caller that
-    loaded numpy first keeps the environment it has.
+    If the pipeline loads before numpy, OpenBLAS defaults to one thread:
+    the search's solves are at most five columns wide, where a second
+    thread only adds overhead. A user's own setting wins, and a caller
+    that loaded numpy first keeps the environment it has.
     """
-    if "numpy" not in sys.modules:
+    if module == "pipeline" and "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import pipeline
-
-    for name in _STACK:
-        globals().setdefault(name, getattr(pipeline, name))
+    source = import_module(f".{module}", __package__)
+    for name, home in _LAZY.items():
+        if home == module:
+            globals().setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
-    if name in _STACK:
-        _load_stack()
+    if name in _LAZY:
+        _load(_LAZY[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("FUNDSHIFT_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _logger():
+    """The ``fundshift`` logger, at the ``FUNDSHIFT_LOG`` level unless logging is already set up."""
+    import logging
+
+    level = getattr(logging, os.environ.get("FUNDSHIFT_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger("fundshift")
 
 
 def _fail(message: str, code: int) -> int:
@@ -122,12 +121,14 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
+        _load("marketdata")
         raise MarketDataError(
             f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _load("marketdata")
     from .synth import SynthError, parse_sim_spec, run_simulation, truth_to_dict
 
     spec_path = Path(args.spec)
@@ -170,12 +171,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
 
-    log.info("simulated %d funds into %s", len(sim.funds), out)
+    _logger().info("simulated %d funds into %s", len(sim.funds), out)
     return EXIT_OK
 
 
 def _skip(skipped: list[tuple[str, str]], fund_id: str, reason: str) -> None:
-    log.warning("skipping %s: %s", fund_id, reason)
+    _logger().warning("skipping %s: %s", fund_id, reason)
     skipped.append((fund_id, reason))
 
 
@@ -210,7 +211,8 @@ def _read_samples(fund_paths, bmap, factors, bench_dir: Path) -> tuple[list, lis
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _load_stack()
+    _load("marketdata")
+    _load("pipeline")
     # A flag left out keeps AnalysisConfig's default.
     given = {"sig_level": args.sig, "trim": args.trim, "max_breaks": args.max_breaks,
              "min_regime_obs": args.min_regime_obs}
@@ -250,6 +252,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     searched, failed = search_breaks(samples, config)
     for fund_id, reason in failed:
         _skip(skipped, fund_id, reason)
+    log = _logger()
     records = []
     for fund in searched:
         try:
@@ -275,15 +278,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         text = _read_text(Path(args.report_path))
+        rendered = render_table(json.loads(text)["aggregates"], args.table, args.format)
     except OSError as exc:
         return _fail(f"cannot read report: {exc}", EXIT_IO)
-    except MarketDataError as exc:
-        return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
-    try:
-        rendered = render_table(json.loads(text)["aggregates"], args.table, args.format)
     except (ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
-        # ValueError and RecursionError cover malformed or too deeply nested
-        # JSON; the rest, misshapen report data.
+        # ValueError and RecursionError cover bytes that are not UTF-8 and malformed
+        # or too deeply nested JSON; the rest, misshapen report data.
         return _fail(f"invalid report file: {exc}", EXIT_CONFIG)
     sys.stdout.write(rendered)
     return EXIT_OK
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

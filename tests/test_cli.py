@@ -5,8 +5,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +21,7 @@ from fundshift.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_IO, EXIT_OK, main
 from fundshift.breaks import MIN_TRIM
 from fundshift.pipeline import AnalysisConfig
 from fundshift.stylebox import STYLE_BOX_LABELS
-from fundshift.tables import GROUP_COLUMNS, render_table
+from fundshift.tables import GROUP_COLUMNS, REPORT_TABLES, render_table
 
 
 def rotation_spec(seed: int = 9) -> dict:
@@ -75,18 +77,20 @@ def simulate(tmp_path: Path, spec: dict, out_name: str = "sim") -> Path:
     return out
 
 
+def analyze_argv(sim_dir: Path, report_path: Path, *extra: str) -> list[str]:
+    return [
+        "analyze",
+        "--nav", str(sim_dir / "nav"),
+        "--factors", str(sim_dir / "factors.csv"),
+        "--bench-map", str(sim_dir / "benchmark_map.csv"),
+        "--bench-nav", str(sim_dir / "bench_nav"),
+        "--out", str(report_path),
+        *extra,
+    ]
+
+
 def analyze(sim_dir: Path, report_path: Path, *extra: str) -> int:
-    return main(
-        [
-            "analyze",
-            "--nav", str(sim_dir / "nav"),
-            "--factors", str(sim_dir / "factors.csv"),
-            "--bench-map", str(sim_dir / "benchmark_map.csv"),
-            "--bench-nav", str(sim_dir / "bench_nav"),
-            "--out", str(report_path),
-            *extra,
-        ]
-    )
+    return main(analyze_argv(sim_dir, report_path, *extra))
 
 
 def append_non_utf8(path: Path) -> None:
@@ -1328,3 +1332,62 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def run_cli(argv: list[str], log_level: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m fundshift.cli`` in a fresh process, ``FUNDSHIFT_LOG`` set or unset.
+
+    ``logging`` is configured once a process, so each level needs its own.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("FUNDSHIFT_LOG", None)
+    if log_level is not None:
+        env["FUNDSHIFT_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "fundshift.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_fundshift_log_info_logs_the_simulation_and_each_analyzed_fund(tmp_path):
+    spec, out = write_spec(tmp_path, rotation_spec()), tmp_path / "sim"
+    sim = run_cli(["simulate", "--spec", str(spec), "--out", str(out)], "INFO")
+    assert sim.returncode == EXIT_OK
+    assert sim.stderr == f"INFO fundshift: simulated 1 funds into {out}\n"
+    run = run_cli(analyze_argv(out, tmp_path / "report.json"), "info")
+    assert run.returncode == EXIT_OK
+    assert run.stderr.splitlines() == [
+        "INFO fundshift: analyzed F1: 1 break(s)",
+        "INFO fundshift: analyzed 1 fund(s), skipped 0",
+    ]
+
+
+def test_a_clean_analyze_writes_nothing_to_stderr_with_fundshift_log_unset(tmp_path):
+    run = run_cli(analyze_argv(simulate(tmp_path, rotation_spec()), tmp_path / "report.json"))
+    assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, "", "")
+
+
+def test_report_prints_the_same_under_fundshift_log_debug(tmp_path):
+    report_path = tmp_path / "report.json"
+    assert analyze(simulate(tmp_path, rotation_spec()), report_path) == EXIT_OK
+    for table in REPORT_TABLES:
+        argv = ["report", "--in", str(report_path), "--table", table, "--format", "md"]
+        quiet, debug = run_cli(argv), run_cli(argv, "DEBUG")
+        assert quiet.returncode == debug.returncode == EXIT_OK, table
+        assert (debug.stdout, debug.stderr) == (quiet.stdout, ""), table
+        assert quiet.stdout == render_table(
+            json.loads(report_path.read_text(encoding="utf-8"))["aggregates"], table, "md"
+        )
+
+
+def test_report_of_a_non_utf8_file_exits_2_in_a_fresh_process(tmp_path):
+    # ``report`` loads marketdata only to raise the decode error.
+    path = fixture_report(tmp_path)
+    append_non_utf8(path)
+    run = run_cli(["report", "--in", str(path), "--table", "breaks"])
+    assert (run.returncode, run.stdout) == (EXIT_CONFIG, "")
+    size = path.stat().st_size - 2
+    assert run.stderr == (
+        "fundshift: error: invalid report file: fixture_report.json: "
+        f"not UTF-8 text (invalid start byte at byte {size})\n"
+    )

@@ -2,9 +2,10 @@
 
 The package ``__init__`` holds ``__version__`` and nothing else, so
 ``import fundshift.<module>`` runs that module's own imports and no
-more. The CLI imports the analysis stack only for ``analyze``. Each
-check starts a fresh interpreter, because this test session has already
-imported everything.
+more. The CLI imports the analysis stack only for ``analyze``, and
+``marketdata`` and ``logging`` only for ``analyze`` and ``simulate``.
+Each check starts a fresh interpreter, because this test session has
+already imported everything.
 """
 
 import json
@@ -23,6 +24,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: What ``report``, ``--help`` and ``--version`` must not load.
 ANALYSIS_STACK = {"numpy", "scipy", "fundshift.pipeline", "fundshift.breaks",
                   "fundshift.regress"}
+#: What they must not load either: the market-data readers, the modules
+#: those pull in, and logging, which only ``analyze`` and ``simulate`` use.
+MARKET_DATA = {"fundshift.marketdata", "dataclasses", "logging"}
 
 
 def probe(statement: str, **env: str | None):
@@ -105,16 +109,9 @@ def analyze_argv(sim_dir: Path, out: Path) -> list[str]:
     ]
 
 
-def test_report_command_loads_no_analysis_stack(sim_dir, tmp_path):
-    report = tmp_path / "report.json"
-    assert main(analyze_argv(sim_dir, report)) == 0
-    # Every table and format, run as ``python -m fundshift.cli report ...``.
-    calls = [
-        ["report", "--in", str(report), "--table", table, "--format", fmt]
-        for table in REPORT_TABLES
-        for fmt in ("csv", "md")
-    ]
-    loaded = modules_after(
+def modules_after_commands(calls: list[list[str]]) -> set[str]:
+    """``sys.modules`` after one fresh interpreter runs ``python -m fundshift.cli`` per call."""
+    return modules_after(
         "import runpy\n"
         f"for argv in {calls!r}:\n"
         "    sys.argv = ['fundshift', *argv]\n"
@@ -123,8 +120,27 @@ def test_report_command_loads_no_analysis_stack(sim_dir, tmp_path):
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0, (argv, exc.code)\n"
     )
+
+
+def test_report_command_loads_no_analysis_stack(sim_dir, tmp_path):
+    report = tmp_path / "report.json"
+    assert main(analyze_argv(sim_dir, report)) == 0
+    # Every table and format, run as ``python -m fundshift.cli report ...``.
+    loaded = modules_after_commands([
+        ["report", "--in", str(report), "--table", table, "--format", fmt]
+        for table in REPORT_TABLES
+        for fmt in ("csv", "md")
+    ])
     assert "fundshift.tables" in loaded
     assert sorted(ANALYSIS_STACK & loaded) == []
+    assert sorted(MARKET_DATA & loaded) == []
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_load_only_tables_of_the_package(flag):
+    loaded = modules_after_commands([[flag]])
+    assert sorted(m for m in loaded if m.startswith("fundshift.")) == ["fundshift.tables"]
+    assert sorted((ANALYSIS_STACK | MARKET_DATA) & loaded) == []
 
 
 def test_simulate_command_loads_no_scipy(sim_dir, tmp_path):
@@ -156,7 +172,7 @@ KERNEL_TS = [-0.0, -1e-300, -0.5, -2.0, -40.0, -1e3, -float("inf"), float("nan")
 def test_analysis_stack_loads_the_t_kernel_without_scipy_init_and_leaves_scipy_whole():
     stack, bits, cdfs = probe(
         "import fundshift.cli, fundshift.regress\n"
-        "fundshift.cli._load_stack()\n"
+        "fundshift.cli._load('pipeline')\n"
         "stack = sorted(sys.modules)\n"
         "kernel = fundshift.regress.t_kernel()\n"
         f"grid = [(d, t) for d in {KERNEL_DOFS!r} for t in json.loads({json.dumps(KERNEL_TS)!r})]\n"
@@ -181,7 +197,7 @@ def test_analysis_stack_maps_no_scipy_openblas():
         pytest.skip("no /proc/self/maps here")
     mapped, loaded = probe(
         "import fundshift.cli, fundshift.regress\n"
-        "fundshift.cli._load_stack()\n"
+        "fundshift.cli._load('pipeline')\n"
         "fundshift.regress.t_kernel()\n"
         "paths = {line.split()[-1] for line in open('/proc/self/maps') if '/' in line}\n"
         "print(json.dumps([sorted(paths), sorted(sys.modules)]))"
@@ -201,7 +217,7 @@ def test_t_kernel_loads_at_the_first_fit_not_with_the_stack():
         "from fundshift.regress import ols\n"
         "def mapped():\n"
         "    return sorted({line.split()[-1] for line in open('/proc/self/maps') if '/' in line})\n"
-        "fundshift.cli._load_stack()\n"
+        "fundshift.cli._load('pipeline')\n"
         "stack = mapped()\n"
         "X = np.column_stack([np.ones(20), np.arange(20.0)])\n"
         "ols(np.arange(20.0) ** 0.5, X, ('a', 'b'), 'm')\n"
@@ -293,7 +309,7 @@ def test_load_stack_defaults_openblas_to_one_thread(preset, numpy_first, expecte
     value = probe(
         "import os, fundshift.cli\n"
         f"{'import numpy' if numpy_first else ''}\n"
-        "fundshift.cli._load_stack()\n"
+        "fundshift.cli._load('pipeline')\n"
         "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))",
         OPENBLAS_NUM_THREADS=preset,
     )

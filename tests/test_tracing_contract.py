@@ -11,11 +11,15 @@ the same record: the traced run checks each record that way.
 import ast
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from fundshift import breaks, cli, pipeline, regress
 
-BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_RUN = ROOT / "perfbench" / "run.py"
 
 
 def span_tables() -> dict[str, dict[str, str]]:
@@ -156,3 +160,32 @@ def test_benchmark_spans_fire_on_analyze(tmp_path, monkeypatch):
     (table,) = results["fundshift.pipeline.build_ssr_table"]
     assert (table.n, table.h) == (fund["n_obs"], fund["h"])
     assert table.values.nbytes > 0
+
+
+def test_names_wrapped_before_they_load_stay_wrapped_through_analyze(tmp_path):
+    # perfbench wraps the cli names right after ``import fundshift.cli``,
+    # before they load. This test run has loaded them all already, so a
+    # fresh interpreter checks that loading keeps every wrapper in place.
+    sim = simulate(tmp_path, ["F1"])
+    names = [*span_tables()["CLI_SPANS"], "analyze_fund"]
+    argv = ["analyze", "--nav", str(sim / "nav"), "--factors", str(sim / "factors.csv"),
+            "--bench-map", str(sim / "benchmark_map.csv"), "--bench-nav", str(sim / "bench_nav"),
+            "--out", str(tmp_path / "report.json")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", (
+        "import json, sys\n"
+        "import fundshift.cli as cli\n"
+        "loaded = 'fundshift.marketdata' in sys.modules\n"
+        "fired = []\n"
+        "def wrap(name, fn):\n"
+        "    return lambda *args, **kwargs: fired.append(name) or fn(*args, **kwargs)\n"
+        f"for name in {names!r}:\n"
+        "    setattr(cli, name, wrap(name, getattr(cli, name)))\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([loaded, code, sorted(set(fired))]))"
+    )], env=env, capture_output=True, text=True, check=True)
+    loaded, code, fired = json.loads(child.stdout)
+    assert not loaded
+    assert code == 0
+    assert fired == sorted(names)

@@ -1,4 +1,7 @@
-"""Annualized performance metrics and break-count attribution tables.
+"""Per-regime fits, annualized performance metrics and break-count tables.
+
+Each regime is cut here (``regress.subsample``) and fitted: three-factor
+for the box ``stylebox`` reads, benchmark-adjusted for the pre/post metrics.
 
 All metrics are computed from the daily excess returns over cash of a
 whole sample (a fund, or one regime's subsample) and annualized with
@@ -24,13 +27,20 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tables
 from .marketdata import MIN_ALIGNED_OBS, AlignedSample
-from .regress import RegressionResult, excess_over_cash, fit_benchmark_adjusted, subsample
-from .stylebox import STYLE_BOX_LABELS, BreakShift, IntensityClass, RegimeStyle
+from .regress import (
+    DEFAULT_SIG_LEVEL, RegressionResult, excess_over_cash, fit_benchmark_adjusted, fit_ff3,
+    subsample,
+)
+from .stylebox import STYLE_BOX_LABELS, BreakShift, IntensityClass, RegimeStyle, style_of
+
+if TYPE_CHECKING:
+    from .breaks import BreakSet
 
 #: Annualization factor for daily data.
 TRADING_DAYS_PER_YEAR = 252
@@ -144,6 +154,17 @@ def break_count_tables(metrics: list[FundMetrics], max_m: int = 0) -> tuple[dict
         # Input order, not bucket order: the means' bits depend on it.
         rows.append(_group_row(WITH_BREAKS_GROUP, [x for x in metrics if x.n_breaks >= 1]))
     return tables.break_histogram([len(b) for b in buckets]), {"rows": rows}
+
+
+def regime_styles(
+    sample: AlignedSample, bs: BreakSet, sig_level: float = DEFAULT_SIG_LEVEL, hac: bool = False
+) -> tuple[RegimeStyle, ...]:
+    """Fit the three-factor model per regime and classify each one."""
+    out = []
+    for start, end in bs.regime_windows:
+        fit = fit_ff3(subsample(sample, start, end), sig_level=sig_level, hac=hac)
+        out.append(RegimeStyle(window=(start, end), fit=fit, box=style_of(fit)))
+    return tuple(out)
 
 
 def pre_post_compare(

@@ -38,6 +38,7 @@ from .perf import (
     break_count_tables,
     decile_analysis,
     pre_post_compare,
+    regime_styles,
 )
 from .regress import (
     DEFAULT_SIG_LEVEL,
@@ -53,7 +54,6 @@ from .stylebox import (
     accumulate_transitions,
     apply_style_flags,
     grade_breaks,
-    regime_styles,
 )
 
 

@@ -1,10 +1,12 @@
 """Style-box classification and risk-shift intensity grading.
 
-Each regime's three-factor fit maps to one of nine size/value boxes:
-the size axis reads the SMB loading (significantly positive = Small,
-significantly negative = Large, insignificant = Mid), the value axis
-reads HML the same way (Value / Growth / Blend), through one
-sign-and-significance rule. Breaks are graded by how the loadings moved:
+Rules only, on the standard library and ``tables``; ``perf.regime_styles``
+fits the regimes. Each regime's three-factor fit maps to one of nine
+size/value boxes (:func:`box_of`): the size axis reads the SMB loading
+(significantly positive = Small, significantly negative = Large,
+insignificant = Mid), the value axis reads HML the same way (Value /
+Growth / Blend), through one sign-and-significance rule. Breaks are
+graded by how the loadings moved:
 
 * Rotation: a loading stays significant but flips sign (worst),
 * Drift: a loading crosses between significant and insignificant,
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from . import tables
-from .breaks import BreakSet
-from .marketdata import AlignedSample
-from .regress import DEFAULT_SIG_LEVEL, FactorLoading, RegressionResult, fit_ff3, subsample
+
+if TYPE_CHECKING:
+    from .breaks import BreakSet
+    from .regress import FactorLoading, RegressionResult
 
 #: Loading-magnitude move below this is noise, not a strengthen/weaken.
 SHIFT_TOL = 1e-6
@@ -42,11 +46,6 @@ class ValueClass(Enum):
     GROWTH = "Growth"
 
 
-#: Canonical axis orders (row/column order of the transition matrix).
-_SIZE_ORDER = (SizeClass.LARGE, SizeClass.MID, SizeClass.SMALL)
-_VALUE_ORDER = (ValueClass.VALUE, ValueClass.BLEND, ValueClass.GROWTH)
-
-
 @dataclass(frozen=True)
 class StyleBox:
     """One cell of the 3x3 size/value grid."""
@@ -57,16 +56,16 @@ class StyleBox:
     @property
     def index(self) -> int:
         """Canonical position 0..8 (Large Value first, Small Growth last)."""
-        return _SIZE_ORDER.index(self.size) * 3 + _VALUE_ORDER.index(self.value)
+        return STYLE_BOX_ORDER.index(self)
 
     @property
     def label(self) -> str:
         return f"{self.size.value} {self.value.value}"
 
 
-#: All nine boxes in canonical order.
+#: All nine boxes in canonical order, the axis enums' declaration order.
 STYLE_BOX_ORDER: tuple[StyleBox, ...] = tuple(
-    StyleBox(size=s, value=v) for s in _SIZE_ORDER for v in _VALUE_ORDER
+    StyleBox(size=s, value=v) for s in SizeClass for v in ValueClass
 )
 
 STYLE_BOX_LABELS: tuple[str, ...] = tuple(box.label for box in STYLE_BOX_ORDER)
@@ -129,12 +128,14 @@ def classify_value(state: FactorState) -> ValueClass:
     return {1: ValueClass.VALUE, 0: ValueClass.BLEND, -1: ValueClass.GROWTH}[_tilt(state)]
 
 
+def box_of(smb: FactorState, hml: FactorState) -> StyleBox:
+    """The box of an SMB and an HML state."""
+    return StyleBox(size=classify_size(smb), value=classify_value(hml))
+
+
 def style_of(fit: RegressionResult) -> StyleBox:
     """Compose the box from a fit's SMB and HML states."""
-    return StyleBox(
-        size=classify_size(factor_state(fit.loading("smb"))),
-        value=classify_value(factor_state(fit.loading("hml"))),
-    )
+    return box_of(factor_state(fit.loading("smb")), factor_state(fit.loading("hml")))
 
 
 def classify_factor_shift(before: FactorState, after: FactorState) -> IntensityClass:
@@ -171,20 +172,6 @@ class RegimeStyle:
     window: tuple[int, int]
     fit: RegressionResult
     box: StyleBox
-
-
-def regime_styles(
-    sample: AlignedSample,
-    bs: BreakSet,
-    sig_level: float = DEFAULT_SIG_LEVEL,
-    hac: bool = False,
-) -> tuple[RegimeStyle, ...]:
-    """Fit the three-factor model per regime and classify each one."""
-    out = []
-    for start, end in bs.regime_windows:
-        fit = fit_ff3(subsample(sample, start, end), sig_level=sig_level, hac=hac)
-        out.append(RegimeStyle(window=(start, end), fit=fit, box=style_of(fit)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

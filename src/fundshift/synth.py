@@ -32,13 +32,7 @@ import numpy as np
 
 from .marketdata import BenchmarkMap, FactorPanel, NavSeries, is_plain_id
 from .stylebox import (
-    FactorState,
-    IntensityClass,
-    StyleBox,
-    classify_factor_shift,
-    classify_size,
-    classify_value,
-    fund_shift_intensity,
+    FactorState, IntensityClass, StyleBox, box_of, classify_factor_shift, fund_shift_intensity,
 )
 
 #: Default panel start: first weekday of 2006.
@@ -135,10 +129,7 @@ def _planted_state(beta: float) -> FactorState:
 
 
 def planted_style(regime: RegimeSpec) -> StyleBox:
-    return StyleBox(
-        size=classify_size(_planted_state(regime.beta_smb)),
-        value=classify_value(_planted_state(regime.beta_hml)),
-    )
+    return box_of(_planted_state(regime.beta_smb), _planted_state(regime.beta_hml))
 
 
 def planted_intensity(before: RegimeSpec, after: RegimeSpec) -> IntensityClass:

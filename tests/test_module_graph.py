@@ -143,14 +143,23 @@ def test_help_and_version_load_only_tables_of_the_package(flag):
     assert sorted((ANALYSIS_STACK | MARKET_DATA) & loaded) == []
 
 
+def test_stylebox_import_loads_only_tables_of_the_package_and_no_numpy():
+    loaded = modules_after("import fundshift.stylebox")
+    assert sorted(m for m in loaded if m.startswith("fundshift.")) == [
+        "fundshift.stylebox", "fundshift.tables",
+    ]
+    assert "numpy" not in loaded
+
+
 def test_simulate_command_loads_no_scipy(sim_dir, tmp_path):
-    # synth reaches regress through stylebox and breaks, but fits nothing.
+    # synth takes the taxonomy rules from stylebox, and fits nothing.
     argv = ["simulate", "--spec", str(sim_dir.parent / "spec.json"), "--out", str(tmp_path)]
     loaded = modules_after(
         "import fundshift.synth, fundshift.cli\n"
         f"assert fundshift.cli.main({argv!r}) == 0"
     )
-    assert {"fundshift.synth", "fundshift.regress", "numpy"} <= loaded
+    assert {"fundshift.synth", "numpy"} <= loaded
+    assert sorted({"fundshift.breaks", "fundshift.regress"} & loaded) == []
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
     assert (tmp_path / "truth.json").is_file()
 

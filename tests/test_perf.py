@@ -22,6 +22,7 @@ from fundshift.perf import (
     break_count_tables,
     decile_analysis,
     pre_post_compare,
+    regime_styles,
 )
 from fundshift.pipeline import (
     AnalysisConfig,
@@ -45,7 +46,6 @@ from fundshift.stylebox import (
     FactorState,
     IntensityClass,
     grade_breaks,
-    regime_styles,
 )
 from fundshift.tables import render_table
 

@@ -8,7 +8,7 @@ import pytest
 from oracles import make_styled_sample
 
 from fundshift.breaks import BreakSet, build_ssr_table, select_break_count
-from fundshift.perf import FundMetrics
+from fundshift.perf import FundMetrics, regime_styles
 from fundshift.pipeline import build_aggregates
 from fundshift.regress import FactorLoading, RegressionError, RegressionResult
 from fundshift.stylebox import (
@@ -28,7 +28,6 @@ from fundshift.stylebox import (
     factor_state,
     fund_shift_intensity,
     grade_breaks,
-    regime_styles,
     severity,
     style_of,
 )

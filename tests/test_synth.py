@@ -11,8 +11,9 @@ import pytest
 
 from fundshift.breaks import build_ssr_table, select_break_count
 from fundshift.marketdata import align, compute_returns
+from fundshift.perf import regime_styles
 from fundshift.regress import fit_benchmark_adjusted
-from fundshift.stylebox import IntensityClass, grade_breaks, regime_styles
+from fundshift.stylebox import IntensityClass, grade_breaks
 from fundshift.synth import (
     DEFAULT_RF_DAILY,
     DEFAULT_START_DATE,

@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from itertools import filterfalse
 from typing import TYPE_CHECKING
@@ -126,10 +126,7 @@ class FactorPanel:
 
     def __post_init__(self) -> None:
         n = len(self.dates)
-        cols = {"mkt_rf": self.mkt_rf, "smb": self.smb, "hml": self.hml, "rf": self.rf}
-        if self.mom is not None:
-            cols["mom"] = self.mom
-        for name, col in cols.items():
+        for name, col in data_columns(self).items():
             if len(col) != n:
                 raise MarketDataError(f"FactorPanel: column {name} length mismatch")
         _check_dates_increasing(self.dates, "FactorPanel")
@@ -164,9 +161,10 @@ class AlignedSample:
 
     All vectors share the common calendar ``dates`` (the exact sorted
     intersection of the three input calendars) and have length ``n``.
-    Arrays are read-only, and samples that :func:`align` built through
-    one ``shared`` dict may hold the same ``dates`` tuple and the same
-    benchmark and factor arrays; each holds its own ``r_fund``.
+    Its arrays, the :func:`data_columns` (``mom`` only when the factor
+    panel has it), are read-only, and samples that :func:`align` built
+    through one ``shared`` dict may hold the same ``dates`` tuple and the
+    same benchmark and factor arrays; each holds its own ``r_fund``.
     """
 
     fund_id: str
@@ -181,15 +179,10 @@ class AlignedSample:
 
     def __post_init__(self) -> None:
         n = len(self.dates)
-        for name in ("r_fund", "r_bench", "mkt_rf", "smb", "hml", "rf"):
-            arr = getattr(self, name)
+        for name, arr in data_columns(self).items():
             if arr.shape != (n,):
                 raise MarketDataError(f"AlignedSample {self.fund_id}: {name} shape mismatch")
             arr.flags.writeable = False
-        if self.mom is not None:
-            if self.mom.shape != (n,):
-                raise MarketDataError(f"AlignedSample {self.fund_id}: mom shape mismatch")
-            self.mom.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -200,54 +193,57 @@ class AlignedSample:
         return self.mom is not None
 
 
-def _read_rows(
-    text: str, headers: list[list[str]], context: str
-) -> tuple[list[str], Iterator[list[str]]]:
-    """Header of a CSV, which must be one of ``headers``, and its non-blank rows.
+def data_columns(record: FactorPanel | AlignedSample) -> dict[str, tuple | np.ndarray]:
+    """Data columns of a factor panel or an aligned sample by field name, in field order.
 
-    The rows are read lazily and each must be as wide as the header.
-    Columns missing from the first (narrowest) allowed header are named
-    in the header error. A row csv cannot read, such as one with a cell
-    over its process-wide field limit, raises MarketDataError.
+    They are all fields but ``fund_id`` and ``dates``: ``mom`` only when
+    present, and any other as it is, ``None`` included, so its checks fail.
     """
+    skip = ("fund_id", "dates") if record.mom is not None else ("fund_id", "dates", "mom")
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
-    def records() -> Iterator[list[str]]:
-        try:
-            yield from csv.reader(io.StringIO(text))
-        except csv.Error as exc:
-            raise MarketDataError(f"{context}: {exc}") from None
 
-    reader = records()
+def _read_rows(text: str, headers: list[list[str]], context: str) -> Iterator[list[str]]:
+    """Header of a CSV, stripped and lower-cased, then each of its non-blank rows, read lazily.
+
+    Every reading error raises MarketDataError here, at the row that
+    shows it: an empty file, a header not in ``headers`` (naming the
+    columns missing from the first, narrowest one), a row not as wide as
+    the header, and a row csv cannot read, such as one with a cell over
+    its process-wide field limit.
+    """
+    reader = csv.reader(io.StringIO(text))
     try:
-        header = [h.strip().lower() for h in next(reader)]
-    except StopIteration:
-        raise MarketDataError(f"{context}: empty file") from None
-    if header not in headers:
-        expected = " or ".join(repr(",".join(h)) for h in headers)
-        missing = [c for c in headers[0] if c not in header]
-        raise MarketDataError(
-            f"{context}: expected header {expected}, got {','.join(header)!r}"
-            + (f" (missing column(s) {', '.join(missing)})" if missing else "")
-        )
-
-    def rows() -> Iterator[list[str]]:
+        first = next(reader, None)
+        if first is None:
+            raise MarketDataError(f"{context}: empty file")
+        header = [h.strip().lower() for h in first]
+        if header not in headers:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
+            missing = [c for c in headers[0] if c not in header]
+            raise MarketDataError(
+                f"{context}: expected header {expected}, got {','.join(header)!r}"
+                + (f" (missing column(s) {', '.join(missing)})" if missing else "")
+            )
+        yield header
         for row in reader:
-            if not any(cell.strip() for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != len(header):
                 raise MarketDataError(f"{context}: expected {len(header)} columns, got {len(row)}")
             yield row
-
-    return header, rows()
+    except csv.Error as exc:
+        raise MarketDataError(f"{context}: {exc}") from None
 
 
 def _read_columns(text: str, headers: list[list[str]], context: str) -> dict[str, tuple]:
     """Columns, keyed by header name, of a CSV whose first column is ``date``.
 
-    The other columns hold finite floats. Rows are parsed in file order,
-    so the first bad row is the one reported.
+    The other columns hold finite floats. Rows are read and parsed one
+    at a time in file order, so the first bad row is the one reported.
     """
-    header, rows = _read_rows(text, headers, context)
+    rows = _read_rows(text, headers, context)
+    header = next(rows)
     dates: list[date] = []
     columns: list[list[float]] = [[] for _ in header[1:]]
     for row in rows:
@@ -284,7 +280,8 @@ def parse_factor_csv(text: str) -> FactorPanel:
 
 def parse_benchmark_map_csv(text: str) -> BenchmarkMap:
     """Parse the ``fund_id,benchmark_id`` map file; its cells are ids as written."""
-    _, rows = _read_rows(text, [["fund_id", "benchmark_id"]], "benchmark map")
+    rows = _read_rows(text, [["fund_id", "benchmark_id"]], "benchmark map")
+    next(rows)
     entries: dict[str, str] = {}
     for fund_id, bench_id in rows:
         if fund_id in entries:
@@ -358,9 +355,7 @@ def align(
         columns = {
             "dates": dates,
             "r_bench": _take(bench.dates, bench.returns),
-            **{name: _take(factors.dates, getattr(factors, name))
-               for name in ("mkt_rf", "smb", "hml", "rf")},
-            "mom": _take(factors.dates, factors.mom) if factors.has_mom else None,
+            **{name: _take(factors.dates, col) for name, col in data_columns(factors).items()},
         }
         if shared is not None:
             # The entry holds bench and factors, so no other object takes their ids.

@@ -24,11 +24,11 @@ import os
 import sys
 import types
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .marketdata import AlignedSample
+from .marketdata import AlignedSample, data_columns
 
 #: Default two-sided significance level for loading t-tests.
 DEFAULT_SIG_LEVEL = 0.05
@@ -305,14 +305,5 @@ def subsample(sample: AlignedSample, start: int, end: int) -> AlignedSample:
     if not 0 <= start <= end < sample.n:
         raise RegressionError(f"{sample.fund_id}: bad window [{start}, {end}]")
     sl = slice(start, end + 1)
-    return AlignedSample(
-        fund_id=sample.fund_id,
-        dates=sample.dates[sl],
-        r_fund=sample.r_fund[sl].copy(),
-        r_bench=sample.r_bench[sl].copy(),
-        mkt_rf=sample.mkt_rf[sl].copy(),
-        smb=sample.smb[sl].copy(),
-        hml=sample.hml[sl].copy(),
-        rf=sample.rf[sl].copy(),
-        mom=sample.mom[sl].copy() if sample.has_mom else None,
-    )
+    columns = {name: arr[sl].copy() for name, arr in data_columns(sample).items()}
+    return replace(sample, dates=sample.dates[sl], **columns)

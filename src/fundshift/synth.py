@@ -53,7 +53,8 @@ class FactorVols:
     """Daily stdevs of the generated factor returns.
 
     Defaults approximate US daily factor volatility: about 13% a year
-    for the market and 9 to 10% a year for the style factors.
+    for the market and 9 to 10% a year for the style factors. The field
+    order is the order in which :func:`gen_factors` draws the factors.
     """
 
     mkt_rf: float = 0.008
@@ -180,18 +181,11 @@ def gen_factors(
     if T < 1:
         raise SynthError(f"gen_factors: T={T} < 1")
     rng = np.random.default_rng(seed)
-    mkt = rng.standard_normal(T) * vols.mkt_rf
-    smb = rng.standard_normal(T) * vols.smb
-    hml = rng.standard_normal(T) * vols.hml
-    mom = rng.standard_normal(T) * vols.mom
-    return FactorPanel(
-        dates=weekday_calendar(start, T),
-        mkt_rf=tuple(map(float, mkt)),
-        smb=tuple(map(float, smb)),
-        hml=tuple(map(float, hml)),
-        rf=(float(rf_daily),) * T,
-        mom=tuple(map(float, mom)),
-    )
+    draws = {
+        f.name: tuple(map(float, rng.standard_normal(T) * getattr(vols, f.name)))
+        for f in fields(vols)
+    }
+    return FactorPanel(dates=weekday_calendar(start, T), rf=(float(rf_daily),) * T, **draws)
 
 
 def _returns_from_loadings(

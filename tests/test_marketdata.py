@@ -9,6 +9,7 @@ import pytest
 from oracles import weekdays
 
 from fundshift.marketdata import (
+    AlignedSample,
     BenchmarkMap,
     FactorPanel,
     MarketDataError,
@@ -16,6 +17,7 @@ from fundshift.marketdata import (
     ReturnSeries,
     align,
     compute_returns,
+    data_columns,
     parse_benchmark_map_csv,
     parse_factor_csv,
     parse_nav_csv,
@@ -179,6 +181,47 @@ def test_parse_factor_csv_without_mom():
     ids=["nav", "factor", "benchmark_map"],
 )
 def test_row_of_wrong_width_is_rejected(parse, text, message):
+    with pytest.raises(MarketDataError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+#: A cell longer than the csv module's 131,072-character field limit.
+OVERLONG = "9" * 140_000
+FACTOR_HEADER = "date,mkt_rf,smb,hml,rf\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (lambda t: parse_nav_csv(t, "F1"),
+         "date,nav\n2006-01-02,100.0\n2006-01-03,101.0,7\n2006-13-01,102.0\n",
+         "NAV file F1: expected 2 columns, got 3"),
+        (lambda t: parse_nav_csv(t, "F1"),
+         "date,nav\n2006-01-02,100.0\n2006-13-01,102.0\n2006-01-04,101.0,7\n",
+         "NAV file F1: malformed date '2006-13-01'"),
+        (parse_factor_csv,
+         f"{FACTOR_HEADER}2006-01-02,0.001,abc,0.0,0.0\n2006-01-03,{OVERLONG},0.0,0.0,0.0\n",
+         "factor file: non-numeric value 'abc'"),
+        (lambda t: parse_nav_csv(t, "F1"),
+         f"date,nav\n2006-01-02,{OVERLONG}\n2006-13-01,102.0\n",
+         "NAV file F1: field larger than field limit (131072)"),
+        (parse_factor_csv,
+         f"{FACTOR_HEADER}\n , ,,\t,\n2006-01-02,0.001,nan,0.0,0.0\n2006-01-03,x,0.0,0.0,0.0\n",
+         "factor file: non-finite value 'nan'"),
+        (parse_factor_csv, "", "factor file: empty file"),
+        (parse_benchmark_map_csv,
+         "fund_id,benchmark_id\nF1,B1\nF1,B2\nF2,B1,B3\n",
+         "benchmark map: duplicate fund_id 'F1'"),
+        (parse_benchmark_map_csv,
+         "fund_id,benchmark_id\nF1,B1\n\nF2,B1,B3\nF1,../B2\n",
+         "benchmark map: expected 2 columns, got 3"),
+    ],
+    ids=["width-then-date", "date-then-width", "non-numeric-then-overlong",
+         "overlong-then-date", "non-finite-after-blank-rows", "empty", "map-duplicate-then-width",
+         "map-width-then-duplicate"],
+)
+def test_file_with_two_faults_reports_the_earlier_row(parse, text, message):
     with pytest.raises(MarketDataError) as exc:
         parse(text)
     assert str(exc.value) == message
@@ -443,3 +486,56 @@ def test_align_shared_arrays_stay_read_only_and_subsample_copies():
     for name in ("r_fund", *SHARED_COLUMNS):
         assert not np.shares_memory(getattr(part, name), getattr(a, name)), name
         assert np.array_equal(getattr(part, name), getattr(b, name)[10:121]), name
+
+
+#: Data columns in field order: a factor panel's, and an aligned sample's.
+PANEL_COLUMNS = ("mkt_rf", "smb", "hml", "rf", "mom")
+SAMPLE_COLUMNS = ("r_fund", "r_bench", "mkt_rf", "smb", "hml", "rf", "mom")
+
+
+@pytest.mark.parametrize("name", PANEL_COLUMNS)
+def test_factor_panel_length_error_names_the_short_column(name):
+    columns = {c: (0.0,) * 5 for c in PANEL_COLUMNS}
+    columns[name] = (0.0,) * 4
+    with pytest.raises(MarketDataError) as err:
+        FactorPanel(dates=tuple(weekdays(5)), **columns)
+    assert str(err.value) == f"FactorPanel: column {name} length mismatch"
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 1)], ids=["short", "2-d"])
+@pytest.mark.parametrize("name", SAMPLE_COLUMNS)
+def test_aligned_sample_shape_error_names_the_bad_column(name, shape):
+    columns = {c: np.zeros(5) for c in SAMPLE_COLUMNS}
+    columns[name] = np.zeros(shape)
+    with pytest.raises(MarketDataError) as err:
+        AlignedSample("F1", tuple(weekdays(5)), **columns)
+    assert str(err.value) == f"AlignedSample F1: {name} shape mismatch"
+
+
+@pytest.mark.parametrize("name", SAMPLE_COLUMNS[:-1])
+def test_none_in_a_column_other_than_mom_still_raises(name):
+    dates = tuple(weekdays(5))
+    with pytest.raises(AttributeError, match="shape"):
+        AlignedSample("F1", dates, **{**{c: np.zeros(5) for c in SAMPLE_COLUMNS}, name: None})
+    if name in PANEL_COLUMNS:
+        with pytest.raises(TypeError, match="len"):
+            FactorPanel(dates=dates, **{**{c: (0.0,) * 5 for c in PANEL_COLUMNS}, name: None})
+
+
+@pytest.mark.parametrize("with_mom", [True, False], ids=["mom", "no-mom"])
+def test_align_and_subsample_carry_mom_exactly_when_the_panel_has_it(with_mom):
+    from fundshift.regress import subsample
+
+    dates, bench, panel = _cohort()
+    if not with_mom:
+        panel = replace(panel, mom=None)
+    names = PANEL_COLUMNS if with_mom else PANEL_COLUMNS[:-1]
+    assert tuple(data_columns(panel)) == names
+    sample = align(_nav_returns("F1", dates, 1), bench, panel)
+    part = subsample(sample, 10, 120)
+    for s in (sample, part):
+        assert s.has_mom is with_mom
+        assert tuple(data_columns(s)) == ("r_fund", "r_bench", *names)
+    if with_mom:
+        mom_on = dict(zip(panel.dates, panel.mom))
+        assert part.mom.tolist() == [mom_on[d] for d in part.dates]

@@ -669,6 +669,5 @@ def filter_short_regimes(bs: BreakSet, min_regime: int, table: SsrTable) -> Brea
     if len(keep) == bs.chosen_m:
         return bs
 
-    bounds = [-1] + keep + [bs.n - 1]
-    total = sum(table.ssr(a + 1, b) for a, b in zip(bounds, bounds[1:]))
-    return replace(bs, break_indices=tuple(keep), total_ssr=total)
+    merged = replace(bs, break_indices=tuple(keep))
+    return replace(merged, total_ssr=sum(table.ssr(a, b) for a, b in merged.regime_windows))

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,15 +69,9 @@ class FundMetrics:
             raise PerfError("FundMetrics: negative n_breaks")
 
 
-#: Numeric FundMetrics fields; a comparison's delta is post minus pre on each.
-METRIC_FIELDS = (
-    "excess_return_pa",
-    "stdev_pa",
-    "sharpe_pa",
-    "treynor_pa",
-    "ff3_alpha_pa",
-    "agt_alpha_pa",
-)
+#: Numeric FundMetrics fields, all but fund_id and n_breaks in field order;
+#: a comparison's delta is post minus pre on each.
+METRIC_FIELDS = tuple(f.name for f in fields(FundMetrics) if f.name not in ("fund_id", "n_breaks"))
 
 
 def annualized_metrics(
@@ -199,46 +192,31 @@ def pre_post_compare(
 INTENSITY_LABELS = tuple(c.value for c in IntensityClass)
 
 
-def _histogram(shifts: list[BreakShift], labels: tuple[str, ...], key) -> dict[str, int]:
-    counts = {label: 0 for label in labels}
-    for s in shifts:
-        counts[key(s)] += 1
-    return counts
-
-
 def decile_analysis(
     metrics: list[FundMetrics],
     shifts_by_fund: dict[str, tuple[BreakShift, ...]],
 ) -> dict | None:
     """Composition of the best and worst deciles by excess return, None below 10 funds.
 
-    Decile size is ceil(N/10); ranking ties break by fund_id. Each
-    histogram counts every label in canonical order, pooling every
-    graded break of the decile's funds.
+    One rule for each side: rank the funds (best first for the top,
+    worst first for the bottom, ties broken by fund_id), take the first
+    ceil(N/10) ids, pool every graded break of those funds, and count the
+    pool's intensities and destination boxes, every label in canonical
+    order. Keys run per section, top before bottom.
     """
     if len(metrics) < 10:
         return None
     size = math.ceil(len(metrics) / 10)
-    desc = sorted(metrics, key=lambda m: (-m.excess_return_pa, m.fund_id))
-    asc = sorted(metrics, key=lambda m: (m.excess_return_pa, m.fund_id))
-    top_ids = [m.fund_id for m in desc[:size]]
-    bottom_ids = [m.fund_id for m in asc[:size]]
-
-    def _pool(ids: list[str]) -> list[BreakShift]:
-        out: list[BreakShift] = []
-        for fund_id in ids:
-            out.extend(shifts_by_fund.get(fund_id, ()))
-        return out
-
-    top_pool, bottom_pool = _pool(top_ids), _pool(bottom_ids)
-    intensity = (INTENSITY_LABELS, attrgetter("intensity.value"))
-    destination = (STYLE_BOX_LABELS, attrgetter("style_to.label"))
-    return {
-        "decile_size": size,
-        "top_fund_ids": top_ids,
-        "bottom_fund_ids": bottom_ids,
-        "top_intensity": _histogram(top_pool, *intensity),
-        "bottom_intensity": _histogram(bottom_pool, *intensity),
-        "top_destinations": _histogram(top_pool, *destination),
-        "bottom_destinations": _histogram(bottom_pool, *destination),
+    sides = {}
+    for side, sign in (("top", -1), ("bottom", 1)):
+        ranked = sorted(metrics, key=lambda m: (sign * m.excess_return_pa, m.fund_id))
+        ids = [m.fund_id for m in ranked[:size]]
+        pool = [s for fund_id in ids for s in shifts_by_fund.get(fund_id, ())]
+        sides[side] = {
+            "fund_ids": ids,
+            "intensity": {c: sum(s.intensity.value == c for s in pool) for c in INTENSITY_LABELS},
+            "destinations": {b: sum(s.style_to.label == b for s in pool) for b in STYLE_BOX_LABELS},
+        }
+    return {"decile_size": size} | {
+        f"{side}_{key}": sides[side][key] for key in sides["top"] for side in sides
     }

@@ -176,24 +176,30 @@ class RegimeStyle:
 
 @dataclass(frozen=True)
 class FactorShift:
-    """One loading's before/after states and grade at one break."""
+    """One loading's before/after states at one break, graded from them."""
 
     factor: str
     before: FactorState
     after: FactorState
-    intensity: IntensityClass
+
+    @property
+    def intensity(self) -> IntensityClass:
+        return classify_factor_shift(self.before, self.after)
 
 
 @dataclass(frozen=True)
 class BreakShift:
-    """Full grading of one break: both factors plus the fund-level grade."""
+    """Full grading of one break: both factors, whose grades give the fund-level one."""
 
     break_index: int
     smb: FactorShift
     hml: FactorShift
-    intensity: IntensityClass
     style_from: StyleBox
     style_to: StyleBox
+
+    @property
+    def intensity(self) -> IntensityClass:
+        return fund_shift_intensity(self.smb.intensity, self.hml.intensity)
 
     @property
     def is_style_break(self) -> bool:
@@ -201,30 +207,17 @@ class BreakShift:
 
 
 def grade_breaks(styles: tuple[RegimeStyle, ...]) -> tuple[BreakShift, ...]:
-    """Grade each break, the last observation of a regime, from the fits flanking it."""
-    shifts = []
-    for pre, post in zip(styles, styles[1:]):
-        per_factor = {}
-        for name in ("smb", "hml"):
-            before = factor_state(pre.fit.loading(name))
-            after = factor_state(post.fit.loading(name))
-            per_factor[name] = FactorShift(
-                factor=name, before=before, after=after,
-                intensity=classify_factor_shift(before, after),
-            )
-        shifts.append(
-            BreakShift(
-                break_index=pre.window[1],
-                smb=per_factor["smb"],
-                hml=per_factor["hml"],
-                intensity=fund_shift_intensity(
-                    per_factor["smb"].intensity, per_factor["hml"].intensity
-                ),
-                style_from=pre.box,
-                style_to=post.box,
-            )
+    """One shift per break, the last observation of a regime, between the fits flanking it."""
+    return tuple(
+        BreakShift(
+            break_index=pre.window[1],
+            smb=FactorShift("smb", *(factor_state(r.fit.loading("smb")) for r in (pre, post))),
+            hml=FactorShift("hml", *(factor_state(r.fit.loading("hml")) for r in (pre, post))),
+            style_from=pre.box,
+            style_to=post.box,
         )
-    return tuple(shifts)
+        for pre, post in zip(styles, styles[1:])
+    )
 
 
 def apply_style_flags(bs: BreakSet, shifts: tuple[BreakShift, ...]) -> BreakSet:
@@ -240,7 +233,7 @@ def accumulate_transitions(per_fund_styles: list[list[StyleBox]]) -> dict:
     equals the number of breaks across all funds; breaks whose shift
     graded Unchanged land on the diagonal.
     """
-    cells = [[0] * 9 for _ in range(9)]
+    cells = [[0] * len(STYLE_BOX_ORDER) for _ in STYLE_BOX_ORDER]
     for styles in per_fund_styles:
         for s_t, s_next in zip(styles, styles[1:]):
             cells[s_t.index][s_next.index] += 1

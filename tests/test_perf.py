@@ -87,18 +87,25 @@ def make_metrics(fund_id: str, excess: float, n_breaks: int) -> FundMetrics:
     )
 
 
+#: SMB after-state that grades a move from a significant 0.5 as the given class.
+_SMB_AFTER = {
+    IntensityClass.ROTATION: FactorState(beta=-0.5, significant=True),
+    IntensityClass.WEAKEN: FactorState(beta=0.3, significant=True),
+    IntensityClass.UNCHANGED: FactorState(beta=0.5, significant=True),
+}
+
+
 def make_shift(intensity: IntensityClass, to_label: str) -> BreakShift:
     before = FactorState(beta=0.5, significant=True)
-    after = FactorState(beta=-0.5, significant=True)
-    factor = FactorShift(factor="smb", before=before, after=after, intensity=intensity)
-    return BreakShift(
-        break_index=100, smb=factor,
-        hml=FactorShift(factor="hml", before=before, after=before,
-                        intensity=IntensityClass.UNCHANGED),
-        intensity=intensity,
+    shift = BreakShift(
+        break_index=100,
+        smb=FactorShift(factor="smb", before=before, after=_SMB_AFTER[intensity]),
+        hml=FactorShift(factor="hml", before=before, after=before),
         style_from=STYLE_BOX_ORDER[STYLE_BOX_LABELS.index("Small Value")],
         style_to=STYLE_BOX_ORDER[STYLE_BOX_LABELS.index(to_label)],
     )
+    assert shift.intensity is intensity
+    return shift
 
 
 # -------------------------------------------------------------- metrics

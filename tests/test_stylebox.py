@@ -15,6 +15,8 @@ from fundshift.stylebox import (
     SHIFT_TOL,
     STYLE_BOX_LABELS,
     STYLE_BOX_ORDER,
+    BreakShift,
+    FactorShift,
     FactorState,
     IntensityClass,
     SizeClass,
@@ -233,6 +235,50 @@ def test_fund_shift_intensity_takes_max_severity():
         fund_shift_intensity(IntensityClass.STRENGTHEN, IntensityClass.WEAKEN)
         is IntensityClass.STRENGTHEN
     )
+
+
+#: One (before, after) state pair per grade.
+_PAIR_OF = {
+    IntensityClass.ROTATION: (state(0.5, True), state(-0.5, True)),
+    IntensityClass.DRIFT: (state(0.5, True), state(0.5, False)),
+    IntensityClass.STRENGTHEN: (state(0.3, True), state(0.5, True)),
+    IntensityClass.WEAKEN: (state(0.5, True), state(0.3, True)),
+    IntensityClass.UNCHANGED: (state(0.5, True), state(0.5, True)),
+}
+
+
+def break_shift(smb: IntensityClass, hml: IntensityClass) -> BreakShift:
+    return BreakShift(
+        break_index=10,
+        smb=FactorShift("smb", *_PAIR_OF[smb]),
+        hml=FactorShift("hml", *_PAIR_OF[hml]),
+        style_from=box_of("Mid Blend"),
+        style_to=box_of("Mid Blend"),
+    )
+
+
+def test_shift_grades_are_derived_from_their_states():
+    for smb, (before, after) in _PAIR_OF.items():
+        assert classify_factor_shift(before, after) is smb
+        assert FactorShift("smb", before, after).intensity is smb
+        for hml in IntensityClass:
+            shift = break_shift(smb, hml)
+            assert shift.intensity is fund_shift_intensity(smb, hml)
+            assert severity(shift.intensity) == max(severity(smb), severity(hml))
+    # Strengthen and Weaken tie in severity; SMB's grade wins.
+    assert break_shift(IntensityClass.WEAKEN, IntensityClass.STRENGTHEN).intensity \
+        is IntensityClass.WEAKEN
+    assert break_shift(IntensityClass.STRENGTHEN, IntensityClass.WEAKEN).intensity \
+        is IntensityClass.STRENGTHEN
+    # A grade is never passed in, so none can disagree with the states.
+    with pytest.raises(TypeError):
+        FactorShift("smb", before, after, intensity=IntensityClass.ROTATION)
+    with pytest.raises(TypeError):
+        BreakShift(
+            break_index=10, smb=FactorShift("smb", before, after),
+            hml=FactorShift("hml", before, after), intensity=IntensityClass.ROTATION,
+            style_from=box_of("Mid Blend"), style_to=box_of("Mid Blend"),
+        )
 
 
 # --------------------------------------------- regime fits and grading

@@ -33,11 +33,11 @@ fund_spec = FundSpec(
 
 factors = gen_factors(T, SEED)
 bench_nav = gen_benchmark(BenchmarkSpec(benchmark_id="BM", beta_mkt=1.0), factors)
-fund_nav, truth = gen_fund(fund_spec, factors, seed=SEED + 1)
+fund_nav = gen_fund(fund_spec, factors, seed=SEED + 1)
 
 print(f"simulated {fund_spec.fund_id}: {T} trading days, "
       f"{len(fund_spec.regimes)} planted regimes")
-print(f"planted break indices: {list(truth.break_indices)}")
+print(f"planted break indices: {list(fund_spec.break_indices)}")
 
 sample = align(compute_returns(fund_nav), compute_returns(bench_nav), factors)
 table = build_ssr_table(sample, trim=0.15)
@@ -59,5 +59,5 @@ for (start, end), planted in zip(
     print(f"  regime [{start:4d}, {end:4d}]  {d0} .. {d1}  "
           f"(planted smb={planted.beta_smb:+.1f}, hml={planted.beta_hml:+.1f})")
 
-errors = [abs(got - want) for got, want in zip(bs.break_indices, truth.break_indices)]
+errors = [abs(got - want) for got, want in zip(bs.break_indices, fund_spec.break_indices)]
 print(f"\nlocation error per break (observations): {errors}")

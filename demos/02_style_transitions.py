@@ -50,13 +50,13 @@ bench_returns = compute_returns(sim.benchmarks[0])
 # Equal-length funds share one break search; each then runs on alone.
 samples = [align(compute_returns(nav), bench_returns, sim.factors) for nav in sim.funds]
 searched, skipped = search_breaks(samples, config)
-truths = {truth.fund_id: truth for truth in sim.truths}
+fund_specs = {f.fund_id: f for f in spec.funds}
 
 records = []
 for fund in searched:
     rec = analyze_fund(fund, config)
     records.append(rec)
-    planted = " -> ".join(b.label for b in truths[rec.fund_id].styles)
+    planted = " -> ".join(b.label for b in fund_specs[rec.fund_id].styles)
     print(f"{rec.fund_id}: planted [{planted}]")
     for style in rec.styles:
         smb = next(l for l in style.fit.loadings if l.name == "smb")

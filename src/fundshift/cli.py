@@ -161,13 +161,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             _atomic_write(out / "bench_nav" / f"{nav.fund_id}.csv", write_nav_csv(nav, iso))
         _atomic_write(out / "factors.csv", write_factor_csv(sim.factors, iso))
         _atomic_write(out / "benchmark_map.csv", write_benchmark_map_csv(sim.benchmark_map))
-        truth = {
-            "seed": sim.seed,
-            "funds": [
-                truth_to_dict(t) for t in sorted(sim.truths, key=lambda t: t.fund_id)
-            ],
-        }
-        _atomic_write(out / "truth.json", truth)
+        truths = [truth_to_dict(f) for f in sorted(spec.funds, key=lambda f: f.fund_id)]
+        _atomic_write(out / "truth.json", {"seed": sim.seed, "funds": truths})
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
 

@@ -3,9 +3,10 @@
 The generators exist to give the pipeline a ground truth: factor
 returns are iid Gaussian, each fund is built regime by regime as
 r_t = rf + alpha + beta . f_t + eps_t, and the resulting NAV series is
-NAV_0 = 100 compounded through those returns. PlantedTruth records
-where the breaks are, which style box each regime should classify into
-and how each break should grade, so recovery can be checked exactly.
+NAV_0 = 100 compounded through those returns. Each FundSpec derives
+its own ground truth from its regimes: where the breaks are, which style
+box each regime should classify into and how each break should grade,
+so recovery can be checked exactly.
 
 Randomness comes only from numpy's PCG64 generator seeded through
 SeedSequence (a fixed, documented 64-bit algorithm, stable across
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from itertools import islice
+from itertools import accumulate, islice
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, timedelta
 from typing import get_args, get_origin, get_type_hints
@@ -89,7 +90,11 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class FundSpec:
-    """One synthetic fund: ordered regimes plus its benchmark link."""
+    """One synthetic fund: ordered regimes plus its benchmark link.
+
+    The spec is its own ground truth: the planted breaks, styles and
+    grades below follow from the regimes alone.
+    """
 
     fund_id: str
     benchmark_id: str
@@ -105,6 +110,19 @@ class FundSpec:
     @property
     def total_length(self) -> int:
         return sum(r.length for r in self.regimes)
+
+    @property
+    def break_indices(self) -> tuple[int, ...]:
+        """The last observation of every regime but the last."""
+        return tuple(end - 1 for end in accumulate(r.length for r in self.regimes[:-1]))
+
+    @property
+    def styles(self) -> tuple[StyleBox, ...]:
+        return tuple(map(planted_style, self.regimes))
+
+    @property
+    def intensities(self) -> tuple[IntensityClass, ...]:
+        return tuple(map(planted_intensity, self.regimes, self.regimes[1:]))
 
 
 @dataclass(frozen=True)
@@ -141,22 +159,6 @@ def planted_intensity(before: RegimeSpec, after: RegimeSpec) -> IntensityClass:
         _planted_state(before.beta_hml), _planted_state(after.beta_hml)
     )
     return fund_shift_intensity(smb, hml)
-
-
-@dataclass(frozen=True)
-class PlantedTruth:
-    """Ground truth of one generated fund."""
-
-    fund_id: str
-    break_indices: tuple[int, ...]
-    styles: tuple[StyleBox, ...]
-    intensities: tuple[IntensityClass, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.break_indices) != len(self.styles) - 1:
-            raise SynthError("PlantedTruth: break count != regimes - 1")
-        if len(self.intensities) != len(self.break_indices):
-            raise SynthError("PlantedTruth: one intensity per break required")
 
 
 def weekday_calendar(start: date, count: int) -> tuple[date, ...]:
@@ -203,11 +205,17 @@ def _returns_from_loadings(
 
 
 def _nav_from_returns(series_id: str, factors: FactorPanel, r: np.ndarray) -> NavSeries:
-    if np.any(r <= -1.0):
-        raise SynthError(f"{series_id}: generated return at or below -100%")
     if factors.dates[0] == date.min:
         raise SynthError(f"{series_id}: the NAV base row falls before {date.min}")
-    navs = NAV_BASE * np.cumprod(1.0 + r)
+    with np.errstate(over="ignore"):  # rejected below, with the first bad date named
+        navs = NAV_BASE * np.cumprod(1.0 + r)
+    bad = np.flatnonzero(~(np.isfinite(navs) & (navs > 0.0)))
+    if bad.size:
+        day = bad[0]
+        raise SynthError(
+            f"{series_id}: NAV {float(navs[day])!r} on {factors.dates[day].isoformat()} is not "
+            "a positive finite number (a return at or below -100%, or growth past float range)"
+        )
     dates = (factors.dates[0] - timedelta(days=1),) + factors.dates[: len(r)]
     return NavSeries(
         fund_id=series_id,
@@ -216,10 +224,8 @@ def _nav_from_returns(series_id: str, factors: FactorPanel, r: np.ndarray) -> Na
     )
 
 
-def gen_fund(
-    spec: FundSpec, factors: FactorPanel, seed
-) -> tuple[NavSeries, PlantedTruth]:
-    """Generate one fund's NAV series and its ground truth."""
+def gen_fund(spec: FundSpec, factors: FactorPanel, seed) -> NavSeries:
+    """Generate one fund's NAV series; its ground truth is ``spec`` itself."""
     if spec.total_length > len(factors):
         raise SynthError(
             f"{spec.fund_id}: regimes need {spec.total_length} observations, "
@@ -237,19 +243,7 @@ def gen_fund(
         )
         chunks.append(_returns_from_loadings(factors, span, regime, eps))
         pos += regime.length
-    r = np.concatenate(chunks)
-    nav = _nav_from_returns(spec.fund_id, factors, r)
-
-    cuts = np.cumsum([rg.length for rg in spec.regimes])[:-1]
-    truth = PlantedTruth(
-        fund_id=spec.fund_id,
-        break_indices=tuple(int(c) - 1 for c in cuts),
-        styles=tuple(planted_style(rg) for rg in spec.regimes),
-        intensities=tuple(
-            planted_intensity(a, b) for a, b in zip(spec.regimes, spec.regimes[1:])
-        ),
-    )
-    return nav, truth
+    return _nav_from_returns(spec.fund_id, factors, np.concatenate(chunks))
 
 
 def gen_benchmark(spec: BenchmarkSpec, factors: FactorPanel) -> NavSeries:
@@ -358,13 +352,16 @@ def parse_sim_spec(obj) -> SimSpec:
 
 @dataclass(frozen=True)
 class SimOutput:
-    """Everything one simulation produced, in memory."""
+    """Everything one simulation produced, in memory.
+
+    ``funds`` follows the spec's fund order; each fund's ground truth is
+    its :class:`FundSpec`.
+    """
 
     seed: int
     factors: FactorPanel
     benchmarks: tuple[NavSeries, ...]
     funds: tuple[NavSeries, ...]
-    truths: tuple[PlantedTruth, ...]
     benchmark_map: BenchmarkMap
 
 
@@ -385,30 +382,20 @@ def run_simulation(spec: SimSpec, seed: int | None = None) -> SimOutput:
         spec.t, children[0], vols=spec.factor_vols,
         rf_daily=spec.rf_daily, start=spec.start_date,
     )
-    benchmarks = tuple(gen_benchmark(b, factors) for b in spec.benchmarks)
-
-    funds, truths = [], []
-    for i, fspec in enumerate(spec.funds):
-        nav, truth = gen_fund(fspec, factors, children[1 + i])
-        funds.append(nav)
-        truths.append(truth)
-
-    bmap = BenchmarkMap(entries={f.fund_id: f.benchmark_id for f in spec.funds})
     return SimOutput(
         seed=root_seed,
         factors=factors,
-        benchmarks=benchmarks,
-        funds=tuple(funds),
-        truths=tuple(truths),
-        benchmark_map=bmap,
+        benchmarks=tuple(gen_benchmark(b, factors) for b in spec.benchmarks),
+        funds=tuple(gen_fund(f, factors, child) for f, child in zip(spec.funds, children[1:])),
+        benchmark_map=BenchmarkMap(entries={f.fund_id: f.benchmark_id for f in spec.funds}),
     )
 
 
-def truth_to_dict(truth: PlantedTruth) -> dict:
+def truth_to_dict(spec: FundSpec) -> dict:
     """JSON-ready form of one fund's ground truth."""
     return {
-        "fund_id": truth.fund_id,
-        "break_indices": list(truth.break_indices),
-        "styles": [box.label for box in truth.styles],
-        "intensities": [ic.value for ic in truth.intensities],
+        "fund_id": spec.fund_id,
+        "break_indices": list(spec.break_indices),
+        "styles": [box.label for box in spec.styles],
+        "intensities": [ic.value for ic in spec.intensities],
     }

@@ -336,6 +336,21 @@ def test_simulate_past_the_range_of_dates_exits_2_and_writes_nothing(tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "days, alpha, nav", [(1200, 1.0, "inf"), (400, -0.99, "0.0")], ids=["overflow", "underflow"]
+)
+def test_simulate_nav_it_cannot_write_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                  days, alpha, nav):
+    spec = {**rotation_spec(), "t": days}
+    spec["funds"][0]["regimes"] = [{"length": days, "alpha": alpha}]
+    spec_path = write_spec(tmp_path, spec)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"fundshift: error: simulation failed: F1: NAV {nav} on ")
+    assert sorted(tmp_path.rglob("*")) == [spec_path]
+
+
+@pytest.mark.parametrize(
     "start_date, base_date, last_date",
     [("0001-01-02", "0001-01-01", "0001-05-21"), ("9999-08-16", "9999-08-15", "9999-12-31")],
     ids=["base-row-on-year-1", "calendar-to-friday-9999-12-31"],

@@ -1,6 +1,7 @@
 """Synthetic panel and fund generation against planted ground truth."""
 
 import json
+import math
 import re
 from dataclasses import MISSING, fields
 from datetime import date, timedelta
@@ -99,31 +100,32 @@ def test_weekday_calendar_skips_weekends():
 def test_gen_fund_rf_compounding_closed_form():
     panel = gen_factors(250, 5)
     spec = FundSpec(fund_id="F1", benchmark_id="B1", regimes=(RegimeSpec(length=250),))
-    nav, truth = gen_fund(spec, panel, 11)
+    nav = gen_fund(spec, panel, 11)
     assert nav.navs[0] == NAV_BASE
     assert nav.dates[0] == panel.dates[0] - timedelta(days=1)
     expected_last = NAV_BASE * (1.0 + DEFAULT_RF_DAILY) ** 250
     assert nav.navs[-1] == pytest.approx(expected_last, rel=1e-12)
-    assert truth.break_indices == ()
-    assert truth.styles[0].label == "Mid Blend"
+    assert spec.break_indices == ()
+    assert spec.styles[0].label == "Mid Blend"
 
 
 def test_gen_fund_rotation_truth():
     panel = gen_factors(1000, 6)
-    nav, truth = gen_fund(rotation_fund(), panel, 12)
-    assert truth.break_indices == (499,)
-    assert truth.intensities == (IntensityClass.ROTATION,)
-    assert [b.label for b in truth.styles] == ["Small Blend", "Large Blend"]
+    spec = rotation_fund()
+    nav = gen_fund(spec, panel, 12)
+    assert spec.break_indices == (499,)
+    assert spec.intensities == (IntensityClass.ROTATION,)
+    assert [b.label for b in spec.styles] == ["Small Blend", "Large Blend"]
     assert len(nav.navs) == 1001  # day-zero base plus one NAV per return
 
 
 def test_gen_fund_same_seed_identical():
     panel = gen_factors(1000, 6)
     spec = rotation_fund(noise=0.01)
-    nav1, _ = gen_fund(spec, panel, 12)
-    nav2, _ = gen_fund(spec, panel, 12)
+    nav1 = gen_fund(spec, panel, 12)
+    nav2 = gen_fund(spec, panel, 12)
     assert nav1 == nav2
-    nav3, _ = gen_fund(spec, panel, 13)
+    nav3 = gen_fund(spec, panel, 13)
     assert nav3.navs != nav1.navs
 
 
@@ -143,6 +145,30 @@ def test_gen_fund_rejects_unsurvivable_return():
         gen_fund(spec, panel, 1)
 
 
+def first_unwritable_day(panel, alpha: float) -> int:
+    """Index of the first NAV of zero loadings plus ``alpha`` that is not positive and finite."""
+    growth = 1.0
+    for day, rf in enumerate(panel.rf):
+        growth *= 1.0 + (rf + alpha)
+        if not 0.0 < NAV_BASE * growth < math.inf:
+            return day
+    raise AssertionError("every NAV is writable")
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would escape as an error
+@pytest.mark.parametrize("days, alpha", [(1200, 1.0), (400, -0.99)], ids=["overflow", "underflow"])
+def test_gen_fund_and_gen_benchmark_reject_navs_they_cannot_write(days, alpha):
+    panel = gen_factors(days, 2)
+    bad_date = panel.dates[first_unwritable_day(panel, alpha)].isoformat()
+    fund = FundSpec(
+        fund_id="F1", benchmark_id="B1", regimes=(RegimeSpec(length=days, alpha=alpha),)
+    )
+    with pytest.raises(SynthError, match=rf"^F1: NAV .* on {bad_date} is not a positive finite"):
+        gen_fund(fund, panel, 1)
+    with pytest.raises(SynthError, match=rf"^B1: NAV .* on {bad_date} is not a positive finite"):
+        gen_benchmark(BenchmarkSpec(benchmark_id="B1", alpha=alpha), panel)
+
+
 def test_regime_spec_validation():
     with pytest.raises(SynthError, match="length 0 < 1"):
         RegimeSpec(length=0)
@@ -159,7 +185,7 @@ def test_round_trip_returns_recovered():
         regimes=(RegimeSpec(length=400, alpha=0.0001, beta_mkt=0.9,
                             beta_smb=0.3, beta_hml=-0.2, noise_sigma=0.005),),
     )
-    nav, _ = gen_fund(spec, panel, 9)
+    nav = gen_fund(spec, panel, 9)
     rs = compute_returns(nav)
     assert rs.dates == panel.dates
     # Independent reconstruction of the planted return path.
@@ -178,8 +204,8 @@ def test_seed_isolation_across_funds():
         fund_id="F1", benchmark_id="B1",
         regimes=(RegimeSpec(length=10_000, noise_sigma=0.01),),
     )
-    nav_a, _ = gen_fund(noise_spec, panel, 100)
-    nav_b, _ = gen_fund(noise_spec, panel, 101)
+    nav_a = gen_fund(noise_spec, panel, 100)
+    nav_b = gen_fund(noise_spec, panel, 101)
     resid_a = np.asarray(compute_returns(nav_a).returns) - np.asarray(panel.rf)
     resid_b = np.asarray(compute_returns(nav_b).returns) - np.asarray(panel.rf)
     rho = float(np.corrcoef(resid_a, resid_b)[0, 1])
@@ -201,7 +227,7 @@ def test_benchmark_self_cancellation():
     bench_spec = BenchmarkSpec(
         benchmark_id="B1", alpha=0.0003, beta_mkt=0.9, beta_smb=0.4, beta_hml=-0.2
     )
-    nav_f, _ = gen_fund(fund_spec, panel, 22)
+    nav_f = gen_fund(fund_spec, panel, 22)
     nav_b = gen_benchmark(bench_spec, panel)
     sample = align(compute_returns(nav_f), compute_returns(nav_b), panel)
     fit = fit_benchmark_adjusted(sample)
@@ -232,6 +258,27 @@ def test_planted_style_and_intensity_reuse_classifiers():
     ) is IntensityClass.STRENGTHEN
 
 
+def test_fund_spec_derives_its_planted_truth_from_its_regimes():
+    regimes = (
+        RegimeSpec(length=300, beta_smb=0.5, beta_hml=0.3),
+        RegimeSpec(length=400, beta_smb=-0.5, beta_hml=-0.3),
+        RegimeSpec(length=250, beta_smb=-0.5),
+    )
+    spec = FundSpec(fund_id="F3", benchmark_id="B1", regimes=regimes)
+    assert spec.break_indices == (299, 699)
+    assert spec.styles == tuple(planted_style(r) for r in regimes)
+    assert [b.label for b in spec.styles] == ["Small Value", "Large Growth", "Large Blend"]
+    assert spec.intensities == (
+        planted_intensity(regimes[0], regimes[1]), planted_intensity(regimes[1], regimes[2])
+    )
+    assert spec.intensities == (IntensityClass.ROTATION, IntensityClass.DRIFT)
+
+    alone = FundSpec(fund_id="F1", benchmark_id="B1", regimes=regimes[:1])
+    assert alone.break_indices == ()
+    assert alone.styles == (planted_style(regimes[0]),)
+    assert alone.intensities == ()
+
+
 def test_pipeline_reproduces_planted_truth_exactly():
     # Zero noise, strong loadings: detection, classification and grading
     # must all agree with the generator's ground truth.
@@ -253,7 +300,7 @@ def test_pipeline_reproduces_planted_truth_exactly():
         }
     )
     out = run_simulation(spec)
-    truth = out.truths[0]
+    truth = spec.funds[0]
     sample = align(
         compute_returns(out.funds[0]), compute_returns(out.benchmarks[0]), out.factors
     )
@@ -368,9 +415,7 @@ def test_run_simulation_is_deterministic_and_seed_overridable():
 
 
 def test_truth_to_dict_shape():
-    panel = gen_factors(1000, 6)
-    _, truth = gen_fund(rotation_fund(), panel, 12)
-    d = truth_to_dict(truth)
+    d = truth_to_dict(rotation_fund())
     assert d == {
         "fund_id": "FR",
         "break_indices": [499],
